@@ -10,11 +10,13 @@ route used wherever an assertion needs exactness.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .functions import Dfn, fourier_mean_norm
+from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
 from .sets import SetA
@@ -249,17 +251,10 @@ def _pushforward_counts(ctx, indices, coeff: int) -> np.ndarray:
     return np.bincount(scaled, minlength=ctx.N).astype(np.int64)
 
 
-def _int_convolve(ctx, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
-    out = np.zeros(ctx.N, dtype=np.int64)
-    a, b = (g1, g2) if np.count_nonzero(g1) <= np.count_nonzero(g2) else (g2, g1)
-    for y in np.nonzero(a)[0]:
-        out[ctx.translation(int(y))] += a[y] * b
-    return out
-
-
 def _convolution_value_at_zero(ctx, arrays) -> int:
     """(g_1 * ... * g_m)(0), exact integers; pairs the sparsest arrays first
-    and finishes with an O(N) inner product instead of a last convolution."""
+    and finishes with an inner product in Python ints instead of a last
+    convolution, so a total past 2^63 stays exact."""
     arrays = [np.asarray(g, dtype=np.int64) for g in arrays]
     if len(arrays) == 1:
         return int(arrays[0][0])
@@ -267,8 +262,8 @@ def _convolution_value_at_zero(ctx, arrays) -> int:
         arrays.sort(key=np.count_nonzero)
         arrays.append(_int_convolve(ctx, arrays.pop(0), arrays.pop(0)))
     a, b = arrays
-    neg = np.asarray(ctx.neg(ctx.elements()))
-    return int((a * b[neg]).sum())
+    sup = np.flatnonzero(a)
+    return sum(map(operator.mul, a[sup].tolist(), b[ctx.neg(sup)].tolist()))
 
 
 def count_equation_solutions(eq: EquationSpec, A: SetA, check_padding: bool = True) -> int:
@@ -727,6 +722,7 @@ def run_transference_pipeline(
 
     model = dm.build_dense_model(A, s, t, eps, n_model=n_model)
     report.sections["model_properties"] = dm.verify_model_properties(model, t)
+    report.flags += model.diagnostics.get("flags", [])
 
     f = model.f
     scale = model.scale

@@ -23,6 +23,8 @@ from .sets import SetA, FreenessError, find_kst_violation, rep_tuple
 from .spectral import BohrSet, Subspace, annihilator, bohr_set, span, spectrum
 from .util import as_fraction, indices_to_mask, spawn_rng
 
+TRIVIAL_SMOOTHER_FLAG = "trivial smoother (|B|=1): g = 0"
+
 __all__ = [
     "DenseModel",
     "build_dense_model",
@@ -118,6 +120,8 @@ def build_dense_model(
         "smoother_size": size,
         "spectrum_size": len(spec),
     }
+    if size == 1:
+        model.diagnostics["flags"] = [TRIVIAL_SMOOTHER_FLAG]
     return model
 
 
@@ -149,6 +153,7 @@ def verify_model_properties(model: DenseModel, t: int | None = None):
         },
         quantities=dict(model.diagnostics),
     )
+    rep.flags = list(rep.quantities.pop("flags", []))
     int_vals = model.integer_f.values
     rep.check("nonnegative", int(int_vals.min()) >= 0, "==", True, exact=True)
 

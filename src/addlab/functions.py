@@ -23,6 +23,7 @@ __all__ = [
     "fourier",
     "inverse_fourier",
     "convolve",
+    "exact_convolve",
     "norms",
     "fourier_mean_norm",
     "Norms",
@@ -159,59 +160,124 @@ def inverse_fourier(H: Dfn, method: str = "fast") -> Dfn:
     return Dfn(H.ctx, vals, tag="complex")
 
 
-def _direct_convolve_values(ctx, v1, v2):
-    if ctx.kind == "cyclic":
-        lin = np.convolve(v1, v2)
-        out = lin[: ctx.N].copy()
-        if len(lin) > ctx.N:
-            tail = lin[ctx.N :]
-            out[: len(tail)] += tail
+_INT64_LIMIT = 1 << 63
+_PACK_WIDTHS = (1, 2, 4, 8)  # bytes per packed digit
+
+
+def _abs_sum_max(v: np.ndarray) -> tuple[int, int]:
+    """(sum |v|, max |v|) as Python ints, without int64 wraparound."""
+    if not len(v):
+        return 0, 0
+    mx = max(int(v.max()), -int(v.min()))
+    if mx * len(v) < _INT64_LIMIT:
+        return int(np.abs(v).sum()), mx
+    return sum(map(abs, v.tolist())), mx
+
+
+def _support_arc(v: np.ndarray) -> tuple[int, np.ndarray]:
+    """(start, arc) with arc[j] = v[(start + j) mod M]: the shortest cyclic
+    arc holding the support of v, so a support that wraps past 0 stays short."""
+    sup = np.flatnonzero(v)
+    if len(sup) < 2:
+        return (int(sup[0]) if len(sup) else 0), v[sup]
+    gaps = np.diff(sup)
+    i = int(gaps.argmax())
+    if gaps[i] <= len(v) - sup[-1] + sup[0]:  # the widest gap is the one across 0
+        return int(sup[0]), v[sup[0] : sup[-1] + 1]
+    start = int(sup[i + 1])
+    return start, np.concatenate((v[start:], v[: sup[i] + 1]))
+
+
+def _pack(arc: np.ndarray, udt: np.dtype) -> int:
+    """sum_j arc[j] * 2^(8 * udt.itemsize * j) as a Python int."""
+    if arc.min() >= 0:
+        return int.from_bytes(arc.astype(udt).tobytes(), "little")
+    return _pack(np.maximum(arc, 0), udt) - _pack(np.maximum(-arc, 0), udt)
+
+
+def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
+    """(g1 * g2)(x) = sum_y g1(y) g2(x - y) in exact int64 arithmetic.
+
+    Z_M: Kronecker substitution (Harvey, J. Symb. Comput. 2009).  Each
+    input is trimmed to the shortest cyclic arc holding its support and
+    packed into one Python int; the two are multiplied once, and the linear
+    product is unpacked and folded mod M, so the cost follows the supports,
+    not M.  F_q^n: sparse accumulation of translates of the denser input.
+
+    Raises OverflowError, before multiplying, when the entry bound
+    min(sum|g1| max|g2|, sum|g2| max|g1|) is 2^63 or more.
+    """
+    g1 = np.asarray(g1, dtype=np.int64)
+    g2 = np.asarray(g2, dtype=np.int64)
+    cyclic = ctx.kind == "cyclic"
+    if cyclic:
+        (s1, g1), (s2, g2) = _support_arc(g1), _support_arc(g2)
+    sum1, max1 = _abs_sum_max(g1)
+    sum2, max2 = _abs_sum_max(g2)
+    bound = min(sum1 * max2, sum2 * max1)
+    if bound >= _INT64_LIMIT:
+        raise OverflowError(f"exact convolution entry bound {bound} is not below 2^63")
+    out = np.zeros(ctx.N, dtype=np.int64)
+    if bound == 0:
         return out
-    # vector space: accumulate translates over the sparser support
-    if np.count_nonzero(v2) < np.count_nonzero(v1):
-        v1, v2 = v2, v1
-    out = np.zeros(ctx.N, dtype=np.result_type(v1, v2))
-    for y in np.nonzero(v1)[0]:
-        out[ctx.translation(int(y))] += v1[y] * v2
+    if not cyclic:
+        if np.count_nonzero(g2) < np.count_nonzero(g1):
+            g1, g2 = g2, g1
+        for y in np.flatnonzero(g1):
+            out[ctx.translation(int(y))] += g1[y] * g2
+        return out
+    # digits of 8w - 1 bits hold every linear coefficient |c| <= bound;
+    # signed inputs add 2^(8w-1) to each digit before unpacking
+    width = next(w for w in _PACK_WIDTHS if bound.bit_length() < 8 * w)
+    udt = np.dtype(f"<u{width}")
+    n = len(g1) + len(g2) - 1
+    product = _pack(g1, udt) * _pack(g2, udt)
+    signed = g1.min() < 0 or g2.min() < 0
+    top = 1 << (8 * width - 1)
+    if signed:
+        product += int.from_bytes(np.full(n, top, dtype=udt).tobytes(), "little")
+    digits = np.frombuffer(product.to_bytes(n * width, "little"), dtype=udt)
+    if signed:
+        digits = digits ^ udt.type(top)
+    linear = digits.view(f"<i{width}")
+    pos, k = (s1 + s2) % ctx.N, 0
+    while k < n:
+        take = min(ctx.N - pos, n - k)
+        out[pos : pos + take] += linear[k : k + take]
+        pos, k = 0, k + take
     return out
+
+
+def _definitional_convolve(ctx, v1, v2):
+    """sum over y in supp(v1) of v1(y) v2(x - y), for every x at once."""
+    if ctx.N > _DIRECT_LIMIT:
+        raise ValueError(f"definitional convolution limited to N <= {_DIRECT_LIMIT}")
+    sup = np.flatnonzero(v1)
+    x = ctx.elements()
+    return v2[ctx.sub(x[:, None], sup[None, :])] @ v1[sup]
 
 
 def convolve(h1: Dfn, h2: Dfn, method: str = "fast") -> Dfn:
     """(h1 * h2)(x) = sum_y h1(y) h2(x - y).
 
-    'direct' sums exactly (integer inputs stay integers); 'fast' multiplies
-    in Fourier space, and rounds integer inputs back to integers, checking
-    the rounding error stays below 1e-6.
+    Integer-valued inputs are convolved exactly by ``exact_convolve`` under
+    either method, and the result is int64.  Otherwise 'direct' sums the
+    definition (N <= 4096) and 'fast' multiplies in Fourier space.
     """
     if h1.ctx != h2.ctx:
         raise ValueError("group context mismatch")
-    ctx = h1.ctx
-    both_int = h1.is_integer_valued() and h2.is_integer_valued()
-    if method == "direct":
-        if both_int:
-            vals = _direct_convolve_values(
-                ctx, h1.values.astype(np.int64), h2.values.astype(np.int64)
-            )
-            return Dfn(ctx, vals)
-        vals = _direct_convolve_values(
-            ctx,
-            h1.values.astype(np.complex128 if "complex" in (h1.tag, h2.tag) else np.float64),
-            h2.values.astype(np.complex128 if "complex" in (h1.tag, h2.tag) else np.float64),
-        )
-        tag = "complex" if "complex" in (h1.tag, h2.tag) else "real"
-        return Dfn(ctx, vals, tag=tag)
-    if method != "fast":
+    if method not in ("direct", "fast"):
         raise ValueError(f"unknown method {method!r}")
+    ctx = h1.ctx
+    if h1.is_integer_valued() and h2.is_integer_valued():
+        return Dfn(ctx, exact_convolve(ctx, h1.values, h2.values))
+    tag = "complex" if "complex" in (h1.tag, h2.tag) else "real"
+    if method == "direct":
+        dtype = np.complex128 if tag == "complex" else np.float64
+        vals = _definitional_convolve(ctx, h1.values.astype(dtype), h2.values.astype(dtype))
+        return Dfn(ctx, vals, tag=tag)
     vals = ctx.ifft(h1.hat() * h2.hat())
-    if both_int:
-        rounded = np.round(vals.real)
-        err = np.max(np.abs(vals - rounded))
-        if err >= 1e-6:
-            raise ArithmeticError(f"integer convolution rounding error {err:.3g}")
-        return Dfn(ctx, rounded.astype(np.int64))
-    if h1.tag == "real" and h2.tag == "real":
-        return Dfn(ctx, vals.real, tag="real")
-    return Dfn(ctx, vals, tag="complex")
+    return Dfn(ctx, vals.real if tag == "real" else vals, tag=tag)
 
 
 @dataclass

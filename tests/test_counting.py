@@ -18,6 +18,7 @@ from addlab.counting import (
     verify_supersaturation,
     verify_telescoping,
 )
+from addlab.dense_model import TRIVIAL_SMOOTHER_FLAG
 from addlab.functions import Dfn
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import SetA, equation_free_greedy, erdos_turan_sidon, greedy_kst_free
@@ -388,6 +389,8 @@ class TestPipeline:
         for key in ("delta", "T_f", "T_F", "g_hat_sup", "diagonal_value",
                     "solutions_in_A"):
             assert key in rep.ledger
+        assert rep.ledger["smoother_size"] == 1
+        assert TRIVIAL_SMOOTHER_FLAG in rep.flags
 
     def test_vector_pipeline(self):
         ctx = VectorCtx(FieldCtx(3, 1), 4)
@@ -396,6 +399,8 @@ class TestPipeline:
         rep = run_transference_pipeline(A, eq, 2, 2, "1/2")
         assert rep.passed
         assert "supersaturation" in rep.sections
+        assert rep.ledger["smoother_size"] > 1
+        assert TRIVIAL_SMOOTHER_FLAG not in rep.flags
 
     def test_nonfree_input_raises_with_witness(self):
         from addlab.sets import FreenessError

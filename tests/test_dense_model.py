@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from addlab.dense_model import (
+    TRIVIAL_SMOOTHER_FLAG,
     build_dense_model,
     verify_model_properties,
     verify_smoothing_decomposition,
@@ -41,6 +42,11 @@ class TestBuild:
         model = build_dense_model(A, 2, 2, Fraction(1, 10**6))
         assert model.smoother_size == 1
         assert np.allclose(model.f.values, CTX34.N**0.5 * A.indicator().values)
+        # g = f - N^{1/s} 1_A = 0: the model is flagged, not silently vacuous
+        assert model.diagnostics["flags"] == [TRIVIAL_SMOOTHER_FLAG]
+        rep = verify_model_properties(model)
+        assert rep.flags == [TRIVIAL_SMOOTHER_FLAG]
+        assert "flags" not in rep.quantities
 
     def test_freeness_precondition(self):
         A = SetA(CyclicCtx(30), [0, 1, 2, 3])

@@ -1,0 +1,141 @@
+"""The exact integer convolution kernel against the two routes it replaced."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from addlab.counting import (
+    EquationSpec,
+    _convolution_value_at_zero,
+    count_T,
+    count_equation_solutions,
+)
+from addlab.functions import _support_arc, exact_convolve
+from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
+from addlab.sets import SetA
+from addlab.util import spawn_rng
+
+CTXS = [
+    CyclicCtx(1),
+    CyclicCtx(2),
+    CyclicCtx(31),                  # prime M
+    CyclicCtx(64),                  # power-of-two M
+    VectorCtx(FieldCtx(3, 1), 4),   # F_3^4
+    VectorCtx(FieldCtx(5, 1), 2),   # F_5^2
+]
+
+
+# -- oracles: the routes the kernel replaced ------------------------------------
+
+
+def dense_fold_oracle(M, v1, v2):
+    """Dense linear np.convolve on Z, folded mod M."""
+    lin = np.convolve(v1, v2)
+    out = lin[:M].copy()
+    tail = lin[M:]
+    out[: len(tail)] += tail
+    return out
+
+
+def translate_oracle(ctx, v1, v2):
+    """Sum of translates: out[y + x] += v1[y] v2[x] for every y in supp(v1)."""
+    out = np.zeros(ctx.N, dtype=np.int64)
+    for y in np.nonzero(v1)[0]:
+        out[ctx.translation(int(y))] += v1[y] * v2
+    return out
+
+
+@st.composite
+def arc_values(draw, ctx):
+    """int64 values supported on an arc [start, start + length) mod N, which
+    may wrap past 0; empty, single-point and signed supports all occur."""
+    v = np.zeros(ctx.N, dtype=np.int64)
+    start = draw(st.integers(0, ctx.N - 1))
+    length = draw(st.integers(0, ctx.N))
+    scale = draw(st.sampled_from([1, 100, 2**12, 2**26]))
+    lo = draw(st.sampled_from([0, -scale]))
+    if length:
+        entries = draw(st.lists(
+            st.tuples(st.integers(0, length - 1), st.integers(lo, scale)),
+            max_size=min(length, 12),
+        ))
+        for off, val in entries:
+            v[(start + off) % ctx.N] = val
+    return v
+
+
+class TestExactConvolve:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_oracles(self, data):
+        ctx = data.draw(st.sampled_from(CTXS))
+        v1 = data.draw(arc_values(ctx))
+        v2 = data.draw(arc_values(ctx))
+        out = exact_convolve(ctx, v1, v2)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, translate_oracle(ctx, v1, v2))
+        if ctx.kind == "cyclic":
+            assert np.array_equal(out, dense_fold_oracle(ctx.N, v1, v2))
+
+    def test_wrapping_support_stays_short(self):
+        ctx = CyclicCtx(1000)
+        v = np.zeros(ctx.N, dtype=np.int64)
+        v[[998, 999, 0, 1]] = [1, -2, 3, 4]
+        start, arc = _support_arc(v)
+        assert start == 998 and arc.tolist() == [1, -2, 3, 4]
+        w = np.zeros(ctx.N, dtype=np.int64)
+        w[[500, 997]] = [5, 7]
+        out = exact_convolve(ctx, v, w)
+        assert np.array_equal(out, dense_fold_oracle(ctx.N, v, w))
+
+    def test_all_pack_widths(self):
+        # entry bounds that need 1, 2, 4 and 8 bytes per packed digit
+        ctx = CyclicCtx(97)
+        rng = np.random.default_rng(5)
+        for scale in (3, 2**10, 2**20, 2**28):
+            v1 = rng.integers(-scale, scale + 1, size=ctx.N)
+            v2 = rng.integers(-scale, scale + 1, size=ctx.N)
+            assert np.array_equal(exact_convolve(ctx, v1, v2),
+                                  dense_fold_oracle(ctx.N, v1, v2))
+
+    def test_entry_at_the_int64_edge(self):
+        ctx = CyclicCtx(11)
+        v1 = np.zeros(ctx.N, dtype=np.int64)
+        v2 = np.zeros(ctx.N, dtype=np.int64)
+        v1[7], v2[9] = -(2**62), 1
+        out = exact_convolve(ctx, v1, v2)
+        assert int(out[5]) == -(2**62) and np.count_nonzero(out) == 1
+
+    @pytest.mark.parametrize("ctx", [CyclicCtx(8), VectorCtx(FieldCtx(3, 1), 2)])
+    def test_overflow_raises_with_bound(self, ctx):
+        v1 = np.zeros(ctx.N, dtype=np.int64)
+        v2 = np.zeros(ctx.N, dtype=np.int64)
+        # (v1 * v2)(5) = 2^63 in either group: the bound is attained
+        v1[[1, 2]] = 2**31
+        v2[[3, 4]] = 2**31
+        with pytest.raises(OverflowError, match=str(2**63)):
+            exact_convolve(ctx, v1, v2)
+
+
+class TestExactCounts:
+    def test_value_at_zero_past_int64(self):
+        # one product 2^80 plus one 2^70: wraps int64, exact in Python ints
+        ctx = CyclicCtx(5)
+        a = np.zeros(5, dtype=np.int64)
+        b = np.zeros(5, dtype=np.int64)
+        a[[1, 2]] = [2**40, 2**35]
+        b[[4, 3]] = [2**40, 2**35]
+        assert _convolution_value_at_zero(ctx, [a, b]) == 2**80 + 2**70
+
+    def test_equation_count_matches_brute_on_wrapping_sets(self):
+        # no padding: solutions wrap mod M, so supports and sums wrap past 0
+        rng = spawn_rng(7, 3)
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        for M in (7, 16, 23, 30):
+            ctx = CyclicCtx(M)
+            for _ in range(3):
+                A = SetA(ctx, rng.choice(M, size=min(M, 5), replace=False))
+                exact = count_equation_solutions(eq, A, check_padding=False)
+                brute = count_T(eq, [A.indicator()] * eq.k, "brute").total
+                assert exact == brute
