@@ -9,6 +9,7 @@ route used wherever an assertion needs exactness.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -161,7 +162,6 @@ class CountResult:
     total: object
     trivial: object
     method: str
-    all_distinct: int | None = None
 
 
 def _brute_total(ctx, coeffs, values):
@@ -248,7 +248,7 @@ def count_T(
 def _pushforward_counts(ctx, indices, coeff: int) -> np.ndarray:
     """g(y) = #{x in the set : coeff * x = y}, exact integers."""
     scaled = np.asarray(ctx.scale_int(coeff, np.asarray(indices, dtype=np.int64)))
-    return np.bincount(scaled, minlength=ctx.N).astype(np.int64)
+    return np.bincount(scaled, minlength=ctx.N).astype(np.int64, copy=False)
 
 
 def _convolution_value_at_zero(ctx, arrays) -> int:
@@ -276,44 +276,68 @@ def count_equation_solutions(eq: EquationSpec, A: SetA, check_padding: bool = Tr
     return _convolution_value_at_zero(ctx, gs)
 
 
-def count_all_distinct(eq: EquationSpec, A: SetA, limit: int = 2_000_000) -> int | None:
-    """Solutions in A^k with all coordinates pairwise distinct (None if too big)."""
-    ctx = A.ctx
-    m = len(A)
-    if m == 0:
-        return 0
-    if m ** (eq.k - 1) > limit:
-        return None
-    coeffs = eq.coeffs
-    if not _is_invertible(ctx, coeffs[-1]):
-        raise ValueError("needs an invertible last coefficient")
-    member = A.member
-    sup = A.indices
-    total = 0
+def _pushforward_convolution(ctx, indices, key: tuple, memo: dict) -> np.ndarray:
+    """Convolution of the pushforward counts of `indices` under each
+    coefficient in `key`, built from the halves of `key` and memoized so that
+    keys share partial sums; single pushforwards are cheaper to recompute."""
+    if len(key) == 1:
+        return _pushforward_counts(ctx, indices, key[0])
+    if key not in memo:
+        h = len(key) // 2
+        memo[key] = _int_convolve(
+            ctx,
+            _pushforward_convolution(ctx, indices, key[:h], memo),
+            _pushforward_convolution(ctx, indices, key[h:], memo),
+        )
+    return memo[key]
 
-    def rec(depth, partial, prefix):
-        # enumerating variable `depth`; variables k-2 and k-1 are handled
-        # together at the bottom, the last one solved by inversion
-        nonlocal total
-        if depth == eq.k - 2:
-            r = np.asarray(ctx.add(partial, ctx.scale_int(coeffs[depth], sup)))
-            xsol = _solve_last(ctx, coeffs[-1], ctx.neg(r))
-            ok = member[xsol]
-            for x, xs, good in zip(sup, xsol, ok):
-                if good and int(x) not in prefix and int(xs) not in prefix and int(x) != int(xs):
-                    total += 1
-            return
-        for x in sup:
-            if int(x) in prefix:
-                continue
-            rec(
-                depth + 1,
-                ctx.add(partial, ctx.scale_int(coeffs[depth], int(x))),
-                prefix | {int(x)},
-            )
 
-    rec(0, 0, frozenset())
-    return total
+def _set_partitions(items):
+    """Every set partition of `items`, each a list of blocks (lists)."""
+    parts = [[]]
+    for x in items:
+        parts = [p[:j] + [p[j] + [x]] + p[j + 1:] for p in parts for j in range(len(p))] + [
+            p + [[x]] for p in parts
+        ]
+    return parts
+
+
+def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
+    """(solutions in A^k, solutions with pairwise distinct coordinates)."""
+    ctx, m = A.ctx, len(A)
+    modulus = ctx.M if isinstance(ctx, CyclicCtx) else ctx.field.p
+    weights: dict = {}  # sorted nonzero block sums, up to sign -> Moebius weight
+    for blocks in _set_partitions(eq.coeffs):
+        sums = sorted(c for c in (signed_residue(sum(B), modulus) for B in blocks) if c)
+        key = min(tuple(sums), tuple(sorted(-c for c in sums)))
+        mu = math.prod((-1) ** (len(B) - 1) * math.factorial(len(B) - 1) for B in blocks)
+        weights[key] = weights.get(key, 0) + mu * m ** (len(blocks) - len(key))
+        if len(blocks) == eq.k:
+            finest, scale = key, m ** (eq.k - len(key))
+    memo: dict = {}
+    values = {(): 1}
+    for key in weights.keys() - values.keys():
+        h = len(key) // 2
+        halves = (key[:h], key[h:]) if h else (key,)
+        values[key] = _convolution_value_at_zero(
+            ctx, [_pushforward_convolution(ctx, A.indices, x, memo) for x in halves])
+    return values[finest] * scale, sum(w * values[key] for key, w in weights.items())
+
+
+def count_all_distinct(eq: EquationSpec, A: SetA) -> int:
+    """Solutions in A^k with all coordinates pairwise distinct, exactly.
+
+    Moebius inversion on the lattice of set partitions of the k variables
+    (Rota, "On the foundations of combinatorial theory I", 1964):
+    #distinct = sum_pi mu(0, pi) N_pi with mu(0, pi) = prod_B (-1)^{|B|-1} (|B|-1)!,
+    where N_pi counts the solutions constant on the blocks of pi.  N_pi is the
+    value at 0 of the convolution of the pushforward counts of A under the
+    block sums c_B; a block with c_B = 0 in the scalar ring (Z_M, or F_p for
+    F_q^n) contributes the factor |A| instead.  Partitions with the same
+    block sums up to sign share one count, and all counts share partial
+    convolutions.
+    """
+    return _solution_counts(eq, A)[1]
 
 
 def _find_nontrivial_solution(eq: EquationSpec, A: SetA):
@@ -562,14 +586,8 @@ def count_k_cycles(eq: EquationSpec, sets: list, method: str = "convolution") ->
         raise ValueError("cycle counting runs in the vector-space model")
     if any(a % ctx.field.p == 0 for a in eq.coeffs):
         raise ValueError("coefficients must be invertible mod p")
-    common = set(int(i) for i in sets[0].indices)
-    for X in sets[1:]:
-        common &= set(int(i) for i in X.indices)
-    diag = sum(
-        1
-        for x in common
-        if int(ctx.scale_int(eq.k, x)) == 0
-    )
+    common = functools.reduce(np.intersect1d, [X.indices for X in sets])
+    diag = int(np.count_nonzero(np.asarray(ctx.scale_int(eq.k, common)) == 0))
     if method == "brute":
         values = [X.indicator().values for X in sets]
         total = _brute_total(ctx, (1,) * eq.k, values)
@@ -610,14 +628,8 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3
         for a in eq.coeffs
     )
     rep.check("diagonal_coordinates_distinct", per_coord_ok, "==", True, exact=True)
-    sums_zero = True
-    for x in A0.indices:
-        acc = 0
-        for a in eq.coeffs:
-            acc = ctx.add(acc, ctx.scale_int(a, int(x)))
-        if acc != 0:
-            sums_zero = False
-            break
+    acc = functools.reduce(ctx.add, [ctx.scale_int(a, A0.indices) for a in eq.coeffs])
+    sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
     cycles = count_k_cycles(eq, dilated, method="convolution")
     rep.quantities["cycle_count"] = cycles.total
@@ -758,11 +770,10 @@ def run_transference_pipeline(
             "smoother_size": model.smoother_size,
         }
     )
-    exact_solutions = count_equation_solutions(eq, A)
+    assert_z_faithful(eq, [A.indicator()] * k)
+    exact_solutions, distinct = _solution_counts(eq, A)
     report.ledger["solutions_in_A"] = exact_solutions
-    distinct = count_all_distinct(eq, A)
-    if distinct is not None:
-        report.ledger["all_distinct_solutions"] = distinct
+    report.ledger["all_distinct_solutions"] = distinct
     if exact_solutions == len(A):
         _, diag_rep = trivial_solution_value(eq, A, s, n_model=N)
         report.sections["diagonal_value"] = diag_rep

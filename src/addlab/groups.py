@@ -354,14 +354,6 @@ class GroupCtx:
     def describe(self) -> str:
         raise NotImplementedError
 
-    @staticmethod
-    def cyclic(M: int) -> "CyclicCtx":
-        return CyclicCtx(M)
-
-    @staticmethod
-    def vector_space(field: FieldCtx, n: int) -> "VectorCtx":
-        return VectorCtx(field, n)
-
 
 class CyclicCtx(GroupCtx):
     kind = "cyclic"

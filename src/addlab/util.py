@@ -1,4 +1,4 @@
-"""Small shared helpers: seeded RNG spawning, bit masks, rationals, formatting."""
+"""Small shared helpers: seeded RNG spawning, bit masks, rationals, signed residues."""
 
 from __future__ import annotations
 
@@ -39,22 +39,9 @@ def indices_to_mask(indices, size: int) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-def mask_to_indices(mask: int, size: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return [i for i in out if i < size]
-
-
 def signed_residue(x, modulus: int):
     """Representative of x mod M in (-M/2, M/2]."""
     x = np.asarray(x) % modulus
     return np.where(x > modulus // 2, x - modulus, x) if x.ndim else (
         int(x) - modulus if int(x) > modulus // 2 else int(x)
     )
-
-
-def fmt17(x: float) -> str:
-    return f"{float(x):.17g}"

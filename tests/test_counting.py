@@ -1,11 +1,19 @@
 """Counting functional, transference machinery, cycles, level sets."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from addlab.counting import (
     EquationSpec,
     PaddingError,
+    _is_invertible,
+    _solution_counts,
+    _solve_last,
     count_T,
     count_all_distinct,
     count_equation_solutions,
@@ -185,6 +193,150 @@ class TestTrivialSolutionValue:
         n = count_all_distinct(eq, A)
         # solutions with all distinct coordinates: (0,10,5) and (10,0,5)
         assert n == 2
+
+
+# -- oracles for the all-distinct count ---------------------------------------------
+
+
+def product_oracle(eq, A):
+    """All-distinct solutions by listing every tuple of A^k."""
+    ctx = A.ctx
+    tuples = np.array(list(itertools.product(A.indices.tolist(), repeat=eq.k)),
+                      dtype=np.int64).reshape(-1, eq.k)
+    acc = functools.reduce(ctx.add, [ctx.scale_int(c, tuples[:, i])
+                                     for i, c in enumerate(eq.coeffs)])
+    distinct = np.all(np.diff(np.sort(tuples, axis=1), axis=1) != 0, axis=1)
+    return int(np.count_nonzero((np.asarray(acc) == 0) & distinct))
+
+
+def prefix_enumerator(eq, A):
+    """The enumerator the Moebius count replaced: m^{k-2} prefixes in Python,
+    the last variable solved by inversion (so it must be invertible)."""
+    ctx = A.ctx
+    if len(A) == 0:
+        return 0
+    coeffs = eq.coeffs
+    assert _is_invertible(ctx, coeffs[-1])
+    member = A.member
+    sup = A.indices
+    total = 0
+
+    def rec(depth, partial, prefix):
+        nonlocal total
+        if depth == eq.k - 2:
+            r = np.asarray(ctx.add(partial, ctx.scale_int(coeffs[depth], sup)))
+            xsol = _solve_last(ctx, coeffs[-1], ctx.neg(r))
+            ok = member[xsol]
+            for x, xs, good in zip(sup, xsol, ok):
+                if good and int(x) not in prefix and int(xs) not in prefix and int(x) != int(xs):
+                    total += 1
+            return
+        for x in sup:
+            if int(x) in prefix:
+                continue
+            rec(
+                depth + 1,
+                ctx.add(partial, ctx.scale_int(coeffs[depth], int(x))),
+                prefix | {int(x)},
+            )
+
+    rec(0, 0, frozenset())
+    return total
+
+
+def with_invertible_last(eq, ctx):
+    """The same equation with an invertible coefficient moved last (the
+    all-distinct count is symmetric in the variables), or None."""
+    for i, c in enumerate(eq.coeffs):
+        if _is_invertible(ctx, c):
+            rest = eq.coeffs[:i] + eq.coeffs[i + 1:]
+            return EquationSpec(rest + (c,), char=eq.char)
+    return None
+
+
+ZERO_BLOCK_EQS = [(1, -1, 2, -2), (1, -1, 2, 1, -3), (1, -1, 2, -2, 1, -1)]
+
+
+@st.composite
+def equation_and_set(draw):
+    """An equation and a set: Z_M unpadded (any M, coefficients may share a
+    factor with M) or padded, or F_3^n / F_5^n; k = 3..6; empty and
+    one-point sets included."""
+    kind = draw(st.sampled_from(["cyclic", "padded", "f3", "f5"]))
+    k = draw(st.integers(3, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("f3", "f5"):
+        p = 3 if kind == "f3" else 5
+        ctx = VectorCtx(FieldCtx(p, 1), int(rng.integers(1, 5 if p == 3 else 3)))
+        coeffs = draw(st.lists(st.integers(1 - 2 * p, 2 * p - 1).filter(lambda c: c % p),
+                               min_size=k - 1, max_size=k - 1))
+        coeffs.append(-sum(coeffs))
+        assume(coeffs[-1] % p)
+        eq = EquationSpec(coeffs, char=p)
+        pool = ctx.N
+    else:
+        if draw(st.booleans()):
+            coeffs = list(draw(st.sampled_from(ZERO_BLOCK_EQS)))
+        else:
+            coeffs = draw(st.lists(st.integers(-4, 4).filter(bool),
+                                   min_size=k - 1, max_size=k - 1))
+            coeffs.append(-sum(coeffs))
+            assume(coeffs[-1])
+        eq = EquationSpec(coeffs)
+        if kind == "padded":
+            pool = int(rng.integers(1, 17))
+            ctx = CyclicCtx(padded_modulus(eq, pool))
+        else:
+            ctx = CyclicCtx(int(rng.integers(1, 41)))
+            pool = ctx.N
+    size = int(rng.integers(0, min(pool, {3: 12, 4: 12, 5: 8, 6: 7}[eq.k]) + 1))
+    return eq, SetA(ctx, rng.choice(pool, size=size, replace=False))
+
+
+class TestAllDistinct:
+    @settings(max_examples=150, deadline=None)
+    @given(equation_and_set())
+    def test_moebius_matches_oracles(self, case):
+        eq, A = case
+        total, distinct = _solution_counts(eq, A)
+        assert distinct == count_all_distinct(eq, A)
+        assert total == count_equation_solutions(eq, A, check_padding=False)
+        if len(A) ** eq.k <= 40_000:
+            assert distinct == product_oracle(eq, A)
+        eq_last = with_invertible_last(eq, A.ctx)
+        if eq_last is not None and len(A) ** (eq.k - 2) <= 2_500:
+            assert distinct == prefix_enumerator(eq_last, A)
+
+    def test_zero_block_equations_mid_size(self):
+        rng = spawn_rng(38, 0)
+        for coeffs in ZERO_BLOCK_EQS:
+            eq = EquationSpec(coeffs)
+            ctx = CyclicCtx(padded_modulus(eq, 60))
+            A = SetA(ctx, rng.choice(60, size=14, replace=False))
+            assert count_all_distinct(eq, A) == prefix_enumerator(eq, A)
+
+    def test_noninvertible_last_coefficient(self):
+        # gcd(2, 12) > 1: the enumerator needed the variables reordered
+        eq = EquationSpec([1, 1, -2])
+        A = SetA(CyclicCtx(12), [0, 1, 2, 3, 5, 8, 10])
+        assert count_all_distinct(eq, A) == product_oracle(eq, A)
+        assert count_all_distinct(eq, A) == prefix_enumerator(
+            EquationSpec([1, -2, 1]), A)
+
+    def test_sidon_above_old_limit(self):
+        # Sidon: x1 + x2 = x3 + x4 only as {x1, x2} = {x3, x4}, so nothing
+        # is all-distinct and the total is 2m^2 - m; m^3 > 2e6 here
+        A = erdos_turan_sidon(131)
+        m = len(A)
+        assert m**3 > 2_000_000
+        eq = EquationSpec([1, 1, -1, -1])
+        assert _solution_counts(eq, A) == (2 * m * m - m, 0)
+
+    def test_empty_and_single_point(self):
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        for ctx in (CyclicCtx(1), CyclicCtx(37), F3_2):
+            assert _solution_counts(eq, SetA(ctx, [])) == (0, 0)
+            assert _solution_counts(eq, SetA(ctx, [0])) == (1, 0)
 
 
 class TestCountingLemma:
@@ -410,6 +562,16 @@ class TestPipeline:
         with pytest.raises(FreenessError) as exc:
             run_transference_pipeline(A, eq, 2, 2, "1/4")
         assert exc.value.witness is not None
+
+    def test_all_distinct_in_ledger_above_old_limit(self):
+        # |A| = 41: the enumerator returned None from |A| = 38 on at k = 5
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        A = erdos_turan_sidon(41)
+        rep = run_transference_pipeline(A, eq, 2, 2, "1/8")
+        assert rep.passed
+        distinct = rep.ledger["all_distinct_solutions"]
+        assert isinstance(distinct, int)
+        assert 0 < distinct <= rep.ledger["solutions_in_A"] - len(A)
 
     def test_equation_free_pipeline(self):
         eq = EquationSpec([1, 1, 1, -1, -2])
