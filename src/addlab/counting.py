@@ -506,7 +506,7 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, with_chain: bool = True
     )
     rep.check("telescoping_identity", abs(lhs - rhs), "<=", 1e-8 * scale)
     if with_chain and k >= 5:
-        g_sup = fourier_mean_norm(g, np.inf)
+        g_sup = rep.quantities["g_hat_sup"]
         f_mk = fourier_mean_norm(f, k - 1)
         F_mk = fourier_mean_norm(F, k - 1)
         chain_bounds = []
@@ -611,9 +611,9 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3
     if not isinstance(ctx, VectorCtx):
         raise ValueError("supersaturation runs in the vector-space model")
     eq.validate_for(ctx)
+    images = [np.asarray(ctx.scale_int(a, A0.indices)) for a in eq.coeffs]
     dilated = []
-    for a in eq.coeffs:
-        idx = np.asarray(ctx.scale_int(a, A0.indices))
+    for a, idx in zip(eq.coeffs, images):
         X = SetA(ctx, idx, provenance={"construction": "dilation", "a": a})
         if len(X) != len(A0):
             raise AssertionError("dilation by a unit must be injective")
@@ -623,12 +623,9 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3
         inputs={"eq": str(eq), "N": ctx.N, "|A0|": len(A0)},
     )
     # (a) the diagonal family: one cycle per x, distinct in every coordinate
-    per_coord_ok = all(
-        len(np.unique(np.asarray(ctx.scale_int(a, A0.indices)))) == len(A0)
-        for a in eq.coeffs
-    )
+    per_coord_ok = all(len(np.unique(idx)) == len(A0) for idx in images)
     rep.check("diagonal_coordinates_distinct", per_coord_ok, "==", True, exact=True)
-    acc = functools.reduce(ctx.add, [ctx.scale_int(a, A0.indices) for a in eq.coeffs])
+    acc = functools.reduce(ctx.add, images)
     sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
     cycles = count_k_cycles(eq, dilated, method="convolution")
@@ -750,9 +747,7 @@ def run_transference_pipeline(
         eq, nu, [g] + [F] * (k - 1)
     )
 
-    T_f = count_T(eq, [f] * k, method="fourier").total
-    T_F = count_T(eq, [F] * k, method="fourier").total
-    g_sup = fourier_mean_norm(g, np.inf)
+    T_f, T_F, g_sup = (tele.quantities[key] for key in ("T_f", "T_F", "g_hat_sup"))
     delta = len(A) / N ** (1 - 1 / s)
     report.ledger.update(
         {

@@ -35,7 +35,41 @@ BUILTIN_MODULI = {
     (7, 3): (2, 0, 0, 1),   # y^3 + 2
 }
 
-_MAX_DENSE_ORDER = 1 << 26  # largest N for which dense tables are allowed
+
+def _scalar(out):
+    return out if out.ndim else int(out)
+
+
+class _Radix:
+    """Little-endian base-`base` digits of indices, `count` digits each.
+
+    Split and join broadcast over a trailing digit axis; `add` and `scale`
+    work digit-wise mod base and return Python ints for scalar input.
+    """
+
+    def __init__(self, base: int, count: int):
+        self.base = base
+        self.weights = base ** np.arange(count, dtype=np.int64)
+
+    def split(self, i):
+        return (np.asarray(i, dtype=np.int64)[..., None] // self.weights) % self.base
+
+    def join(self, d):
+        return (np.asarray(d, dtype=np.int64) % self.base) @ self.weights
+
+    def add(self, i, j):
+        return _scalar(self.join(self.split(i) + self.split(j)))
+
+    def scale(self, c: int, i):
+        return _scalar(self.join(int(c) % self.base * self.split(i)))
+
+    def translation(self, y: int) -> np.ndarray:
+        """add(y, every index): outer sum of rotated digit ranges, top digit first."""
+        rows = (np.arange(self.base) + self.split(y)[:, None]) % self.base
+        out = np.zeros(1, dtype=np.int64)
+        for row in (rows * self.weights[:, None])[::-1]:
+            out = np.add.outer(out, row).ravel()
+        return out
 
 
 def is_prime(n: int) -> bool:
@@ -110,6 +144,7 @@ class FieldCtx:
             raise ValueError(f"q = {self.q} exceeds the desk-scale bound 10^4")
         self._check_irreducible()
         self._red_rows = self._reduction_rows()
+        self._radix = _Radix(p, r)
         self._mul_table = None
         self._inv_table = None
         self._trace_table = None
@@ -158,28 +193,21 @@ class FieldCtx:
 
     def digits(self, a):
         """Base-p digits of field indices, shape (..., r)."""
-        a = np.asarray(a, dtype=np.int64)
-        out = np.empty(a.shape + (self.r,), dtype=np.int64)
-        for j in range(self.r):
-            out[..., j] = a % self.p
-            a = a // self.p
-        return out
+        return self._radix.split(a)
 
     def from_digits(self, d):
-        d = np.asarray(d, dtype=np.int64) % self.p
-        weights = self.p ** np.arange(self.r, dtype=np.int64)
-        return (d * weights).sum(axis=-1)
+        return self._radix.join(d)
 
     # -- arithmetic ------------------------------------------------------------
 
     def add(self, a, b):
-        return self.from_digits(self.digits(a) + self.digits(b))
+        return self._radix.add(a, b)
 
     def neg(self, a):
-        return self.from_digits(-self.digits(a))
+        return self._radix.scale(-1, a)
 
     def sub(self, a, b):
-        return self.from_digits(self.digits(a) - self.digits(b))
+        return self._radix.add(a, self.neg(b))
 
     def _mul_digits(self, da, db):
         p, r = self.p, self.r
@@ -376,7 +404,7 @@ class CyclicCtx(GroupCtx):
         return out if out.ndim else int(out)
 
     def scale_int(self, c: int, i):
-        out = (int(c) * np.asarray(i, dtype=np.int64)) % self.M
+        out = (int(c) % self.M * np.asarray(i, dtype=np.int64)) % self.M
         return out if out.ndim else int(out)
 
     def translation(self, y: int) -> np.ndarray:
@@ -426,63 +454,32 @@ class VectorCtx(GroupCtx):
         self.field = field
         self.n = n
         self.N = int(N)
-        self._ndigits = n * field.r
-
-    # base-p digit view over all n*r positions --------------------------------
-    def _digits(self, i):
-        i = np.asarray(i, dtype=np.int64)
-        out = np.empty(i.shape + (self._ndigits,), dtype=np.int64)
-        p = self.field.p
-        for j in range(self._ndigits):
-            out[..., j] = i % p
-            i = i // p
-        return out
-
-    def _from_digits(self, d):
-        p = self.field.p
-        d = np.asarray(d, dtype=np.int64) % p
-        weights = p ** np.arange(self._ndigits, dtype=np.int64)
-        return (d * weights).sum(axis=-1)
+        self._radix = _Radix(field.p, n * field.r)
+        self._coords = _Radix(field.q, n)
 
     def coords(self, i):
         """Field-element indices of the n coordinates, shape (..., n)."""
-        i = np.asarray(i, dtype=np.int64)
-        out = np.empty(i.shape + (self.n,), dtype=np.int64)
-        q = self.field.q
-        for j in range(self.n):
-            out[..., j] = i % q
-            i = i // q
-        return out
+        return self._coords.split(i)
 
     def from_coords(self, c):
-        q = self.field.q
-        c = np.asarray(c, dtype=np.int64)
-        weights = q ** np.arange(self.n, dtype=np.int64)
-        return (c * weights).sum(axis=-1)
+        return self._coords.join(c)
 
     def add(self, i, j):
-        out = self._from_digits(self._digits(i) + self._digits(j))
-        return out if out.ndim else int(out)
+        return self._radix.add(i, j)
 
     def neg(self, i):
-        out = self._from_digits(-self._digits(i))
-        return out if out.ndim else int(out)
+        return self._radix.scale(-1, i)
 
     def translation(self, y: int) -> np.ndarray:
-        """add(y, arange(N)) using a cached digit table for the full index range."""
-        if not hasattr(self, "_all_digits"):
-            self._all_digits = self._digits(np.arange(self.N, dtype=np.int64))
-        return self._from_digits(self._all_digits + self._digits(np.int64(y)))
+        """add(y, arange(N)), built digit by digit without a table."""
+        return self._radix.translation(y)
 
     def scale_int(self, c: int, i):
-        out = self._from_digits(int(c) * self._digits(i))
-        return out if out.ndim else int(out)
+        return self._radix.scale(c, i)
 
     def scale_field(self, s: int, i):
         """Multiply every coordinate by the F_q scalar with index s."""
-        cs = self.coords(i)
-        out = self.from_coords(self.field.mul(np.int64(s), cs))
-        return out if np.asarray(out).ndim else int(out)
+        return _scalar(self.from_coords(self.field.mul(np.int64(s), self.coords(i))))
 
     def dot(self, x, xi):
         """Standard F_q dot product of the coordinate vectors."""

@@ -183,9 +183,48 @@ class TestGroupCtx:
                     assert abs(total) <= 1e-8 * ctx.N
 
     def test_index_bijection(self):
-        ctx = VectorCtx(FieldCtx(3, 2), 2)
-        idx = ctx.elements()
-        assert np.array_equal(ctx.from_coords(ctx.coords(idx)), idx)
+        # F_3^7, F_9^2, F_27^1, F_5^3, F_49^2 against a Python-int digit oracle
+        rng = np.random.default_rng(11)
+        for p, r, n in [(3, 1, 7), (3, 2, 2), (3, 3, 1), (5, 1, 3), (7, 2, 2)]:
+            F = FieldCtx(p, r)
+            ctx = VectorCtx(F, n)
+            idx = ctx.elements()
+            digs = ctx._radix.split(idx)
+            expect = [[i // p**j % p for j in range(n * r)] for i in range(ctx.N)]
+            assert digs.tolist() == expect
+            assert np.array_equal(ctx._radix.join(digs), idx)
+            cs = ctx.coords(idx)
+            assert np.array_equal(ctx.from_coords(cs), idx)
+            for j in range(n):
+                assert np.array_equal(cs[:, j], F.from_digits(digs[:, j * r:(j + 1) * r]))
+            fidx = np.arange(F.q)
+            assert F.digits(fidx).tolist() == [
+                [a // p**j % p for j in range(r)] for a in range(F.q)
+            ]
+            assert np.array_equal(F.from_digits(F.digits(fidx)), fidx)
+            ys = idx if ctx.N <= 243 else rng.integers(0, ctx.N, size=50)
+            for y in ys:
+                assert np.array_equal(ctx.translation(int(y)), ctx.add(int(y), idx))
+            x, y = (int(v) for v in rng.integers(0, ctx.N, size=2))
+            for out in (ctx.add(x, y), ctx.neg(x), ctx.sub(x, y), ctx.scale_int(2, x),
+                        ctx.scale_field(1, x), F.add(1, 2), F.neg(1), F.sub(1, 2)):
+                assert type(out) is int
+
+    def test_scale_int_large_multiplier(self):
+        # c * i must not wrap in int64; Python ints are the oracle
+        Z = CyclicCtx(2**31 - 1)
+        c, xs = 2**33 + 1, [2**31 - 2, 0, 1, 12345, 2**30]
+        assert Z.scale_int(c, xs[0]) == c * xs[0] % Z.M == 2147483642
+        assert Z.scale_int(c, np.array(xs)).tolist() == [c * x % Z.M for x in xs]
+        ctx = VectorCtx(FieldCtx(3, 1), 2)
+
+        def oracle(c, x):
+            return sum(c * (x // 3**j % 3) % 3 * 3**j for j in range(2))
+
+        c, xs = 2**62 + 1, list(range(ctx.N))
+        assert ctx.scale_int(c, 5) == oracle(c, 5) == 7
+        assert ctx.scale_int(c, np.array(xs)).tolist() == [oracle(c, x) for x in xs]
+        assert ctx.scale_int(-c, np.array(xs)).tolist() == [oracle(-c, x) for x in xs]
 
     def test_text_roundtrip(self):
         ctx = VectorCtx(FieldCtx(3, 2), 2)
