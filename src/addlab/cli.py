@@ -435,7 +435,10 @@ def _cmd_construct(args) -> int:
         for part in pieces:
             k, v = part.split("=", 1)
             params[k.strip()] = v.strip()
-    A = sets.construct(args.kind, params, seed=args.seed)
+    try:
+        A = sets.construct(args.kind, params, seed=args.seed)
+    except KeyError as exc:
+        raise ConfigError(f"{args.kind} needs the parameter {exc.args[0]!r}") from exc
     sets.save_set(A, args.out)
     print(f"wrote {args.out}: |A| = {len(A)} in {A.ctx.describe()}")
     return 0

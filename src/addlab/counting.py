@@ -20,7 +20,7 @@ from .functions import Dfn, fourier_mean_norm
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
-from .sets import SetA
+from .sets import SetA, require_kst_free
 from .util import as_fraction, signed_residue
 
 __all__ = [
@@ -442,7 +442,10 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
             raise ValueError(f"|f_{j}| exceeds nu at x={worst} by {gap[worst]:.3g}")
     T = count_T(eq, fs, method="fourier").total
     T_abs = abs(T)
-    norms = [_dual_mean_norms(f, k) for f in fs]
+    # the pipeline passes one function in several slots: compute each once
+    distinct = {id(f): f for f in fs}
+    norms_of = {key: _dual_mean_norms(f, k) for key, f in distinct.items()}
+    norms = [norms_of[id(f)] for f in fs]
     e2_nu = pair_self_energy(nu)
     rep = VerificationReport(
         lemma="counting_holder_chain",
@@ -461,14 +464,18 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     rep.quantities["min_bound"] = min(bounds)
     e2_nu_phys = _physical_pair_energy(nu)
     rep.quantities["E2_nu_physical"] = e2_nu_phys
+    # the fourth moment really is the pair energy: dual mean vs the
+    # physical convolution sum (real inputs)
+    energy_of = {
+        key: _physical_pair_energy(f) if f.tag == "real" else pair_self_energy(f)
+        for key, f in distinct.items()
+    }
     for j, f in enumerate(fs):
         sup, mk, m4 = norms[j]
         rep.check(
             f"moment_link_{j}", mk ** (k - 1), "<=", sup ** (k - 5) * m4**4, tol=1e-9
         )
-        # the fourth moment really is the pair energy: dual mean vs the
-        # physical convolution sum (real inputs)
-        e2 = _physical_pair_energy(f) if f.tag == "real" else pair_self_energy(f)
+        e2 = energy_of[id(f)]
         rep.check(f"fourth_moment_identity_{j}", abs(m4**4 - e2), "<=",
                   1e-9 * max(1.0, e2))
         rep.check(f"majorant_energy_{j}", e2, "<=", e2_nu_phys, tol=1e-9)
@@ -695,7 +702,6 @@ def run_transference_pipeline(
         verify_kst_energy_bound,
         verify_size_bound,
     )
-    from .sets import FreenessError, find_kst_violation
 
     eps = as_fraction(eps)
     ctx = A.ctx
@@ -709,9 +715,7 @@ def run_transference_pipeline(
             ctx = CyclicCtx(M_req)
             A = A.with_ctx(ctx)
     eq.validate_for(ctx)
-    w = find_kst_violation(A, s, t)
-    if w is not None:
-        raise FreenessError(f"pipeline input is not K_{{{s},{t}}}-free", witness=w)
+    require_kst_free(A, s, t)
     report = PipelineReport(
         inputs={
             "set": A.provenance,
@@ -743,9 +747,8 @@ def run_transference_pipeline(
 
     tele = verify_telescoping(eq, f, F, with_chain=(k >= 5))
     report.sections["telescoping"] = tele
-    report.sections["holder_chain"] = verify_counting_lemma(
-        eq, nu, [g] + [F] * (k - 1)
-    )
+    chain = verify_counting_lemma(eq, nu, [g] + [F] * (k - 1))
+    report.sections["holder_chain"] = chain
 
     T_f, T_F, g_sup = (tele.quantities[key] for key in ("T_f", "T_F", "g_hat_sup"))
     delta = len(A) / N ** (1 - 1 / s)
@@ -761,7 +764,7 @@ def run_transference_pipeline(
             "diagonal_value": N ** (k / s) * len(A),
             "sum_nu": float(nu.values.sum()),
             "sum_nu_over_N": float(nu.values.sum()) / N,
-            "E2_nu_over_N3": pair_self_energy(nu) / N**3,
+            "E2_nu_over_N3": chain.quantities["E2_nu"] / N**3,
             "smoother_size": model.smoother_size,
         }
     )

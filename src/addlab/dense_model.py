@@ -12,6 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import and_
 
 import numpy as np
 
@@ -19,11 +22,13 @@ from .energy import vanishing_eta
 from .functions import Dfn, convolve, fourier
 from .groups import CyclicCtx, VectorCtx
 from .report import VerificationReport
-from .sets import SetA, FreenessError, find_kst_violation, rep_tuple
+from .sets import SetA, rep_tuple, require_kst_free
 from .spectral import BohrSet, Subspace, annihilator, bohr_set, span, spectrum
 from .util import as_fraction, indices_to_mask, spawn_rng
 
 TRIVIAL_SMOOTHER_FLAG = "trivial smoother (|B|=1): g = 0"
+# the tuple identity is checked on at most this many tuples with |S_h| > 0
+_IDENTITY_CHECKS = 20_000
 
 __all__ = [
     "DenseModel",
@@ -82,9 +87,7 @@ def build_dense_model(
             ctx = CyclicCtx(min_M)
             A = A.with_ctx(ctx)
     if check_free:
-        w = find_kst_violation(A, s, t)
-        if w is not None:
-            raise FreenessError(f"set is not K_{{{s},{t}}}-free", witness=w)
+        require_kst_free(A, s, t)
     spec = spectrum(A, eps)
     if mode == "integer_model":
         smoother = bohr_set(spec, eps, n)
@@ -185,8 +188,9 @@ def verify_model_properties(model: DenseModel, t: int | None = None):
 
     # fourier factorization: hat f = scale * hat 1_A * hat mu (rel 1e-9)
     hat_f = model.f.hat()
+    hat_A = A.indicator().hat()
     mu_hat = model.smoother.indicator().hat() / size
-    hat_pred = model.scale * A.indicator().hat() * mu_hat
+    hat_pred = model.scale * hat_A * mu_hat
     rep.check(
         "fourier_factorization",
         float(np.abs(hat_f - hat_pred).max()),
@@ -195,7 +199,6 @@ def verify_model_properties(model: DenseModel, t: int | None = None):
     )
 
     # (ii) the Fourier gap
-    hat_A = A.indicator().hat()
     mags = np.abs(hat_A)
     gap = np.abs(hat_f - model.scale * hat_A)
     thr = float(eps) * m
@@ -244,8 +247,7 @@ def verify_model_properties(model: DenseModel, t: int | None = None):
 
 
 def verify_smoothing_decomposition(
-    A: SetA, s: int, t: int, H: Subspace, tuple_budget: int = 250_000,
-    identity_budget: int = 20_000, seed: int = 0
+    A: SetA, s: int, t: int, H: Subspace, tuple_budget: int = 250_000
 ):
     """The S = sum_x (1_A * 1_H)^s decomposition, tuple level included.
 
@@ -257,9 +259,7 @@ def verify_smoothing_decomposition(
     ctx = A.ctx
     if not isinstance(ctx, VectorCtx):
         raise ValueError("the decomposition runs in the vector-space model")
-    w = find_kst_violation(A, s, t)
-    if w is not None:
-        raise FreenessError(f"set is not K_{{{s},{t}}}-free", witness=w)
+    require_kst_free(A, s, t)
     h_ind = H.indicator()
     conv = convolve(A.indicator(), h_ind, method="direct")
     S = sum(int(v) ** s for v in conv.values[conv.values > 0])
@@ -281,58 +281,36 @@ def verify_smoothing_decomposition(
 
     h_elems = H.element_indices()
     tuple_count = size**s
-    if tuple_count <= tuple_budget:
-        tuples = None  # exhaustive
+    exhaustive = tuple_count <= tuple_budget
+    if exhaustive:
+        rows = product(range(size), repeat=s)
     else:
-        rng = spawn_rng(seed, 0x5DEC)
-        tuples = rng.integers(0, size, size=(5000, s))
+        rows = spawn_rng(0, 0x5DEC).integers(0, size, size=(5000, s))
         rep.flags.append(
             f"|H|^s = {tuple_count} tuples: identity verified on a seeded sample"
         )
-    translate_masks = {
-        int(h): indices_to_mask(np.asarray(ctx.add(A.indices, int(h))), ctx.N)
-        for h in h_elems
-    }
-
-    def tuple_iter():
-        if tuples is not None:
-            for row in tuples:
-                yield [int(h_elems[j]) for j in row]
-            return
-
-        def rec(depth, chosen):
-            if depth == s:
-                yield list(chosen)
-                return
-            for h in h_elems:
-                yield from rec(depth + 1, chosen + [int(h)])
-
-        yield from rec(0, [])
+    # bit x of the h-th mask is set iff x - h lies in A
+    translate_masks = [
+        indices_to_mask(np.asarray(ctx.add(A.indices, int(h))), ctx.N) for h in h_elems
+    ]
 
     checked = 0
     identity_ok = True
     recon_S = 0
     excess_lhs = 0   # sum over tuples of (|S_h| - t)_+
     excess_rhs = 0   # sum over tuples of |S_h| (|S_h| - t)_+
-    exhaustive = tuples is None
-    for h_tuple in tuple_iter():
-        mask = translate_masks[h_tuple[0]]
-        for h in h_tuple[1:]:
-            mask &= translate_masks[h]
-            if not mask:
-                break
+    for row in rows:
+        mask = reduce(and_, [translate_masks[j] for j in row])
         sz = mask.bit_count()
         if exhaustive:
             recon_S += sz
             if sz > t:
                 excess_lhs += sz - t
                 excess_rhs += sz * (sz - t)
-        if sz and checked < identity_budget:
+        if sz and checked < _IDENTITY_CHECKS:
             x = (mask & -mask).bit_length() - 1
-            tpl = [int(ctx.sub(x, h)) for h in h_tuple]
-            r_a = rep_tuple(A, tpl)
             checked += 1
-            if r_a != sz - 1:
+            if rep_tuple(A, ctx.sub(x, h_elems[list(row)])) != sz - 1:
                 identity_ok = False
     rep.quantities["identity_checks"] = checked
     rep.check("tuple_identity", identity_ok, "==", True, exact=True)

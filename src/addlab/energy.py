@@ -16,13 +16,7 @@ import numpy as np
 
 from .functions import convolve
 from .report import VerificationReport
-from .sets import (
-    SetA,
-    FreenessError,
-    find_kst_violation,
-    rep_diff,
-    subset_rep_aggregates,
-)
+from .sets import SetA, rep_diff, require_kst_free, subset_rep_aggregates
 
 __all__ = [
     "moment_energy",
@@ -148,12 +142,6 @@ def verify_energy_interpolation(A: SetA, s: int):
     return rep
 
 
-def _require_free(A: SetA, s: int, t: int):
-    w = find_kst_violation(A, s, t)
-    if w is not None:
-        raise FreenessError(f"set is not K_{{{s},{t}}}-free", witness=w)
-
-
 def _tuple_decomposition(A: SetA, s: int, t: int):
     """Per-support-size aggregates, weighted by the surjection counts."""
     stats = {u: subset_rep_aggregates(A, u, t) for u in range(1, s + 1)}
@@ -177,7 +165,7 @@ def verify_kst_energy_bound(A: SetA, s: int, t: int):
     """
     if not 2 <= s <= t:
         raise ValueError("need 2 <= s <= t")
-    _require_free(A, s, t)
+    require_kst_free(A, s, t)
     m = len(A)
     e_s = pair_energy(A, s)
     stats, weighted = _tuple_decomposition(A, s, t)
@@ -284,7 +272,7 @@ def verify_excess_vanishing(A: SetA, s: int, t: int):
     """sum over tuples of (rep - (t-1))_+: distinct part exactly 0 when free."""
     if not 2 <= s <= t:
         raise ValueError("need 2 <= s <= t")
-    _require_free(A, s, t)
+    require_kst_free(A, s, t)
     m = len(A)
     _, weighted = _tuple_decomposition(A, s, t)
     distinct_excess = weighted[s]["excess_sum"]

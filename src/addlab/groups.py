@@ -60,6 +60,9 @@ class _Radix:
     def add(self, i, j):
         return _scalar(self.join(self.split(i) + self.split(j)))
 
+    def sub(self, i, j):
+        return _scalar(self.join(self.split(i) - self.split(j)))
+
     def scale(self, c: int, i):
         return _scalar(self.join(int(c) % self.base * self.split(i)))
 
@@ -207,7 +210,7 @@ class FieldCtx:
         return self._radix.scale(-1, a)
 
     def sub(self, a, b):
-        return self._radix.add(a, self.neg(b))
+        return self._radix.sub(a, b)
 
     def _mul_digits(self, da, db):
         p, r = self.p, self.r
@@ -426,7 +429,7 @@ class CyclicCtx(GroupCtx):
     def parse_element(self, text: str) -> int:
         v = int(text)
         if not 0 <= v < self.M:
-            v %= self.M
+            raise ValueError(f"element {v} outside [0, {self.M})")
         return v
 
     def describe(self) -> str:
@@ -469,6 +472,9 @@ class VectorCtx(GroupCtx):
 
     def neg(self, i):
         return self._radix.scale(-1, i)
+
+    def sub(self, i, j):
+        return self._radix.sub(i, j)
 
     def translation(self, y: int) -> np.ndarray:
         """add(y, arange(N)), built digit by digit without a table."""

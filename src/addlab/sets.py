@@ -29,6 +29,7 @@ __all__ = [
     "is_kst_free",
     "find_kst_violation",
     "find_kst_violation_exhaustive",
+    "require_kst_free",
     "subset_rep_aggregates",
     "erdos_turan_sidon",
     "greedy_kst_free",
@@ -161,9 +162,31 @@ class SubsetRepStats:
     subsets: int = 0
 
 
+def _subset_masks(A: SetA, u: int, floor: int):
+    """Yield (positions, mask) for the u-subsets of A whose AND-ed shift mask
+    keeps at least `floor` bits, in lexicographic order of positions.
+
+    A prefix below `floor` is pruned together with all its extensions.
+    """
+    masks = A.shift_masks()
+    n = len(masks)
+
+    def rec(start, chosen, acc):
+        for i in range(start, n - (u - len(chosen)) + 1):
+            mm = acc & masks[i]
+            if mm.bit_count() < floor:
+                continue
+            if len(chosen) + 1 == u:
+                yield chosen + (i,), mm
+            else:
+                yield from rec(i + 1, chosen + (i,), mm)
+
+    yield from rec(0, (), (1 << A.ctx.N) - 1)
+
+
 def subset_rep_aggregates(A: SetA, u: int, t: int) -> SubsetRepStats:
-    st = SubsetRepStats(u=u)
     m = len(A)
+    st = SubsetRepStats(u=u, subsets=comb(m, u))
     if m < u:
         return st
     if u == 1:
@@ -172,7 +195,6 @@ def subset_rep_aggregates(A: SetA, u: int, t: int) -> SubsetRepStats:
         st.rep_sum = m * rep
         st.count_over = m if rep > t - 1 else 0
         st.excess_sum = m * max(rep - (t - 1), 0)
-        st.subsets = m
         return st
     if u == 2:
         r = rep_diff(A).values
@@ -183,30 +205,15 @@ def subset_rep_aggregates(A: SetA, u: int, t: int) -> SubsetRepStats:
         st.rep_sum = int((live * (live - 1)).sum()) // 2
         st.count_over = int(live[live > t].sum()) // 2
         st.excess_sum = int((live * np.maximum(live - t, 0)).sum()) // 2
-        st.subsets = m * (m - 1) // 2
         return st
-    masks = A.shift_masks()
-    n = len(masks)
-
-    def rec(start, depth, acc):
-        for i in range(start, n - (u - depth) + 1):
-            mm = acc & masks[i]
-            if depth + 1 == u:
-                rep = mm.bit_count() - 1
-                st.subsets += 1
-                if rep > st.max_rep:
-                    st.max_rep = rep
-                st.rep_sum += rep
-                if rep > t - 1:
-                    st.count_over += 1
-                    st.excess_sum += rep - (t - 1)
-            elif mm.bit_count() > 1:
-                rec(i + 1, depth + 1, mm)
-            else:
-                # only the zero shift survives: every extension has rep 0
-                st.subsets += comb(n - i - 1, u - depth - 1)
-
-    rec(0, 0, (1 << A.ctx.N) - 1)
+    # a subset whose only admissible shift is 0 has rep 0 and adds nothing
+    for _, mm in _subset_masks(A, u, 2):
+        rep = mm.bit_count() - 1
+        st.max_rep = max(st.max_rep, rep)
+        st.rep_sum += rep
+        if rep > t - 1:
+            st.count_over += 1
+            st.excess_sum += rep - (t - 1)
     return st
 
 
@@ -230,25 +237,8 @@ def find_kst_violation(A: SetA, s: int, t: int) -> GridWitness | None:
         nz[0] = 0
         if nz.max(initial=0) < t:
             return None
-    masks = A.shift_masks()
-    elems = A.indices
-    n = len(elems)
-    hit = None
-
-    def rec(start, depth, acc, chosen):
-        nonlocal hit
-        for i in range(start, n - (s - depth) + 1):
-            mm = acc & masks[i]
-            if mm.bit_count() < t:
-                continue
-            if depth + 1 == s:
-                hit = (chosen + [i], mm)
-                return True
-            if rec(i + 1, depth + 1, mm, chosen + [i]):
-                return True
-        return False
-
-    if not rec(0, 0, (1 << A.ctx.N) - 1, []):
+    hit = next(_subset_masks(A, s, t), None)
+    if hit is None:
         return None
     chosen, mm = hit
     shifts = []
@@ -259,11 +249,18 @@ def find_kst_violation(A: SetA, s: int, t: int) -> GridWitness | None:
         m ^= low
     d1 = shifts[0]
     ctx = A.ctx
-    b = tuple(int(ctx.sub(int(elems[i]), d1)) for i in chosen)
+    b = tuple(int(ctx.sub(int(A.indices[i]), d1)) for i in chosen)
     c = tuple(int(ctx.neg(ctx.sub(d, d1))) for d in shifts)
     witness = GridWitness(b=b, c=c)
     assert witness.verify(A, s, t), "internal witness reconstruction failed"
     return witness
+
+
+def require_kst_free(A: SetA, s: int, t: int) -> None:
+    """Raise FreenessError carrying the first violating grid unless A is free."""
+    w = find_kst_violation(A, s, t)
+    if w is not None:
+        raise FreenessError(f"set is not K_{{{s},{t}}}-free", witness=w)
 
 
 def is_kst_free(A: SetA, s: int, t: int) -> bool:
@@ -324,7 +321,10 @@ def erdos_turan_sidon(p: int, M: int | None = None) -> SetA:
     )
     w = find_kst_violation(A, 2, 2)
     if w is not None:
-        raise AssertionError(f"Erdos-Turan set failed the Sidon check: {w}")
+        raise ValueError(
+            f"Erdos-Turan set for p = {p} is not Sidon mod {M} ({w}); "
+            f"any M >= {2 * max(elems) + 1} keeps differences distinct"
+        )
     return A
 
 
@@ -444,7 +444,8 @@ def equation_free_greedy(eq, n: int, seed: int, max_size: int | None = None) -> 
 def construct(kind: str, params: dict, seed: int = 0) -> SetA:
     """Dispatcher used by the CLI; params is a {name: value} dict."""
     if kind == "erdos_turan_sidon":
-        return erdos_turan_sidon(int(params["p"]), params.get("M"))
+        M = int(params["M"]) if "M" in params else None
+        return erdos_turan_sidon(int(params["p"]), M)
     if kind == "greedy_kst_free":
         return greedy_kst_free(
             int(params["s"]), int(params["t"]), int(params["N"]), seed
@@ -490,6 +491,8 @@ def load_set(path) -> SetA:
                 model_n = int(line.split("=", 1)[1])
             elif line.startswith("#"):
                 continue
+            elif ctx is None:
+                raise ValueError(f"set file element {line!r} precedes the ctx header")
             else:
                 elems.append(ctx.parse_element(line))
     if ctx is None:

@@ -194,6 +194,18 @@ def test_bad_st_flag_is_config_error():
                    "--sizes", "32") == 2
 
 
+def test_construct_bad_params(tmp_path, capsys):
+    out = str(tmp_path / "a.set")
+    assert run_cli("construct", "erdos_turan_sidon", "--params", "p=11,M=459",
+                   "--out", out) == 0
+    assert run_cli("construct", "erdos_turan_sidon", "--params", "p=11,M=300",
+                   "--out", out) == 1
+    assert "M >= 443" in capsys.readouterr().err
+    assert run_cli("construct", "greedy_kst_free", "--params", "s=2,t=2",
+                   "--out", out) == 2
+    assert "'N'" in capsys.readouterr().err
+
+
 def test_construct_subspace_with_ctx_params(tmp_path):
     out = tmp_path / "sub.set"
     assert run_cli("construct", "subspace", "--params",

@@ -205,7 +205,13 @@ class TestGroupCtx:
             ys = idx if ctx.N <= 243 else rng.integers(0, ctx.N, size=50)
             for y in ys:
                 assert np.array_equal(ctx.translation(int(y)), ctx.add(int(y), idx))
+            jdx = rng.permutation(idx)
+            assert np.array_equal(ctx.sub(idx, jdx), ctx.add(idx, ctx.neg(jdx)))
+            fjdx = rng.permutation(fidx)
+            assert np.array_equal(F.sub(fidx, fjdx), F.add(fidx, F.neg(fjdx)))
             x, y = (int(v) for v in rng.integers(0, ctx.N, size=2))
+            assert ctx.sub(x, y) == ctx.add(x, ctx.neg(y))
+            assert F.sub(1, F.q - 1) == F.add(1, F.neg(F.q - 1))
             for out in (ctx.add(x, y), ctx.neg(x), ctx.sub(x, y), ctx.scale_int(2, x),
                         ctx.scale_field(1, x), F.add(1, 2), F.neg(1), F.sub(1, 2)):
                 assert type(out) is int

@@ -1,5 +1,7 @@
 """Freeness detection vs the exhaustive grid oracle, plus constructions."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,44 @@ class TestRepFunctions:
         A = SetA(CyclicCtx(10), [0, 2])
         with pytest.raises(ValueError, match="not in A"):
             rep_tuple(A, (0, 1))
+
+
+def oracle_rep_aggregates(A, u, t):
+    """The five aggregates from rep_tuple over itertools.combinations."""
+    reps = [
+        rep_tuple(A, sub if u > 1 else sub * 2)  # (a, a) has the shifts of {a}
+        for sub in combinations([int(a) for a in A.indices], u)
+    ]
+    return {
+        "max_rep": max(reps, default=0),
+        "rep_sum": sum(reps),
+        "count_over": sum(rep > t - 1 for rep in reps),
+        "excess_sum": sum(max(rep - (t - 1), 0) for rep in reps),
+        "subsets": len(reps),
+    }
+
+
+def test_subset_rep_aggregates_oracle():
+    rng = spawn_rng(29, 4)
+    cases = 0
+    for trial in range(60):
+        if trial % 3 == 2:
+            ctx = VectorCtx(FieldCtx(3, 1), 3)
+        else:
+            ctx = CyclicCtx(int(rng.integers(12, 30)))
+        size = int(rng.integers(0, 12))
+        A = SetA(ctx, rng.choice(ctx.N, size=size, replace=False))
+        for u in range(1, 5):
+            for t in range(2, 5):
+                st = subset_rep_aggregates(A, u, t)
+                got = {key: getattr(st, key) for key in
+                       ("max_rep", "rep_sum", "count_over", "excess_sum", "subsets")}
+                assert st.u == u
+                assert got == oracle_rep_aggregates(A, u, t), (
+                    f"u={u}, t={t}, A={A.indices.tolist()} in {ctx!r}"
+                )
+                cases += 1
+    assert cases == 720
 
 
 class TestFreeness:
@@ -225,6 +265,11 @@ class TestConstructions:
         with pytest.raises(ValueError, match="unknown construction"):
             construct("nope", {})
 
+    def test_construct_parses_modulus(self):
+        # CLI params arrive as strings
+        A = construct("erdos_turan_sidon", {"p": "11", "M": "459"})
+        assert A.ctx.M == 459 and A.provenance["M"] == 459
+
 
 def test_set_file_roundtrip(tmp_path):
     for A in (erdos_turan_sidon(5),
@@ -235,6 +280,17 @@ def test_set_file_roundtrip(tmp_path):
         assert back.ctx == A.ctx
         assert np.array_equal(back.indices, A.indices)
         assert back.model_n == A.model_n
+
+
+def test_load_set_rejects_bad_files(tmp_path):
+    path = tmp_path / "a.set"
+    path.write_text("3\nctx=cyclic;M=10\n")
+    with pytest.raises(ValueError, match="precedes the ctx header"):
+        load_set(path)
+    for elem in ("-3", "12"):
+        path.write_text(f"ctx=cyclic;M=10\n1\n{elem}\n")
+        with pytest.raises(ValueError, match=r"outside \[0, 10\)"):
+            load_set(path)
 
 
 def test_freeness_error_carries_witness():
