@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .functions import Dfn, fourier_mean_norm
+from .functions import Dfn, dual_value_at_zero, fourier_mean_norm
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -584,8 +584,13 @@ def level_set_extract(f: Dfn, delta, p, n: int | None = None):
 # -- cycles and supersaturation -----------------------------------------------------
 
 
-def count_k_cycles(eq: EquationSpec, sets: list, method: str = "convolution") -> CountResult:
-    """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers."""
+def count_k_cycles(eq: EquationSpec, sets: list) -> CountResult:
+    """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers.
+
+    Evaluated on the dual side, N^-1 sum_xi prod_i hat(1_{X_i})(xi) modulo
+    primes, so it shares no partial convolution with the physical-side
+    `count_equation_solutions`.
+    """
     if len(sets) != eq.k:
         raise ValueError(f"expected {eq.k} sets")
     ctx = sets[0].ctx
@@ -595,15 +600,8 @@ def count_k_cycles(eq: EquationSpec, sets: list, method: str = "convolution") ->
         raise ValueError("coefficients must be invertible mod p")
     common = functools.reduce(np.intersect1d, [X.indices for X in sets])
     diag = int(np.count_nonzero(np.asarray(ctx.scale_int(eq.k, common)) == 0))
-    if method == "brute":
-        values = [X.indicator().values for X in sets]
-        total = _brute_total(ctx, (1,) * eq.k, values)
-        return CountResult(total=int(total), trivial=diag, method="brute")
-    if method != "convolution":
-        raise ValueError(f"unknown method {method!r}")
     gs = [np.bincount(X.indices, minlength=ctx.N).astype(np.int64) for X in sets]
-    total = _convolution_value_at_zero(ctx, gs)
-    return CountResult(total=total, trivial=diag, method="convolution")
+    return CountResult(total=dual_value_at_zero(ctx, gs), trivial=diag, method="dual")
 
 
 def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3.0):
@@ -612,6 +610,8 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3
     X_i = a_i A_0; the |A_0| diagonal cycles (a_1 x, ..., a_k x) are pairwise
     distinct in every coordinate, so the cycle count is at least |A_0|; and
     y_i = a_i x_i identifies cycles with solutions of the equation in A_0^k.
+    The cycles are counted on the dual side and the solutions by physical
+    pushforward convolutions, so the bijection check compares two routes.
     The polynomial supersaturation ratio is reported, never asserted.
     """
     ctx = A0.ctx
@@ -635,7 +635,7 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3
     acc = functools.reduce(ctx.add, images)
     sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
-    cycles = count_k_cycles(eq, dilated, method="convolution")
+    cycles = count_k_cycles(eq, dilated)
     rep.quantities["cycle_count"] = cycles.total
     rep.check("cycles_ge_diagonal", cycles.total, ">=", len(A0), exact=True)
     # (b) bijection with equation solutions inside A_0^k

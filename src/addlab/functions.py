@@ -12,11 +12,13 @@ dual group, so Parseval reads sum_x |h|^2 = (1/N) sum_xi |hat h|^2.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupCtx, parse_ctx
+from .groups import GroupCtx, is_prime, parse_ctx
 
 __all__ = [
     "Dfn",
@@ -24,6 +26,7 @@ __all__ = [
     "inverse_fourier",
     "convolve",
     "exact_convolve",
+    "dual_value_at_zero",
     "norms",
     "fourier_mean_norm",
     "Norms",
@@ -195,6 +198,121 @@ def _pack(arc: np.ndarray, udt: np.dtype) -> int:
     return _pack(np.maximum(arc, 0), udt) - _pack(np.maximum(-arc, 0), udt)
 
 
+@functools.cache
+def _ntt_prime(p: int, i: int) -> int:
+    """The i-th largest prime P = 1 (mod 2p) with p P^2 < 2^63, so that a
+    contraction of p products of residues mod P stays below 2^63."""
+    if i:
+        P = _ntt_prime(p, i - 1) - 2 * p
+    else:
+        cap = math.isqrt((_INT64_LIMIT - 1) // p)
+        P = cap - (cap - 1) % (2 * p)
+    while not is_prime(P):
+        P -= 2 * p
+    return P
+
+
+def _ntt_primes(p: int, bound: int) -> list:
+    """The first NTT primes for p, as many as multiply to more than 2 * bound."""
+    primes = []
+    while math.prod(primes) <= 2 * bound:
+        primes.append(_ntt_prime(p, len(primes)))
+    return primes
+
+
+@functools.cache
+def _ntt_kernel(p: int, P: int) -> np.ndarray:
+    """K[a, b] = omega^(ab) mod P for a primitive p-th root of unity omega;
+    read-only, since the cache shares it."""
+    omega = next(w for w in (pow(x, (P - 1) // p, P) for x in range(2, P)) if w != 1)
+    powers = np.array([pow(omega, j, P) for j in range(p)], dtype=np.int64)
+    kernel = powers[np.outer(np.arange(p), np.arange(p)) % p]
+    kernel.flags.writeable = False
+    return kernel
+
+
+def _ntt(v: np.ndarray, p: int, axes: int, P: int, inverse: bool = False) -> np.ndarray:
+    """Transform mod P of v, entries in [0, P), over (Z_p)^axes, axis by axis.
+    The inverse uses omega^(-ab), which is row -b of K, without the 1/N.
+
+    Each pass contracts the least significant base-p digit and makes it the
+    most significant one, so after `axes` passes the digit order is restored.
+    """
+    kernel = _ntt_kernel(p, P)
+    rows = -np.arange(p) % p if inverse else slice(None)
+    for _ in range(axes):
+        v = (kernel @ v.reshape(-1, p).T)[rows].ravel() % P
+    return v
+
+
+def _garner(residues: list, primes: list) -> tuple[list, list]:
+    """Balanced mixed-radix digits of y from y mod P_i (Garner, 1959).
+
+    Returns digits v_i with |v_i| <= (P_i - 1) / 2 and weights
+    W_i = P_1 ... P_{i-1} such that y = sum_i v_i W_i; this is exact for every
+    |y| < (P_1 ... P_t) / 2.
+    """
+    digits, weights, W = [], [], 1
+    for r, P in zip(residues, primes):
+        u = r
+        for v, w in zip(digits, weights):
+            u = (u - w % P * v) % P
+        u = u * pow(W, -1, P) % P
+        digits.append(np.where(u > P // 2, u - P, u))
+        weights.append(W)
+        W *= P
+    return digits, weights
+
+
+def _vector_axes(ctx) -> tuple[int, int]:
+    """(p, n r): F_q^n is additively (Z_p)^(n r), the base-p digit view."""
+    if ctx.kind != "vector":
+        raise ValueError("the modular transform runs on F_q^n only")
+    return ctx.field.p, ctx.n * ctx.field.r
+
+
+def _ntt_convolve(ctx, g1: np.ndarray, g2: np.ndarray, bound: int) -> np.ndarray:
+    p, axes = _vector_axes(ctx)
+    primes = _ntt_primes(p, bound)
+    residues = []
+    for P in primes:
+        prod = _ntt(g1 % P, p, axes, P) * _ntt(g2 % P, p, axes, P) % P
+        residues.append(_ntt(prod, p, axes, P, inverse=True) * pow(ctx.N, -1, P) % P)
+    digits, weights = _garner(residues, primes)
+    # |y| <= bound < 2^63: summing the digits mod 2^64 and reading the sum as
+    # int64 is exact, although a single term may pass 2^63
+    out = np.zeros(ctx.N, dtype=np.uint64)
+    for v, w in zip(digits, weights):
+        out += v.view(np.uint64) * np.uint64(w % 2**64)
+    return out.view(np.int64)
+
+
+def dual_value_at_zero(ctx: GroupCtx, arrays) -> int:
+    """(g_1 * ... * g_k)(0) = N^-1 sum_xi prod_i hat(g_i)(xi) on F_q^n, exactly.
+
+    The dual side of the value at zero, with no partial convolution and no
+    inverse transform: the forward transforms of `exact_convolve` modulo as
+    many primes as the bound prod_i sum|g_i| needs, recombined by Garner's
+    CRT into a Python int, so the value may pass 2^63.
+    """
+    p, axes = _vector_axes(ctx)
+    arrays = [np.asarray(g, dtype=np.int64) for g in arrays]
+    bound = math.prod(_abs_sum_max(g)[0] for g in arrays)
+    if bound == 0:
+        return 0
+    primes = _ntt_primes(p, bound)
+    residues = []
+    for P in primes:
+        prod = np.int64(1)
+        for g in arrays:
+            prod = prod * _ntt(g % P, p, axes, P) % P
+        while len(prod) > 1:  # the sum mod P, p terms at a time
+            prod = prod.reshape(-1, p).sum(axis=1) % P
+        residues.append(prod * pow(ctx.N, -1, P) % P)
+    digits, weights = _garner(residues, primes)
+    return sum(int(v[0]) * w for v, w in zip(digits, weights))
+
+
 def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     """(g1 * g2)(x) = sum_y g1(y) g2(x - y) in exact int64 arithmetic.
 
@@ -202,9 +320,13 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     input is trimmed to the shortest cyclic arc holding its support and
     packed into one Python int; the two are multiplied once, and the linear
     product is unpacked and folded mod M, so the cost follows the supports,
-    not M.  F_q^n: sparse accumulation of translates of the denser input.
+    not M.  F_q^n: a number-theoretic transform (Pollard, Math. Comp. 1971)
+    on the base-p digit view (Z_p)^(n r), axis by axis with a p x p kernel,
+    modulo primes P = 1 (mod p) with p P^2 < 2^63, as many as make their
+    product exceed twice the entry bound; the residues are recombined by
+    Garner's CRT, centred.  Integer arithmetic only on both routes.
 
-    Raises OverflowError, before multiplying, when the entry bound
+    Raises OverflowError, before any work, when the entry bound
     min(sum|g1| max|g2|, sum|g2| max|g1|) is 2^63 or more.
     """
     g1 = np.asarray(g1, dtype=np.int64)
@@ -217,15 +339,10 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     bound = min(sum1 * max2, sum2 * max1)
     if bound >= _INT64_LIMIT:
         raise OverflowError(f"exact convolution entry bound {bound} is not below 2^63")
-    out = np.zeros(ctx.N, dtype=np.int64)
     if bound == 0:
-        return out
+        return np.zeros(ctx.N, dtype=np.int64)
     if not cyclic:
-        if np.count_nonzero(g2) < np.count_nonzero(g1):
-            g1, g2 = g2, g1
-        for y in np.flatnonzero(g1):
-            out[ctx.translation(int(y))] += g1[y] * g2
-        return out
+        return _ntt_convolve(ctx, g1, g2, bound)
     # digits of 8w - 1 bits hold every linear coefficient |c| <= bound;
     # signed inputs add 2^(8w-1) to each digit before unpacking
     width = next(w for w in _PACK_WIDTHS if bound.bit_length() < 8 * w)
@@ -240,6 +357,7 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     if signed:
         digits = digits ^ udt.type(top)
     linear = digits.view(f"<i{width}")
+    out = np.zeros(ctx.N, dtype=np.int64)
     pos, k = (s1 + s2) % ctx.N, 0
     while k < n:
         take = min(ctx.N - pos, n - k)

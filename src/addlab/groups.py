@@ -66,27 +66,36 @@ class _Radix:
     def scale(self, c: int, i):
         return _scalar(self.join(int(c) % self.base * self.split(i)))
 
-    def translation(self, y: int) -> np.ndarray:
-        """add(y, every index): outer sum of rotated digit ranges, top digit first."""
-        rows = (np.arange(self.base) + self.split(y)[:, None]) % self.base
-        out = np.zeros(1, dtype=np.int64)
-        for row in (rows * self.weights[:, None])[::-1]:
-            out = np.add.outer(out, row).ravel()
-        return out
+
+# Miller-Rabin with the first twelve prime bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318_665_857_834_031_151_167_461
 
 
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at n >= 3.18e23."""
+    n = int(n)
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is exact only below {_MR_LIMIT}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -410,9 +419,6 @@ class CyclicCtx(GroupCtx):
         out = (int(c) % self.M * np.asarray(i, dtype=np.int64)) % self.M
         return out if out.ndim else int(out)
 
-    def translation(self, y: int) -> np.ndarray:
-        return (int(y) + np.arange(self.M, dtype=np.int64)) % self.M
-
     def char_phase(self, x, xi):
         num = (np.asarray(x, dtype=np.int64) * np.asarray(xi, dtype=np.int64)) % self.M
         return (num if num.ndim else int(num)), self.M
@@ -475,10 +481,6 @@ class VectorCtx(GroupCtx):
 
     def sub(self, i, j):
         return self._radix.sub(i, j)
-
-    def translation(self, y: int) -> np.ndarray:
-        """add(y, arange(N)), built digit by digit without a table."""
-        return self._radix.translation(y)
 
     def scale_int(self, c: int, i):
         return self._radix.scale(c, i)

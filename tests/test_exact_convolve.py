@@ -1,4 +1,4 @@
-"""The exact integer convolution kernel against the two routes it replaced."""
+"""The exact integer convolution kernel against the routes it replaced."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,8 @@ from addlab.counting import (
     count_T,
     count_equation_solutions,
 )
-from addlab.functions import _support_arc, exact_convolve
-from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
+from addlab.functions import _ntt_primes, _support_arc, dual_value_at_zero, exact_convolve
+from addlab.groups import CyclicCtx, FieldCtx, VectorCtx, is_prime
 from addlab.sets import SetA
 from addlab.util import spawn_rng
 
@@ -23,6 +23,11 @@ CTXS = [
     CyclicCtx(64),                  # power-of-two M
     VectorCtx(FieldCtx(3, 1), 4),   # F_3^4
     VectorCtx(FieldCtx(5, 1), 2),   # F_5^2
+    VectorCtx(FieldCtx(3, 1), 7),   # F_3^7
+    VectorCtx(FieldCtx(3, 2), 2),   # F_9^2: 4 base-3 digit axes
+    VectorCtx(FieldCtx(3, 3), 1),   # F_27^1: 3 base-3 digit axes
+    VectorCtx(FieldCtx(7, 1), 2),   # F_7^2
+    VectorCtx(FieldCtx(101, 1, (0, 1)), 1),  # F_101: one 101 x 101 kernel
 ]
 
 
@@ -42,7 +47,7 @@ def translate_oracle(ctx, v1, v2):
     """Sum of translates: out[y + x] += v1[y] v2[x] for every y in supp(v1)."""
     out = np.zeros(ctx.N, dtype=np.int64)
     for y in np.nonzero(v1)[0]:
-        out[ctx.translation(int(y))] += v1[y] * v2
+        out[ctx.add(int(y), ctx.elements())] += v1[y] * v2
     return out
 
 
@@ -77,6 +82,8 @@ class TestExactConvolve:
         assert np.array_equal(out, translate_oracle(ctx, v1, v2))
         if ctx.kind == "cyclic":
             assert np.array_equal(out, dense_fold_oracle(ctx.N, v1, v2))
+        else:
+            assert dual_value_at_zero(ctx, [v1, v2]) == out[0]
 
     def test_wrapping_support_stays_short(self):
         ctx = CyclicCtx(1000)
@@ -107,6 +114,26 @@ class TestExactConvolve:
         out = exact_convolve(ctx, v1, v2)
         assert int(out[5]) == -(2**62) and np.count_nonzero(out) == 1
 
+    @pytest.mark.parametrize("p", [3, 5, 7, 101, 9973])
+    def test_ntt_primes_leave_no_int64_wrap(self, p):
+        # P = 1 (mod p) holds the p-th roots of unity; p P^2 < 2^63 bounds every
+        # axis contraction; three primes cover any entry bound below 2^63
+        primes = _ntt_primes(p, 2**63 - 1)
+        assert len(primes) == 3 and len(set(primes)) == 3
+        for P in primes:
+            assert is_prime(P) and P % p == 1 and p * P * P < 2**63
+
+    def test_three_primes_near_the_int64_edge(self):
+        ctx = VectorCtx(FieldCtx(3, 1), 4)
+        rng = np.random.default_rng(9)
+        v1 = rng.integers(-(2**28), 2**28, size=ctx.N)
+        v2 = rng.integers(-(2**28), 2**28, size=ctx.N)
+        v1[[0, 5]], v2[[7, 40]] = 2**28, -(2**28)
+        bound = min(int(np.abs(v1).sum()), int(np.abs(v2).sum())) * 2**28
+        assert 2**61 < bound < 2**63
+        assert len(_ntt_primes(3, bound)) == 3
+        assert np.array_equal(exact_convolve(ctx, v1, v2), translate_oracle(ctx, v1, v2))
+
     @pytest.mark.parametrize("ctx", [CyclicCtx(8), VectorCtx(FieldCtx(3, 1), 2)])
     def test_overflow_raises_with_bound(self, ctx):
         v1 = np.zeros(ctx.N, dtype=np.int64)
@@ -127,6 +154,16 @@ class TestExactCounts:
         a[[1, 2]] = [2**40, 2**35]
         b[[4, 3]] = [2**40, 2**35]
         assert _convolution_value_at_zero(ctx, [a, b]) == 2**80 + 2**70
+
+    def test_dual_value_at_zero_past_int64(self):
+        # 2^93 needs four primes; a mixed-sign term checks the centring
+        ctx = VectorCtx(FieldCtx(3, 2), 2)
+        x, y = 5, 17
+        gs = [np.zeros(ctx.N, dtype=np.int64) for _ in range(3)]
+        gs[0][x], gs[1][y], gs[2][ctx.neg(ctx.add(x, y))] = 2**31, 2**31, 2**31
+        gs[0][0], gs[1][0], gs[2][0] = -3, 1, 1
+        assert len(_ntt_primes(3, 2**93)) == 4
+        assert dual_value_at_zero(ctx, gs) == 2**93 - 3
 
     def test_equation_count_matches_brute_on_wrapping_sets(self):
         # no padding: solutions wrap mod M, so supports and sums wrap past 0

@@ -202,9 +202,6 @@ class TestGroupCtx:
                 [a // p**j % p for j in range(r)] for a in range(F.q)
             ]
             assert np.array_equal(F.from_digits(F.digits(fidx)), fidx)
-            ys = idx if ctx.N <= 243 else rng.integers(0, ctx.N, size=50)
-            for y in ys:
-                assert np.array_equal(ctx.translation(int(y)), ctx.add(int(y), idx))
             jdx = rng.permutation(idx)
             assert np.array_equal(ctx.sub(idx, jdx), ctx.add(idx, ctx.neg(jdx)))
             fjdx = rng.permutation(fidx)
@@ -248,6 +245,18 @@ class TestGroupCtx:
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    sieve = np.ones(10**5, dtype=bool)
+    sieve[:2] = False
+    for f in range(2, 317):
+        sieve[f * f::f] = False
+    assert [n for n in range(10**5) if is_prime(n)] == np.flatnonzero(sieve).tolist()
+    # Carmichael numbers and strong pseudoprimes to the bases 2..7 and 2..23
+    for n in (561, 1105, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    for n in (2**31 - 1, 2**61 - 1, 1753413037):
+        assert is_prime(n)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(2**79)
 
 
 def test_field_scalar_on_cyclic_is_usage_error():
