@@ -230,9 +230,11 @@ def count_T(
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
     idx = ctx.elements()
+    dilated = {a: np.asarray(ctx.scale_int(a, idx)) for a in set(eq.coeffs) - {1}}
+    dilated[1] = idx
     prod = np.ones(ctx.N, dtype=np.complex128)
     for a, h in zip(eq.coeffs, hs):
-        prod *= h.hat()[np.asarray(ctx.scale_int(a, idx))]
+        prod *= h.hat()[dilated[a]]
     total = prod.sum() / ctx.N
     if all(h.tag == "real" for h in hs):
         total = float(total.real)
@@ -372,16 +374,23 @@ def _find_nontrivial_solution(eq: EquationSpec, A: SetA):
     return rec(0, 0, ())
 
 
-def trivial_solution_value(eq: EquationSpec, A: SetA, s: int, n_model: int | None = None):
-    """N^{k/s} |A| for an equation-free set; checked against the scaled count."""
+def trivial_solution_value(
+    eq: EquationSpec, A: SetA, s: int, n_model: int | None = None,
+    scaled: Dfn | None = None,
+):
+    """N^{k/s} |A| for an equation-free set; checked against the scaled count.
+
+    A caller that holds the scaled indicator N^{1/s} 1_A already passes it
+    as `scaled`, so that it is transformed once.
+    """
     n = n_model or A.model_n or A.ctx.N
     exact = count_equation_solutions(eq, A)
     if exact != len(A):
         witness = _find_nontrivial_solution(eq, A)
         raise ValueError(f"set has a nontrivial solution: {witness}")
     value = float(n) ** (eq.k / s) * len(A)
-    scale = float(n) ** (1.0 / s)
-    scaled = Dfn(A.ctx, A.indicator().values * scale)
+    if scaled is None:
+        scaled = Dfn(A.ctx, A.indicator().values * float(n) ** (1.0 / s))
     measured = count_T(eq, [scaled] * eq.k, method="fourier").total
     rep = VerificationReport(
         lemma="diagonal_count_value",
@@ -485,12 +494,19 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     return rep
 
 
-def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, with_chain: bool = True):
-    """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds."""
+def verify_telescoping(
+    eq: EquationSpec, f: Dfn, F: Dfn, with_chain: bool = True, g: Dfn | None = None
+):
+    """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds.
+
+    A caller that holds g = f - F already passes it, so that g is built and
+    transformed once.
+    """
     if f.ctx != F.ctx:
         raise ValueError("group context mismatch")
     k = eq.k
-    g = f - F
+    if g is None:
+        g = f - F
     T_f = count_T(eq, [f] * k, method="fourier").total
     T_F = count_T(eq, [F] * k, method="fourier").total
     terms = []
@@ -732,20 +748,32 @@ def run_transference_pipeline(
     report.sections["interpolation"] = verify_energy_interpolation(A, s)
     report.sections["vanishing"] = verify_excess_vanishing(A, s, t)
     report.sections["size_bound"] = verify_size_bound(A, s, t)
+    # the exact counts run before the dense model exists, so that their
+    # partial convolutions do not add to the model's arrays at peak memory
+    assert_z_faithful(eq, [A.indicator()] * eq.k)
+    exact_solutions, distinct = _solution_counts(eq, A)
 
-    model = dm.build_dense_model(A, s, t, eps, n_model=n_model)
+    # the model is built on a copy of A, checked free above, and dropped once
+    # f is taken from it: the transform of 1_A memoized on the copy serves
+    # the spectrum, the model and its properties, then goes with the copy
+    model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps, n_model=n_model,
+                                 check_free=False)
     report.sections["model_properties"] = dm.verify_model_properties(model, t)
     report.flags += model.diagnostics.get("flags", [])
+    f, scale, smoother_size = model.f, model.scale, model.smoother_size
+    del model
 
-    f = model.f
-    scale = model.scale
     F = Dfn(ctx, A.indicator().values * scale)
+    if np.array_equal(F.values, f.values):
+        # a one-point smoother: both are nonnegative products, so equal
+        # values are equal bits, and f and its transform serve as F
+        F = f
     g = f - F
     nu = f + F
     k = eq.k
     N = n_model
 
-    tele = verify_telescoping(eq, f, F, with_chain=(k >= 5))
+    tele = verify_telescoping(eq, f, F, with_chain=(k >= 5), g=g)
     report.sections["telescoping"] = tele
     chain = verify_counting_lemma(eq, nu, [g] + [F] * (k - 1))
     report.sections["holder_chain"] = chain
@@ -765,15 +793,13 @@ def run_transference_pipeline(
             "sum_nu": float(nu.values.sum()),
             "sum_nu_over_N": float(nu.values.sum()) / N,
             "E2_nu_over_N3": chain.quantities["E2_nu"] / N**3,
-            "smoother_size": model.smoother_size,
+            "smoother_size": smoother_size,
         }
     )
-    assert_z_faithful(eq, [A.indicator()] * k)
-    exact_solutions, distinct = _solution_counts(eq, A)
     report.ledger["solutions_in_A"] = exact_solutions
     report.ledger["all_distinct_solutions"] = distinct
     if exact_solutions == len(A):
-        _, diag_rep = trivial_solution_value(eq, A, s, n_model=N)
+        _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F)
         report.sections["diagonal_value"] = diag_rep
     elif require_equation_free:
         witness = _find_nontrivial_solution(eq, A)

@@ -39,7 +39,12 @@ _REAL_TOL = 1e-12
 
 
 class Dfn:
-    """A finitely supported function on a group, stored as a dense array."""
+    """A finitely supported function on a group, stored as a dense array.
+
+    The transform is cached on first use, so the values must not change
+    after ``hat()``; a shared indicator such as ``SetA.indicator()`` has
+    read-only values for that reason.
+    """
 
     __slots__ = ("ctx", "values", "tag", "_hat")
 
@@ -95,9 +100,11 @@ class Dfn:
         return self.values.sum()
 
     def hat(self) -> np.ndarray:
-        """Cached fast transform of the values."""
+        """Cached fast transform of the values; read-only, since every caller
+        shares it."""
         if self._hat is None:
             self._hat = self.ctx.fft(self.values.astype(np.complex128))
+            self._hat.flags.writeable = False
         return self._hat
 
     # arithmetic (pointwise) ------------------------------------------------------
@@ -165,6 +172,11 @@ def inverse_fourier(H: Dfn, method: str = "fast") -> Dfn:
 
 _INT64_LIMIT = 1 << 63
 _PACK_WIDTHS = (1, 2, 4, 8)  # bytes per packed digit
+# Z_M route choice: the pairwise products are summed when there are at most
+# this many per byte of the packed product, whose multiplication costs more
+# than linear time in its bytes
+_PAIRS_PER_BYTE = 8
+_PAIR_BLOCK = 1 << 16  # pairwise products per scatter-add, to bound temporaries
 
 
 def _abs_sum_max(v: np.ndarray) -> tuple[int, int]:
@@ -313,18 +325,54 @@ def dual_value_at_zero(ctx: GroupCtx, arrays) -> int:
     return sum(int(v[0]) * w for v, w in zip(digits, weights))
 
 
+def _pair_sums(arc1: np.ndarray, arc2: np.ndarray, n: int) -> np.ndarray:
+    """Linear product of two arcs as an int64 scatter-add of the pairwise
+    products, a block of rows of the sparser arc at a time."""
+    nz1, nz2 = np.flatnonzero(arc1), np.flatnonzero(arc2)
+    if len(nz1) > len(nz2):
+        arc1, arc2, nz1, nz2 = arc2, arc1, nz2, nz1
+    v1, v2 = arc1[nz1], arc2[nz2]
+    linear = np.zeros(n, dtype=np.int64)
+    rows = max(1, _PAIR_BLOCK // len(nz2))
+    for i in range(0, len(nz1), rows):
+        pos = nz1[i : i + rows, None] + nz2
+        np.add.at(linear, pos.ravel(), (v1[i : i + rows, None] * v2).ravel())
+    return linear
+
+
+def _kronecker(arc1: np.ndarray, arc2: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Linear product of two arcs by one multiplication of Python ints packed
+    with `width` bytes per digit."""
+    # signed inputs add 2^(8w-1) to each digit before unpacking
+    udt = np.dtype(f"<u{width}")
+    product = _pack(arc1, udt) * _pack(arc2, udt)
+    signed = arc1.min() < 0 or arc2.min() < 0
+    top = 1 << (8 * width - 1)
+    if signed:
+        product += int.from_bytes(np.full(n, top, dtype=udt).tobytes(), "little")
+    digits = np.frombuffer(product.to_bytes(n * width, "little"), dtype=udt)
+    if signed:
+        digits = digits ^ udt.type(top)
+    return digits.view(f"<i{width}")
+
+
 def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     """(g1 * g2)(x) = sum_y g1(y) g2(x - y) in exact int64 arithmetic.
 
-    Z_M: Kronecker substitution (Harvey, J. Symb. Comput. 2009).  Each
-    input is trimmed to the shortest cyclic arc holding its support and
-    packed into one Python int; the two are multiplied once, and the linear
-    product is unpacked and folded mod M, so the cost follows the supports,
-    not M.  F_q^n: a number-theoretic transform (Pollard, Math. Comp. 1971)
+    Z_M: each input is trimmed to the shortest cyclic arc holding its
+    support, and the linear product of the two arcs is folded mod M, so
+    neither route pays for M.  Packed at w bytes per slot, w the width that
+    holds the entry bound, the linear product takes B = w (L1 + L2 - 1)
+    bytes.  When nnz(g1) nnz(g2) <= 8 B the pairwise products are summed by
+    an int64 scatter-add, at a cost that follows the nonzero entries;
+    otherwise both arcs are packed into Python ints and multiplied once
+    (Kronecker substitution, Harvey, J. Symb. Comput. 2009), at a cost that
+    follows the arc lengths however sparse they are.
+    F_q^n: a number-theoretic transform (Pollard, Math. Comp. 1971)
     on the base-p digit view (Z_p)^(n r), axis by axis with a p x p kernel,
     modulo primes P = 1 (mod p) with p P^2 < 2^63, as many as make their
     product exceed twice the entry bound; the residues are recombined by
-    Garner's CRT, centred.  Integer arithmetic only on both routes.
+    Garner's CRT, centred.  Integer arithmetic only on every route.
 
     Raises OverflowError, before any work, when the entry bound
     min(sum|g1| max|g2|, sum|g2| max|g1|) is 2^63 or more.
@@ -343,20 +391,13 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
         return np.zeros(ctx.N, dtype=np.int64)
     if not cyclic:
         return _ntt_convolve(ctx, g1, g2, bound)
-    # digits of 8w - 1 bits hold every linear coefficient |c| <= bound;
-    # signed inputs add 2^(8w-1) to each digit before unpacking
-    width = next(w for w in _PACK_WIDTHS if bound.bit_length() < 8 * w)
-    udt = np.dtype(f"<u{width}")
     n = len(g1) + len(g2) - 1
-    product = _pack(g1, udt) * _pack(g2, udt)
-    signed = g1.min() < 0 or g2.min() < 0
-    top = 1 << (8 * width - 1)
-    if signed:
-        product += int.from_bytes(np.full(n, top, dtype=udt).tobytes(), "little")
-    digits = np.frombuffer(product.to_bytes(n * width, "little"), dtype=udt)
-    if signed:
-        digits = digits ^ udt.type(top)
-    linear = digits.view(f"<i{width}")
+    # digits of 8w - 1 bits hold every linear coefficient |c| <= bound
+    width = next(w for w in _PACK_WIDTHS if bound.bit_length() < 8 * w)
+    if np.count_nonzero(g1) * np.count_nonzero(g2) <= _PAIRS_PER_BYTE * n * width:
+        linear = _pair_sums(g1, g2, n)
+    else:
+        linear = _kronecker(g1, g2, n, width)
     out = np.zeros(ctx.N, dtype=np.int64)
     pos, k = (s1 + s2) % ctx.N, 0
     while k < n:

@@ -68,6 +68,7 @@ class SetA:
         self.provenance = dict(provenance or {})
         self.model_n = model_n
         self._shift_masks = None
+        self._indicator = None
 
     def __len__(self):
         return len(self.indices)
@@ -79,7 +80,12 @@ class SetA:
         return iter(int(i) for i in self.indices)
 
     def indicator(self) -> Dfn:
-        return Dfn.indicator(self.ctx, self.indices)
+        """1_A, built once and shared by every caller together with its
+        cached transform, so its values are read-only: never mutate them."""
+        if self._indicator is None:
+            self._indicator = Dfn.indicator(self.ctx, self.indices)
+            self._indicator.values.flags.writeable = False
+        return self._indicator
 
     def reflected_indicator(self) -> Dfn:
         """Indicator of -A."""

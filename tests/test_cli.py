@@ -1,13 +1,16 @@
 """Report serialization, CLI commands, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import addlab
 from addlab.cli import ConfigError, SuiteConfig, main, run_suite
 from addlab.report import (
     Assertion,
@@ -187,6 +190,16 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert "spectral" in res.stdout
+
+
+def test_package_runs_as_module():
+    # the source tree alone, as in a checkout that was never installed
+    src = Path(addlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    res = subprocess.run([sys.executable, "-m", "addlab", "--help"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert "verify" in res.stdout
 
 
 def test_bad_st_flag_is_config_error():

@@ -559,6 +559,28 @@ class TestPipeline:
         assert rep.ledger["smoother_size"] > 1
         assert TRIVIAL_SMOOTHER_FLAG not in rep.flags
 
+    @pytest.mark.parametrize("build, s, t, eps", [
+        (lambda: erdos_turan_sidon(31), 2, 2, "1/8"),         # one-point smoother
+        (lambda: greedy_kst_free(2, 3, 1024, seed=0), 2, 3, "1/2"),  # wide Bohr set
+        # equation-free: the diagonal value counts the scaled indicator too
+        (lambda: equation_free_greedy(EquationSpec([1, 1, 1, -1, -2]), 40, seed=6),
+         2, 2, "1/8"),
+    ], ids=["erdos_turan_31", "kst23_free_1024", "equation_free_40"])
+    def test_no_transform_repeats(self, monkeypatch, build, s, t, eps):
+        # every transform of the cyclic pipeline has an input not seen before
+        seen = []
+        fft = CyclicCtx.fft
+
+        def recording_fft(ctx, values):
+            seen.append(np.ascontiguousarray(values).tobytes())
+            return fft(ctx, values)
+
+        monkeypatch.setattr(CyclicCtx, "fft", recording_fft)
+        rep = run_transference_pipeline(build(), EquationSpec([1, 1, 1, -1, -2]),
+                                        s, t, eps)
+        assert rep.passed and seen
+        assert len(set(seen)) == len(seen)
+
     def test_nonfree_input_raises_with_witness(self):
         from addlab.sets import FreenessError
 

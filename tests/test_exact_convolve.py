@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addlab import functions
 from addlab.counting import (
     EquationSpec,
     _convolution_value_at_zero,
@@ -141,6 +142,80 @@ class TestExactConvolve:
         # (v1 * v2)(5) = 2^63 in either group: the bound is attained
         v1[[1, 2]] = 2**31
         v2[[3, 4]] = 2**31
+        with pytest.raises(OverflowError, match=str(2**63)):
+            exact_convolve(ctx, v1, v2)
+
+
+class TestZMRoutes:
+    """The pair-sum and Kronecker routes of exact_convolve on Z_M."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """The names of the routes that the calls from now on take, in order."""
+        taken = []
+        for name in ("_pair_sums", "_kronecker"):
+            def spy(*args, _route=getattr(functions, name), _name=name):
+                taken.append(_name)
+                return _route(*args)
+
+            monkeypatch.setattr(functions, name, spy)
+        return taken
+
+    @staticmethod
+    def dilated(M, points, coeff, values):
+        """Pushforward of `values` on `points` under x -> coeff x mod M."""
+        v = np.zeros(M, dtype=np.int64)
+        np.add.at(v, (coeff * np.asarray(points)) % M, values)
+        return v
+
+    # 400 points make 80,000 pairs, more than one scatter-add block
+    @pytest.mark.parametrize("size", [25, 400])
+    @pytest.mark.parametrize("c1, c2", [(1, 2), (2, 3), (3, 3), (1, -2)])
+    def test_dilated_signed_wrapping_supports(self, monkeypatch, c1, c2, size):
+        # sparse sets spread over long arcs by the dilation, some wrapping
+        # past 0 after a shift, with values of both signs
+        taken = self.spied(monkeypatch)
+        rng = np.random.default_rng(11)
+        M = 6007
+        for shift in (0, M - 40):
+            pts = (np.sort(rng.choice(4 * size, size=size, replace=False)) + shift) % M
+            vals = rng.integers(-9, 10, size=size)
+            v1 = self.dilated(M, pts, c1, vals)
+            v2 = self.dilated(M, pts[::2], c2, vals[::2] ** 2)
+            out = exact_convolve(CyclicCtx(M), v1, v2)
+            assert np.array_equal(out, dense_fold_oracle(M, v1, v2))
+        assert taken == ["_pair_sums"] * 2
+
+    def test_both_sides_of_the_route_threshold(self, monkeypatch):
+        # a fixed arc length with more and more points: sparse inputs sum
+        # their pairs, dense ones take the packed product, and both agree
+        # with the oracle, signed and unsigned
+        taken = self.spied(monkeypatch)
+        rng = np.random.default_rng(4)
+        M = 2003
+        for count in (1, 8, 60, 400, 1500):
+            for lo in (0, -5):
+                v1 = np.zeros(M, dtype=np.int64)
+                v2 = np.zeros(M, dtype=np.int64)
+                v1[rng.choice(1500, size=count, replace=False) - 700] = rng.integers(
+                    lo, 6, size=count)
+                v2[rng.choice(1500, size=count, replace=False)] = rng.integers(
+                    1, 6, size=count)
+                out = exact_convolve(CyclicCtx(M), v1, v2)
+                assert np.array_equal(out, dense_fold_oracle(M, v1, v2))
+        assert taken == ["_pair_sums"] * 6 + ["_kronecker"] * 4
+
+    def test_overflow_raised_before_either_route(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a route ran before the bound was checked")
+
+        monkeypatch.setattr(functions, "_pair_sums", no_work)
+        monkeypatch.setattr(functions, "_kronecker", no_work)
+        ctx = CyclicCtx(10**5)
+        v1 = np.zeros(ctx.N, dtype=np.int64)
+        v2 = np.zeros(ctx.N, dtype=np.int64)
+        v1[[3, 60_000]] = 2**31   # two points far apart: the sparse side
+        v2[[7, 90_000]] = 2**31
         with pytest.raises(OverflowError, match=str(2**63)):
             exact_convolve(ctx, v1, v2)
 
