@@ -376,15 +376,17 @@ def _find_nontrivial_solution(eq: EquationSpec, A: SetA):
 
 def trivial_solution_value(
     eq: EquationSpec, A: SetA, s: int, n_model: int | None = None,
-    scaled: Dfn | None = None,
+    scaled: Dfn | None = None, exact: int | None = None,
 ):
     """N^{k/s} |A| for an equation-free set; checked against the scaled count.
 
     A caller that holds the scaled indicator N^{1/s} 1_A already passes it
-    as `scaled`, so that it is transformed once.
+    as `scaled`, so that it is transformed once, and one that holds
+    count_equation_solutions(eq, A) passes it as `exact`.
     """
     n = n_model or A.model_n or A.ctx.N
-    exact = count_equation_solutions(eq, A)
+    if exact is None:
+        exact = count_equation_solutions(eq, A)
     if exact != len(A):
         witness = _find_nontrivial_solution(eq, A)
         raise ValueError(f"set has a nontrivial solution: {witness}")
@@ -799,7 +801,8 @@ def run_transference_pipeline(
     report.ledger["solutions_in_A"] = exact_solutions
     report.ledger["all_distinct_solutions"] = distinct
     if exact_solutions == len(A):
-        _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F)
+        _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F,
+                                             exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep
     elif require_equation_free:
         witness = _find_nontrivial_solution(eq, A)

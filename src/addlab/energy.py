@@ -57,7 +57,9 @@ def moment_energy(fs: list, s: int):
 def pair_energy(A: SetA, s: int) -> int:
     """E_s of (1_A, 1_{-A}): sum_d r(d)^s, exact."""
     r = rep_diff(A).values
-    return sum(int(v) ** s for v in r[r > 0])
+    # r takes few distinct values, so the Python-int powers run per value
+    values, counts = np.unique(r[r > 0], return_counts=True)
+    return sum(int(c) * int(v) ** s for v, c in zip(values, counts))
 
 
 def surjection_count(s: int, u: int) -> int:

@@ -9,6 +9,8 @@ significant, each coordinate holding r base-p digits in the power basis
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = [
@@ -395,6 +397,45 @@ class GroupCtx:
         raise NotImplementedError
 
 
+# Smallest M that CyclicCtx.fft splits.  The split beats pocketfft only where
+# pocketfft picks Bluestein for M, which it does for large p but not for a
+# cheap radix-p pass at small M: at 3723 = 51*73 the split took 0.27 ms
+# against 0.15 ms.  From 4096 up to 2*10^5 it was faster on 239 of 250 lengths
+# that qualify (median 2.7x), and slower, by at most 0.4 ms, only where m and
+# p are close and M < 10^4, such as 5893 = 71*83 (numpy 2.4, 2-vCPU Xeon).
+_PRIME_FACTOR_FLOOR = 4096
+
+
+@functools.lru_cache(maxsize=8)
+def _prime_factor_maps(M: int):
+    """Good-Thomas maps (Good 1958; Thomas 1963) for M = m*p, p^2 > M, m > 1.
+
+    Returns (gather, order): the m x p DFT of x[gather] (shape (m, p),
+    gather[n1, n2] = (n1*p + n2*m) mod M), flattened and indexed by order,
+    is the length-M DFT of x.  Output (k1, k2) holds k with k = k1 mod m and
+    k = k2 mod p (the CRT).  None when M has no such split.
+    """
+    r, d = M, 2
+    while d * d <= r:
+        while r % d == 0:
+            r //= d
+        d += 1
+    # trial division never reaches a prime p with p^2 > M, so r is that p
+    p = r
+    if p * p <= M or p == M:
+        return None
+    m = M // p
+    n1 = np.arange(m, dtype=np.int64)[:, None]
+    n2 = np.arange(p, dtype=np.int64)[None, :]
+    gather = (n1 * p + n2 * m) % M
+    crt = (n1 * (p * pow(p, -1, m)) + n2 * (m * pow(m, -1, p))) % M
+    order = np.empty(M, dtype=np.int64)
+    order[crt.reshape(-1)] = np.arange(M, dtype=np.int64)
+    gather.flags.writeable = False
+    order.flags.writeable = False
+    return gather, order
+
+
 class CyclicCtx(GroupCtx):
     kind = "cyclic"
 
@@ -424,10 +465,28 @@ class CyclicCtx(GroupCtx):
         return (num if num.ndim else int(num)), self.M
 
     def fft(self, values):
-        return np.fft.fft(values)
+        """Length-M DFT; the prime-factor split when M qualifies, else np.fft.
+
+        pocketfft runs a length M whose largest prime p has p^2 > M either
+        with a radix-p pass or, when its cost estimate says so, as one
+        Bluestein transform of length about 2M.  From _PRIME_FACTOR_FLOOR up,
+        such an M = m*p with m > 1 runs as the twiddle-free m x p transform
+        of the Good-Thomas map: m transforms of length p and p of length m,
+        which agree with np.fft.fft to rounding.  Every other M (prime,
+        p^2 <= M, or below the floor) gets the bits of np.fft.fft.
+        """
+        return self._transform(values, np.fft.fft, np.fft.fft2)
 
     def ifft(self, values):
-        return np.fft.ifft(values)
+        """Inverse of fft (normalized by 1/M), by the same route."""
+        return self._transform(values, np.fft.ifft, np.fft.ifft2)
+
+    def _transform(self, values, dft, dft2):
+        maps = _prime_factor_maps(self.M) if self.M >= _PRIME_FACTOR_FLOOR else None
+        if maps is None:
+            return dft(values)
+        gather, order = maps
+        return dft2(np.asarray(values)[gather]).reshape(-1)[order]
 
     def format_element(self, idx) -> str:
         return str(int(idx) % self.M)

@@ -607,3 +607,22 @@ class TestPipeline:
                                         require_equation_free=True)
         assert rep.passed
         assert rep.ledger["solutions_in_A"] == len(A)
+
+    def test_equation_free_pipeline_counts_solutions_once(self, monkeypatch):
+        # the diagonal value takes the ledger's solution count, not a recount
+        from addlab import counting
+
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        A = equation_free_greedy(eq, 40, seed=6)
+        calls = []
+        count = counting.count_equation_solutions
+
+        def recording_count(*args, **kwargs):
+            calls.append(args)
+            return count(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "count_equation_solutions", recording_count)
+        rep = run_transference_pipeline(A, eq, 2, 2, "1/8")
+        assert "diagonal_value" in rep.sections and rep.passed
+        assert rep.sections["diagonal_value"].quantities["solutions"] == len(A)
+        assert calls == []

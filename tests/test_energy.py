@@ -75,6 +75,17 @@ class TestEnergy:
             for s in (2, 3):
                 assert pair_energy(A, s) == brute_energy(A, s)
 
+    def test_pair_energy_against_generator_form(self):
+        from addlab.sets import rep_diff
+
+        rng = spawn_rng(6, 0)
+        for M, density in ((40, 0.3), (311, 0.5), (4000, 0.4)):
+            A = SetA(CyclicCtx(M), np.nonzero(rng.random(M) < density)[0])
+            r = rep_diff(A).values
+            for s in range(2, 7):
+                assert pair_energy(A, s) == sum(int(v) ** s for v in r[r > 0])
+        assert pair_energy(A, 6) > 2**63  # r(0) = |A| > 1448 alone passes int64
+
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
             moment_energy([], 2)

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addlab import groups
+from addlab.functions import Dfn, fourier, inverse_fourier
 from addlab.groups import (
     BUILTIN_MODULI,
     CyclicCtx,
@@ -269,3 +271,60 @@ def test_field_scalar_on_cyclic_is_usage_error():
 def test_parse_ctx_defaults_builtin_modulus():
     ctx = parse_ctx("vector;p=3;r=2;n=1")
     assert ctx.field.modulus == BUILTIN_MODULI[(3, 2)]
+
+
+class TestPrimeFactorTransform:
+    """CyclicCtx.fft/ifft: the Good-Thomas split against its references."""
+
+    @staticmethod
+    def _values(M, seed):
+        rng = np.random.default_rng(seed)
+        return rng.standard_normal(M) + 1j * rng.standard_normal(M)
+
+    @pytest.mark.parametrize("M", [10, 21, 57, 171, 865])
+    def test_split_below_floor_against_definition(self, monkeypatch, M):
+        monkeypatch.setattr(groups, "_PRIME_FACTOR_FLOOR", 0)
+        assert groups._prime_factor_maps(M) is not None
+        h = Dfn(CyclicCtx(M), self._values(M, M), tag="complex")
+        direct = fourier(h, method="direct").values
+        fast = fourier(h).values
+        np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-9 * M)
+        H = Dfn(h.ctx, direct, tag="complex")
+        np.testing.assert_allclose(inverse_fourier(H).values,
+                                   inverse_fourier(H, method="direct").values,
+                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(h.ctx.ifft(h.ctx.fft(h.values)), h.values,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [9217, 12565, 49423, 136363])
+    def test_split_against_pocketfft(self, M):
+        ctx = CyclicCtx(M)
+        assert groups._prime_factor_maps(M) is not None
+        x = self._values(M, M)
+        ref = np.fft.fft(x)
+        got = ctx.fft(x)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        inv = ctx.ifft(x)
+        ref_inv = np.fft.ifft(x)
+        assert np.abs(inv - ref_inv).max() <= 1e-13 * np.abs(ref_inv).max()
+        assert np.abs(ctx.ifft(got) - x).max() <= 1e-13 * np.abs(x).max()
+
+    @pytest.mark.parametrize("M", [
+        16759,   # prime
+        36865,   # 5 * 73 * 101: largest prime squared is below M
+        3723,    # 51 * 73 qualifies, but lies below the floor
+        1, 2, 4,
+    ])
+    def test_other_lengths_are_pocketfft_bits(self, M):
+        ctx = CyclicCtx(M)
+        x = self._values(M, M)
+        assert np.array_equal(ctx.fft(x), np.fft.fft(x))
+        assert np.array_equal(ctx.ifft(x), np.fft.ifft(x))
+        assert M < groups._PRIME_FACTOR_FLOOR or groups._prime_factor_maps(M) is None
+
+    def test_maps_are_read_only_permutations(self):
+        gather, order = groups._prime_factor_maps(136363)
+        assert gather.shape == (19, 7177)
+        for perm in (gather.reshape(-1), order):
+            assert not perm.flags.writeable
+            assert np.array_equal(np.sort(perm), np.arange(136363))

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from addlab import groups
+from addlab.counting import EquationSpec, padded_modulus
 from addlab.functions import Dfn, convolve, fourier
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import SetA, erdos_turan_sidon, greedy_kst_free, subspace_set
@@ -66,6 +68,37 @@ class TestSpectrum:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             spectrum(SetA(CyclicCtx(5), []), "1/2")
+
+    @pytest.mark.parametrize("build, eps, M", [
+        (lambda: erdos_turan_sidon(31), "1/8", 12565),
+        (lambda: erdos_turan_sidon(61), "1/8", 49423),
+        (lambda: erdos_turan_sidon(101), "1/8", 136363),
+        (lambda: greedy_kst_free(2, 2, 8192, seed=0), "1/8", 55297),
+        (lambda: greedy_kst_free(2, 3, 1024, seed=0), "1/2", 9217),
+    ], ids=["erdos_turan_31", "erdos_turan_61", "erdos_turan_101", "sidon_8192",
+            "kst23_free_1024"])
+    def test_same_under_prime_factor_split(self, monkeypatch, build, eps, M):
+        # each set at the modulus its transference pipeline runs in, where
+        # CyclicCtx.fft takes the prime-factor split
+        A = build()
+        n = A.model_n
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        assert M == padded_modulus(eq, n, radius=n + int(Fraction(eps) * n))
+        assert M >= groups._PRIME_FACTOR_FLOOR
+        assert groups._prime_factor_maps(M) is not None
+        split = A.with_ctx(CyclicCtx(M))
+        sp_split = spectrum(split, eps)
+        monkeypatch.setattr(groups, "_PRIME_FACTOR_FLOOR", M + 1)
+        plain = A.with_ctx(CyclicCtx(M))
+        sp_plain = spectrum(plain, eps)
+        mags = np.abs(plain.indicator().hat())
+        assert np.array_equal(plain.indicator().hat(),
+                              np.fft.fft(plain.indicator().values.astype(complex)))
+        # the same set; the order of equal magnitudes (xi and -xi) may differ
+        assert np.array_equal(np.sort(sp_split.frequencies), np.sort(sp_plain.frequencies))
+        drift = np.abs(np.abs(split.indicator().hat()) - mags).max()
+        margin = np.abs(mags - float(Fraction(eps)) * len(A)).min()
+        assert margin > 1e3 * drift
 
 
 class TestBohrSet:
