@@ -52,8 +52,8 @@ for ctx in (CyclicCtx(60), CyclicCtx(241), VectorCtx(FieldCtx(3, 1), 4),
 # ------------------------------------------------------ exact convolution
 print("\ninteger convolution stays integer")
 h = Dfn.indicator(Z8, [0, 1])
-print("  1_{0,1} * 1_{0,1} on Z_8:", convolve(h, h, "direct").values.tolist())
+print("  1_{0,1} * 1_{0,1} on Z_8:", convolve(h, h).values.tolist())
 A = Dfn.indicator(V, [0, 1, 4])
 negA = Dfn.indicator(V, V.neg(np.array([0, 1, 4])))
-r = convolve(A, negA, "fast")
+r = convolve(A, negA)
 print("  difference counts in F_3^2:", r.values.tolist(), "(dtype", r.values.dtype, ")")

@@ -62,7 +62,7 @@ print("  dim bound ledger:", verify_spectrum_span_bound(S, sp, V).summary())
 # the exact projector: convolving with mu_H keeps exactly the V-frequencies
 rng = np.random.default_rng(1)
 g = Dfn(ctx, rng.normal(size=ctx.N))
-proj = convolve(g, uniform_measure(H), "fast")
+proj = convolve(g, uniform_measure(H))
 on_V = np.zeros(ctx.N, bool)
 on_V[annihilator(H).element_indices()] = True
 gap_on = np.abs(proj.hat() - g.hat())[on_V].max()

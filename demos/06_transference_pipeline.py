@@ -42,7 +42,7 @@ show("Z model, p=11 Sidon set, eq 1,1,1,-1,-2", rep)
 
 # ---------------------------------------- integers: equation-free input
 A = equation_free_greedy(EQ, 48, seed=6)
-rep = run_transference_pipeline(A, EQ, 2, 2, "1/8", require_equation_free=True)
+rep = run_transference_pipeline(A, EQ, 2, 2, "1/8")
 show(f"Z model, equation-free greedy set (|A|={len(A)})", rep)
 
 # ------------------------------------------------------- F_3^5 analogue

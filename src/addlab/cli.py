@@ -54,6 +54,11 @@ class SuiteConfig:
         for s, t in self.st_pairs:
             if not 2 <= s <= t:
                 raise ConfigError(f"bad (s, t) pair ({s}, {t})")
+        for coeffs in self.equations:
+            try:
+                EquationSpec(coeffs)
+            except ValueError as exc:
+                raise ConfigError(f"bad equation {coeffs}: {exc}") from exc
 
     def to_dict(self):
         return {
@@ -200,7 +205,7 @@ def suite_spectral(cfg: SuiteConfig):
               exact=True)
     g = Dfn(ctx, rng.normal(size=ctx.N))
     mu_h = spectral.uniform_measure(H)
-    proj = functions.convolve(g, mu_h, "fast")
+    proj = functions.convolve(g, mu_h)
     lhs = proj.hat()
     mask = np.zeros(ctx.N, dtype=bool)
     mask[spectral.annihilator(H).element_indices()] = True  # H^perp = V
@@ -461,9 +466,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_dense_model(args) -> int:
     A = sets.load_set(args.input)
-    mode = {"ffield": "finite_field", "integer": "integer_model"}[args.mode]
     try:
-        model = dense_model.build_dense_model(A, args.s, args.t, args.eps, mode=mode)
+        model = dense_model.build_dense_model(A, args.s, args.t, args.eps)
     except sets.FreenessError as exc:
         emit_report({"error": str(exc), "witness": to_jsonable(vars(exc.witness))},
                     args.report)
@@ -624,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--s", type=int, required=True)
     c.add_argument("--t", type=int, required=True)
     c.add_argument("--eps", required=True)
-    c.add_argument("--mode", choices=["ffield", "integer"], required=True)
     c.add_argument("--report", required=True)
     c.add_argument("--emit-f", default=None)
     c.set_defaults(func=_cmd_dense_model)

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .functions import Dfn, dual_value_at_zero, fourier_mean_norm
+from .functions import (
+    _INT64_LIMIT, Dfn, _abs_sum_max, convolve, dual_value_at_zero, fourier_mean_norm,
+)
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -201,13 +203,21 @@ def _brute_total(ctx, coeffs, values):
     return total
 
 
-def count_T(
-    eq: EquationSpec, hs: list, method: str = "fourier", check_padding: bool = False
-) -> CountResult:
+def _exact_ints(values: list) -> list:
+    """Integer arrays as they are while prod_i sum|v_i| stays below 2^63,
+    else as arrays of Python ints.  That product bounds every partial sum and
+    product of a count over them, so no count wraps."""
+    if math.prod(_abs_sum_max(v)[0] for v in values) < _INT64_LIMIT:
+        return values
+    return [v.astype(object) for v in values]
+
+
+def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
     """The counting functional over k functions sharing a context.
 
-    check_padding=True additionally requires the cyclic modulus to make the
-    count Z-faithful on the supports' signed window.
+    For integer-dtype inputs `total` (brute) and `trivial` are exact Python
+    ints.  Whether the count is Z-faithful on a cyclic model is
+    `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
         raise ValueError(f"expected {eq.k} functions, got {len(hs)}")
@@ -215,15 +225,13 @@ def count_T(
     if any(h.ctx != ctx for h in hs):
         raise ValueError("group context mismatch")
     eq.validate_for(ctx)
-    if check_padding:
-        assert_z_faithful(eq, hs)
-    trivial = np.ones(ctx.N, dtype=np.result_type(*[h.values.dtype for h in hs]))
-    for h in hs:
-        trivial = trivial * h.values
-    trivial_total = trivial.sum()
+    values = [h.values for h in hs]
+    if all(np.issubdtype(v.dtype, np.integer) for v in values):
+        values = _exact_ints(values)
+    trivial_total = functools.reduce(operator.mul, values).sum()
     if method == "brute":
-        total = _brute_total(ctx, eq.coeffs, [h.values for h in hs])
-        if np.issubdtype(np.asarray(total).dtype, np.integer):
+        total = _brute_total(ctx, eq.coeffs, values)
+        if isinstance(total, (int, np.integer)):
             total = int(total)
             trivial_total = int(trivial_total)
         return CountResult(total=total, trivial=trivial_total, method="brute")
@@ -420,9 +428,7 @@ def pair_self_energy(h: Dfn) -> float:
 
 def _physical_pair_energy(h: Dfn) -> float:
     """sum_x (h*h)(x)^2 by actual convolution: the physical side of E_2."""
-    from .functions import convolve
-
-    conv = convolve(h, h, method="fast")
+    conv = convolve(h, h)
     return float((np.abs(conv.values) ** 2).sum())
 
 
@@ -496,13 +502,13 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     return rep
 
 
-def verify_telescoping(
-    eq: EquationSpec, f: Dfn, F: Dfn, with_chain: bool = True, g: Dfn | None = None
-):
+def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds.
 
-    A caller that holds g = f - F already passes it, so that g is built and
-    transformed once.
+    The chain bounds need k >= 5 and coefficients invertible in the scalar
+    ring, so that every dual dilation xi -> a_i xi is a bijection; otherwise
+    they are skipped and the report says why.  A caller that holds g = f - F
+    already passes it, so that g is built and transformed once.
     """
     if f.ctx != F.ctx:
         raise ValueError("group context mismatch")
@@ -530,7 +536,13 @@ def verify_telescoping(
         },
     )
     rep.check("telescoping_identity", abs(lhs - rhs), "<=", 1e-8 * scale)
-    if with_chain and k >= 5:
+    singular = [a for a in eq.coeffs if not _is_invertible(f.ctx, a)]
+    if k < 5:
+        rep.flags.append(f"chain bounds skipped: they need k >= 5, here k = {k}")
+    elif singular:
+        rep.flags.append(f"chain bounds skipped: coefficients {singular} are not "
+                         f"invertible on {f.ctx.describe()}")
+    else:
         g_sup = rep.quantities["g_hat_sup"]
         f_mk = fourier_mean_norm(f, k - 1)
         F_mk = fourier_mean_norm(F, k - 1)
@@ -601,6 +613,9 @@ def level_set_extract(f: Dfn, delta, p, n: int | None = None):
 
 # -- cycles and supersaturation -----------------------------------------------------
 
+# the reported supersaturation curve is (density / 2k)^3
+_SUPERSAT_EXPONENT = 3.0
+
 
 def count_k_cycles(eq: EquationSpec, sets: list) -> CountResult:
     """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers.
@@ -622,7 +637,7 @@ def count_k_cycles(eq: EquationSpec, sets: list) -> CountResult:
     return CountResult(total=dual_value_at_zero(ctx, gs), trivial=diag, method="dual")
 
 
-def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3.0):
+def verify_supersaturation(eq: EquationSpec, A0: SetA):
     """Diagonal-cycle lower bound and the cycles <-> solutions bijection.
 
     X_i = a_i A_0; the |A_0| diagonal cycles (a_1 x, ..., a_k x) are pairwise
@@ -666,7 +681,7 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA, ratio_exponent: float = 3
     denom = ctx.N ** (eq.k - 1)
     rep.measured_ratios["cycles_over_Nk1"] = cycles.total / denom
     if rho > 0:
-        rep.measured_ratios["supersat_curve"] = (rho / (2 * eq.k)) ** ratio_exponent
+        rep.measured_ratios["supersat_curve"] = (rho / (2 * eq.k)) ** _SUPERSAT_EXPONENT
     return rep
 
 
@@ -705,7 +720,6 @@ def run_transference_pipeline(
     s: int,
     t: int,
     eps,
-    require_equation_free: bool = False,
 ) -> PipelineReport:
     """Build the dense model, measure every transference inequality, emit a ledger.
 
@@ -760,7 +774,7 @@ def run_transference_pipeline(
     # the spectrum, the model and its properties, then goes with the copy
     model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps, n_model=n_model,
                                  check_free=False)
-    report.sections["model_properties"] = dm.verify_model_properties(model, t)
+    report.sections["model_properties"] = dm.verify_model_properties(model)
     report.flags += model.diagnostics.get("flags", [])
     f, scale, smoother_size = model.f, model.scale, model.smoother_size
     del model
@@ -775,7 +789,7 @@ def run_transference_pipeline(
     k = eq.k
     N = n_model
 
-    tele = verify_telescoping(eq, f, F, with_chain=(k >= 5), g=g)
+    tele = verify_telescoping(eq, f, F, g=g)
     report.sections["telescoping"] = tele
     chain = verify_counting_lemma(eq, nu, [g] + [F] * (k - 1))
     report.sections["holder_chain"] = chain
@@ -804,9 +818,6 @@ def run_transference_pipeline(
         _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F,
                                              exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep
-    elif require_equation_free:
-        witness = _find_nontrivial_solution(eq, A)
-        raise ValueError(f"set has a nontrivial solution: {witness}")
     else:
         report.flags.append("set is not equation-free: T(F) exceeds the diagonal value")
 

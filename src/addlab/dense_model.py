@@ -29,6 +29,8 @@ from .util import as_fraction, indices_to_mask, spawn_rng
 TRIVIAL_SMOOTHER_FLAG = "trivial smoother (|B|=1): g = 0"
 # the tuple identity is checked on at most this many tuples with |S_h| > 0
 _IDENTITY_CHECKS = 20_000
+# every tuple is enumerated when |H|^s is at most this, a seeded sample otherwise
+_TUPLE_BUDGET = 250_000
 
 __all__ = [
     "DenseModel",
@@ -60,24 +62,20 @@ def build_dense_model(
     s: int,
     t: int,
     eps,
-    mode: str | None = None,
     n_model: int | None = None,
     check_free: bool = True,
 ) -> DenseModel:
     """Smooth 1_A by the Bohr set / annihilator built from its large spectrum.
 
-    check_free=False skips the grid-freeness precondition; the construction
-    is well-defined for any set (used e.g. for the subspace fixed-point
-    sanity check), but the moment property is only meaningful on free sets.
+    The context sets the mode: a Bohr set on Z_M ('integer_model'), an
+    annihilator on F_q^n ('finite_field').  check_free=False skips the
+    grid-freeness precondition; the construction is well-defined for any set
+    (used e.g. for the subspace fixed-point sanity check), but the moment
+    property is only meaningful on free sets.
     """
     eps = as_fraction(eps)
     ctx = A.ctx
-    if mode is None:
-        mode = "integer_model" if isinstance(ctx, CyclicCtx) else "finite_field"
-    if mode == "integer_model" and not isinstance(ctx, CyclicCtx):
-        raise ValueError("integer model needs a cyclic context")
-    if mode == "finite_field" and not isinstance(ctx, VectorCtx):
-        raise ValueError("finite-field model needs a vector-space context")
+    mode = "integer_model" if isinstance(ctx, CyclicCtx) else "finite_field"
     n = n_model or A.model_n or ctx.N
     if mode == "integer_model":
         # the smoothed support window [-eps N, (1+eps) N] must embed
@@ -98,7 +96,7 @@ def build_dense_model(
         smoother = annihilator(V)
         smoother_ind = smoother.indicator()
         size = smoother.size
-    integer_f = convolve(A.indicator(), smoother_ind, method="direct")
+    integer_f = convolve(A.indicator(), smoother_ind)
     scale = float(n) ** (1.0 / s)
     f = Dfn(ctx, integer_f.values.astype(np.float64) * (scale / size))
     hat_gap = np.abs(f.hat() - scale * A.indicator().hat())
@@ -128,7 +126,7 @@ def build_dense_model(
     return model
 
 
-def verify_model_properties(model: DenseModel, t: int | None = None):
+def verify_model_properties(model: DenseModel):
     """Properties of the dense model: mass, Fourier gap, moment bound.
 
     (i) mass is exact on the integer object; (ii) the gap bound carries
@@ -137,8 +135,7 @@ def verify_model_properties(model: DenseModel, t: int | None = None):
     is asserted with exact integers and the exact eta from the vanishing
     excess.
     """
-    t = t if t is not None else model.t
-    A, s, eps = model.A, model.s, model.eps
+    A, s, t, eps = model.A, model.s, model.t, model.eps
     ctx = A.ctx
     n = model.n_model
     m = len(A)
@@ -246,9 +243,7 @@ def verify_model_properties(model: DenseModel, t: int | None = None):
     return rep
 
 
-def verify_smoothing_decomposition(
-    A: SetA, s: int, t: int, H: Subspace, tuple_budget: int = 250_000
-):
+def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     """The S = sum_x (1_A * 1_H)^s decomposition, tuple level included.
 
     Asserts the aggregate chain S <= t|H|^s + (eta/t)|A|^s|H| exactly and the
@@ -261,7 +256,7 @@ def verify_smoothing_decomposition(
         raise ValueError("the decomposition runs in the vector-space model")
     require_kst_free(A, s, t)
     h_ind = H.indicator()
-    conv = convolve(A.indicator(), h_ind, method="direct")
+    conv = convolve(A.indicator(), h_ind)
     S = sum(int(v) ** s for v in conv.values[conv.values > 0])
     size = H.size
     m = len(A)
@@ -281,7 +276,7 @@ def verify_smoothing_decomposition(
 
     h_elems = H.element_indices()
     tuple_count = size**s
-    exhaustive = tuple_count <= tuple_budget
+    exhaustive = tuple_count <= _TUPLE_BUDGET
     if exhaustive:
         rows = product(range(size), repeat=s)
     else:

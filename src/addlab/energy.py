@@ -45,7 +45,7 @@ def moment_energy(fs: list, s: int):
     exact = all(f.is_integer_valued() for f in fs)
     conv = fs[0]
     for f in fs[1:]:
-        conv = convolve(conv, f, method="direct" if exact else "fast")
+        conv = convolve(conv, f)
     if exact:
         return sum(int(v) ** s for v in conv.values)
     vals = conv.values.astype(np.complex128)

@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _DIRECT_LIMIT = 4096  # largest N for O(N^2) reference paths
-_REAL_TOL = 1e-12
 
 
 class Dfn:
@@ -46,22 +45,20 @@ class Dfn:
     read-only values for that reason.
     """
 
-    __slots__ = ("ctx", "values", "tag", "_hat")
+    __slots__ = ("ctx", "values", "_hat")
 
-    def __init__(self, ctx: GroupCtx, values, tag: str | None = None):
+    def __init__(self, ctx: GroupCtx, values):
         values = np.asarray(values)
         if values.shape != (ctx.N,):
             raise ValueError(f"expected {ctx.N} values, got shape {values.shape}")
-        if tag is None:
-            tag = "complex" if np.iscomplexobj(values) else "real"
-        if tag == "real" and np.iscomplexobj(values):
-            if np.max(np.abs(values.imag)) > _REAL_TOL:
-                raise ValueError("real-tagged Dfn with non-negligible imaginary part")
-            values = values.real
         self.ctx = ctx
         self.values = values
-        self.tag = tag
         self._hat = None
+
+    @property
+    def tag(self) -> str:
+        """'complex' or 'real', from the dtype of the values."""
+        return "complex" if np.iscomplexobj(self.values) else "real"
 
     # constructors -------------------------------------------------------------
     @classmethod
@@ -140,34 +137,26 @@ class Dfn:
         return f"Dfn({self.ctx!r}, tag={self.tag}, mass={self.mass()})"
 
 
-def _character_matrix(ctx, conj: bool) -> np.ndarray:
+def _character_matrix(ctx) -> np.ndarray:
+    """W[x, xi] = conj(character(x, xi)), so that hat(h) = h @ W."""
     if ctx.N > _DIRECT_LIMIT:
         raise ValueError(f"direct transform limited to N <= {_DIRECT_LIMIT}")
     idx = ctx.elements()
     num, den = ctx.char_phase(idx[:, None], idx[None, :])
-    sign = -1.0 if conj else 1.0
-    return np.exp(sign * 2j * np.pi * np.asarray(num) / den)
+    return np.exp(-2j * np.pi * np.asarray(num) / den)
 
 
 def fourier(h: Dfn, method: str = "fast") -> Dfn:
     """hat(h)(xi) = sum_x h(x) conj(character(x, xi)); 'direct' is the O(N^2) oracle."""
     if method == "fast":
-        return Dfn(h.ctx, h.hat().copy(), tag="complex")
+        return Dfn(h.ctx, h.hat().copy())
     if method == "direct":
-        W = _character_matrix(h.ctx, conj=True)
-        return Dfn(h.ctx, h.values.astype(np.complex128) @ W, tag="complex")
+        return Dfn(h.ctx, h.values.astype(np.complex128) @ _character_matrix(h.ctx))
     raise ValueError(f"unknown method {method!r}")
 
 
-def inverse_fourier(H: Dfn, method: str = "fast") -> Dfn:
-    if method == "fast":
-        vals = H.ctx.ifft(H.values.astype(np.complex128))
-    elif method == "direct":
-        W = _character_matrix(H.ctx, conj=False)
-        vals = (H.values.astype(np.complex128) @ W) / H.ctx.N
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return Dfn(H.ctx, vals, tag="complex")
+def inverse_fourier(H: Dfn) -> Dfn:
+    return Dfn(H.ctx, H.ctx.ifft(H.values.astype(np.complex128)))
 
 
 _INT64_LIMIT = 1 << 63
@@ -407,36 +396,19 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     return out
 
 
-def _definitional_convolve(ctx, v1, v2):
-    """sum over y in supp(v1) of v1(y) v2(x - y), for every x at once."""
-    if ctx.N > _DIRECT_LIMIT:
-        raise ValueError(f"definitional convolution limited to N <= {_DIRECT_LIMIT}")
-    sup = np.flatnonzero(v1)
-    x = ctx.elements()
-    return v2[ctx.sub(x[:, None], sup[None, :])] @ v1[sup]
-
-
-def convolve(h1: Dfn, h2: Dfn, method: str = "fast") -> Dfn:
+def convolve(h1: Dfn, h2: Dfn) -> Dfn:
     """(h1 * h2)(x) = sum_y h1(y) h2(x - y).
 
-    Integer-valued inputs are convolved exactly by ``exact_convolve`` under
-    either method, and the result is int64.  Otherwise 'direct' sums the
-    definition (N <= 4096) and 'fast' multiplies in Fourier space.
+    Integer-valued inputs are convolved exactly by ``exact_convolve``, and the
+    result is int64; other inputs are multiplied in Fourier space.
     """
     if h1.ctx != h2.ctx:
         raise ValueError("group context mismatch")
-    if method not in ("direct", "fast"):
-        raise ValueError(f"unknown method {method!r}")
     ctx = h1.ctx
     if h1.is_integer_valued() and h2.is_integer_valued():
         return Dfn(ctx, exact_convolve(ctx, h1.values, h2.values))
-    tag = "complex" if "complex" in (h1.tag, h2.tag) else "real"
-    if method == "direct":
-        dtype = np.complex128 if tag == "complex" else np.float64
-        vals = _definitional_convolve(ctx, h1.values.astype(dtype), h2.values.astype(dtype))
-        return Dfn(ctx, vals, tag=tag)
     vals = ctx.ifft(h1.hat() * h2.hat())
-    return Dfn(ctx, vals.real if tag == "real" else vals, tag=tag)
+    return Dfn(ctx, vals if "complex" in (h1.tag, h2.tag) else vals.real)
 
 
 @dataclass
@@ -502,4 +474,4 @@ def load_dfn(path) -> Dfn:
             vals = np.array([int(s) for s in raw], dtype=np.int64)
         else:
             vals = np.array([float(s) for s in raw])
-    return Dfn(ctx, vals, tag=tag)
+    return Dfn(ctx, vals)

@@ -419,7 +419,7 @@ def subspace_set(ctx, basis_vectors) -> SetA:
     )
 
 
-def equation_free_greedy(eq, n: int, seed: int, max_size: int | None = None) -> SetA:
+def equation_free_greedy(eq, n: int, seed: int) -> SetA:
     """Greedy set in [0, n) with only diagonal solutions to the equation."""
     from .counting import count_equation_solutions, padded_modulus
 
@@ -430,8 +430,6 @@ def equation_free_greedy(eq, n: int, seed: int, max_size: int | None = None) -> 
         trial = chosen + [int(c)]
         if count_equation_solutions(eq, SetA(ctx, trial)) == len(trial):
             chosen = trial
-            if max_size and len(chosen) >= max_size:
-                break
     A = SetA(
         ctx,
         chosen,

@@ -268,7 +268,7 @@ def verify_spectrum_span_bound(A: SetA, spec: Spectrum, V: Subspace):
 # -- large sieve -----------------------------------------------------------------
 
 
-def large_sieve_check(points, delta, coeffs, n_terms: int | None = None):
+def large_sieve_check(points, delta, coeffs):
     """S(g) = sum_{n<=N1} a(n) e(n*g); asserts sum |S|^2 <= (N1 + 1/delta) sum |a|^2.
 
     Points must be pairwise delta-separated mod 1 (open intervals disjoint).
@@ -289,9 +289,7 @@ def large_sieve_check(points, delta, coeffs, n_terms: int | None = None):
         if min(gaps) < 2 * delta:
             raise ValueError("intervals around the points overlap mod 1")
     coeffs = np.asarray(coeffs, dtype=np.complex128)
-    N1 = n_terms if n_terms is not None else len(coeffs)
-    if len(coeffs) != N1:
-        raise ValueError("coefficient count must equal N1")
+    N1 = len(coeffs)
     ns = np.arange(1, N1 + 1)
     lhs = 0.0
     for g in pts:

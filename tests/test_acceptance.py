@@ -283,7 +283,7 @@ def test_criterion_09_telescoping_and_transfer():
         ctx = CyclicCtx(int(rng.integers(24, 64)))
         f = Dfn(ctx, rng.uniform(0, 1, size=ctx.N))
         F = Dfn(ctx, rng.uniform(0, 1, size=ctx.N))
-        rep = al.verify_telescoping(eq, f, F, with_chain=False)
+        rep = al.verify_telescoping(eq, f, F)
         if not rep.passed:
             failures += 1
     ledger_ok = True

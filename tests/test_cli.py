@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import addlab
+from addlab import cli
 from addlab.cli import ConfigError, SuiteConfig, main, run_suite
 from addlab.report import (
     Assertion,
@@ -124,7 +126,7 @@ class TestCommands:
         rep = tmp_path / "dm.json"
         f_out = tmp_path / "f.dfn"
         assert run_cli("dense-model", "--input", str(setfile), "--s", "2",
-                       "--t", "2", "--eps", "1/8", "--mode", "integer",
+                       "--t", "2", "--eps", "1/8",
                        "--report", str(rep), "--emit-f", str(f_out)) == 0
         assert json.loads(rep.read_text())["pass"] is True
         from addlab.functions import load_dfn
@@ -205,6 +207,32 @@ def test_package_runs_as_module():
 def test_bad_st_flag_is_config_error():
     assert run_cli("verify", "--suite", "energy", "--st", "banana",
                    "--sizes", "32") == 2
+
+
+def test_bad_eq_flag_is_config_error_before_any_suite(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(cli, "_SUITES", {name: (lambda cfg, name=name: ran.append(name))
+                                         for name in cli.SUITE_NAMES})
+    assert run_cli("verify", "--suite", "all", "--eq", "1,2,3") == 2
+    assert ran == []
+    assert "1, 2, 3" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The README's "Command line" block, one argv per command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.replace("\\\n", " ").splitlines()
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    return [shlex.split(ln) for ln in lines]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    commands = _readme_commands()
+    assert len(commands) >= 6 and all(argv[0] == "addlab" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run_cli(*argv[1:]) == 0, argv
 
 
 def test_construct_bad_params(tmp_path, capsys):

@@ -15,6 +15,7 @@ from addlab.counting import (
     _is_invertible,
     _solution_counts,
     _solve_last,
+    assert_z_faithful,
     count_T,
     count_all_distinct,
     count_equation_solutions,
@@ -77,6 +78,16 @@ class TestCountT:
         for method in ("brute", "fourier"):
             res = count_T(eq, hs, method)
             assert res.total == 625  # N^{k-1}
+
+    @pytest.mark.parametrize("method", ["brute", "fourier"])
+    def test_integer_counts_do_not_wrap(self, method):
+        # prod_i sum h_i = 10^20 > 2^63: int64 products would wrap
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        h = Dfn(CyclicCtx(7), np.array([10**4, 0, 0, 0, 0, 0, 0]))
+        res = count_T(eq, [h] * 5, method)
+        assert res.trivial == 10**20 and type(res.trivial) is int
+        if method == "brute":
+            assert res.total == 10**20 and type(res.total) is int
 
     def test_singleton_diagonal(self):
         eq = EquationSpec([1, 1, 1, 1, 1], char=5)
@@ -148,7 +159,7 @@ class TestCountT:
         ctx = CyclicCtx(20)
         A = SetA(ctx, [0, 9])  # radius 9, weight 4 -> need M > 36
         with pytest.raises(PaddingError) as exc:
-            count_T(eq, [A.indicator()] * 3, "brute", check_padding=True)
+            assert_z_faithful(eq, [A.indicator()] * 3)
         assert exc.value.minimal_modulus == 37
 
     def test_exact_convolution_route_matches_brute(self):
@@ -425,8 +436,35 @@ class TestTelescoping:
         rng = spawn_rng(34, 3)
         f = Dfn(ctx, rng.normal(size=23))
         F = Dfn(ctx, rng.normal(size=23))
-        rep = verify_telescoping(eq, f, F, with_chain=False)
+        rep = verify_telescoping(eq, f, F)
         assert rep.passed
+        assert rep.flags == ["chain bounds skipped: they need k >= 5, here k = 3"]
+
+    @staticmethod
+    def _half_period_pair(M):
+        # F = 1_{0, M/2} has hat F(2 xi) = 2 for every xi on Z_40, so the
+        # slot under the coefficient -2 beats its mean norm when 2 is no unit
+        F = np.zeros(M)
+        F[[0, M // 2]] = 1
+        f = F.copy()
+        f[0] += 1
+        return Dfn(CyclicCtx(M), f), Dfn(CyclicCtx(M), F)
+
+    def test_chain_skipped_for_noninvertible_coefficient(self):
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        rep = verify_telescoping(eq, *self._half_period_pair(40))
+        assert rep.passed, [(a.name, a.lhs, a.rhs) for a in rep.failing()]
+        assert [a.name for a in rep.assertions] == ["telescoping_identity"]
+        assert rep.flags == ["chain bounds skipped: coefficients [-2] are not "
+                             "invertible on cyclic;M=40"]
+
+    def test_chain_runs_for_invertible_coefficients(self):
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        rep = verify_telescoping(eq, *self._half_period_pair(41))
+        assert rep.passed
+        names = {a.name for a in rep.assertions}
+        assert {f"term_bound_{i}" for i in range(5)} | {"transfer_bound"} <= names
+        assert rep.flags == []
 
 
 class TestLevelSet:
@@ -603,8 +641,7 @@ class TestPipeline:
     def test_equation_free_pipeline(self):
         eq = EquationSpec([1, 1, 1, -1, -2])
         A = equation_free_greedy(eq, 40, seed=6)
-        rep = run_transference_pipeline(A, eq, 2, 2, "1/8",
-                                        require_equation_free=True)
+        rep = run_transference_pipeline(A, eq, 2, 2, "1/8")
         assert rep.passed
         assert rep.ledger["solutions_in_A"] == len(A)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from addlab import dense_model
 from addlab.dense_model import (
     TRIVIAL_SMOOTHER_FLAG,
     build_dense_model,
@@ -151,13 +152,14 @@ class TestSmoothingDecomposition:
         # exhaustive path must have run the tuple-sum cross check
         assert any(a.name == "tuple_sum_matches_S" for a in rep.assertions)
 
-    def test_identity_sampled_path_flagged(self):
-        # large annihilator forces the sampled path; flag must say so
+    def test_identity_sampled_path_flagged(self, monkeypatch):
+        # a small tuple budget forces the sampled path; the flag must say so
+        monkeypatch.setattr(dense_model, "_TUPLE_BUDGET", 1000)
         ctx = VectorCtx(FieldCtx(3, 1), 5)
         A = greedy_kst_free(2, 2, ctx.N, seed=8, ctx=ctx)
         basis = [ctx.parse_element(v) for v in
                  ("1 0 0 0 0", "0 1 0 0 0", "0 0 1 0 0", "0 0 0 1 0")]
-        H = span(ctx, basis)  # |H| = 81, |H|^2 = 6561: still exhaustive
-        rep = verify_smoothing_decomposition(A, 2, 2, H, tuple_budget=1000)
+        H = span(ctx, basis)  # |H| = 81, |H|^2 = 6561 tuples
+        rep = verify_smoothing_decomposition(A, 2, 2, H)
         assert rep.passed
         assert any("sample" in f for f in rep.flags)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from addlab.functions import (
     Dfn,
+    _character_matrix,
     convolve,
     fourier,
     fourier_mean_norm,
@@ -23,6 +24,17 @@ CTXS = [
     VectorCtx(FieldCtx(3, 1), 4),   # N = 81
     VectorCtx(FieldCtx(5, 1), 3),   # N = 125
 ]
+
+
+def definitional_convolve(h1, h2):
+    """sum_y h1(y) h2(x - y) for every x at once, the O(N^2) oracle."""
+    x = h1.ctx.elements()
+    return h2.values[h1.ctx.sub(x[:, None], x[None, :])] @ h1.values
+
+
+def definitional_inverse(H):
+    """(1/N) sum_xi H(xi) character(x, xi), the O(N^2) oracle."""
+    return H.values @ np.conj(_character_matrix(H.ctx)) / H.ctx.N
 
 
 def rand_dfn(ctx, rng, complex_=True):
@@ -71,6 +83,13 @@ class TestFourier:
                 worst = max(worst, np.abs(back - h.values).max())
             assert worst < 1e-9
 
+    def test_inverse_matches_definition(self):
+        rng = np.random.default_rng(6)
+        for ctx in CTXS:
+            H = rand_dfn(ctx, rng)
+            assert np.allclose(inverse_fourier(H).values, definitional_inverse(H),
+                               atol=1e-12)
+
     def test_inverse_of_ones_is_delta(self):
         Z = CyclicCtx(10)
         back = inverse_fourier(Dfn.constant(Z, 1.0)).values
@@ -104,16 +123,16 @@ class TestConvolve:
     def test_z8_example(self):
         Z8 = CyclicCtx(8)
         h = Dfn.indicator(Z8, [0, 1])
-        for method in ("direct", "fast"):
-            out = convolve(h, h, method).values
-            assert out.tolist() == [1, 2, 1, 0, 0, 0, 0, 0]
+        assert convolve(h, h).values.tolist() == [1, 2, 1, 0, 0, 0, 0, 0]
+        assert definitional_convolve(h, h).tolist() == [1, 2, 1, 0, 0, 0, 0, 0]
 
     def test_delta_is_identity(self):
         rng = np.random.default_rng(2)
         for ctx in CTXS:
             h = rand_dfn(ctx, rng)
-            out = convolve(h, Dfn.delta(ctx), "direct").values
-            assert np.allclose(out, h.values, atol=1e-12)
+            assert np.allclose(convolve(h, Dfn.delta(ctx)).values, h.values, atol=1e-12)
+            assert np.allclose(definitional_convolve(h, Dfn.delta(ctx)), h.values,
+                               atol=1e-12)
 
     def test_difference_count_oracle(self):
         # 1_A * 1_(-A) at d counts ordered pairs with difference d;
@@ -124,7 +143,7 @@ class TestConvolve:
             A = [int(x) for x in picks]
             left = Dfn.indicator(ctx, picks)
             right = Dfn.indicator(ctx, ctx.neg(picks))
-            out = convolve(left, right, "direct").values
+            out = convolve(left, right).values
             oracle = np.zeros(ctx.N, dtype=np.int64)
             for a in A:
                 for b in A:
@@ -136,10 +155,9 @@ class TestConvolve:
         ctx = CyclicCtx(90)
         a = Dfn(ctx, rng.integers(0, 7, size=90))
         b = Dfn(ctx, rng.integers(0, 7, size=90))
-        fast = convolve(a, b, "fast")
-        direct = convolve(a, b, "direct")
-        assert fast.values.dtype == np.int64
-        assert np.array_equal(fast.values, direct.values)
+        exact = convolve(a, b)
+        assert exact.values.dtype == np.int64
+        assert np.array_equal(exact.values, definitional_convolve(a, b))
 
     def test_ctx_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -149,9 +167,13 @@ class TestConvolve:
         rng = np.random.default_rng(12)
         for ctx in CTXS:
             h1, h2 = rand_dfn(ctx, rng), rand_dfn(ctx, rng)
-            lhs = fourier(convolve(h1, h2, "fast")).values
+            conv = convolve(h1, h2)
+            lhs = fourier(conv).values
             rhs = fourier(h1).values * fourier(h2).values
             assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(rhs).max())
+            direct = definitional_convolve(h1, h2)
+            scale = max(1.0, np.abs(direct).max())
+            assert np.abs(conv.values - direct).max() < 1e-9 * scale
 
 
 class TestNorms:
@@ -181,7 +203,7 @@ class TestNorms:
         # A = {0,1} in Z_4: sum r(d)^2 = 6 = (1/N) sum |hat 1_A|^4
         ctx = CyclicCtx(4)
         h = Dfn.indicator(ctx, [0, 1])
-        r = convolve(h, Dfn.indicator(ctx, ctx.neg(np.array([0, 1]))), "direct").values
+        r = convolve(h, Dfn.indicator(ctx, ctx.neg(np.array([0, 1])))).values
         assert (r.astype(object) ** 2).sum() == 6
         dual = (np.abs(fourier(h).values) ** 4).mean()
         assert dual == pytest.approx(6.0, rel=1e-12)
@@ -218,7 +240,10 @@ def test_serialization_roundtrip(tmp_path):
     assert np.array_equal(back.values, ind.values)
 
 
-def test_real_tag_with_complex_noise_rejected():
+def test_tag_follows_dtype():
     ctx = CyclicCtx(6)
-    with pytest.raises(ValueError, match="imaginary"):
-        Dfn(ctx, np.ones(6) + 1e-6j, tag="real")
+    assert Dfn(ctx, np.ones(6)).tag == "real"
+    assert Dfn(ctx, np.ones(6) + 1e-6j).tag == "complex"
+    assert fourier(Dfn(ctx, np.ones(6))).tag == "complex"
+    with pytest.raises(AttributeError):
+        Dfn(ctx, np.ones(6)).tag = "complex"

@@ -285,14 +285,12 @@ class TestPrimeFactorTransform:
     def test_split_below_floor_against_definition(self, monkeypatch, M):
         monkeypatch.setattr(groups, "_PRIME_FACTOR_FLOOR", 0)
         assert groups._prime_factor_maps(M) is not None
-        h = Dfn(CyclicCtx(M), self._values(M, M), tag="complex")
+        h = Dfn(CyclicCtx(M), self._values(M, M))
         direct = fourier(h, method="direct").values
         fast = fourier(h).values
         np.testing.assert_allclose(fast, direct, rtol=0, atol=1e-9 * M)
-        H = Dfn(h.ctx, direct, tag="complex")
-        np.testing.assert_allclose(inverse_fourier(H).values,
-                                   inverse_fourier(H, method="direct").values,
-                                   rtol=0, atol=1e-9)
+        np.testing.assert_allclose(inverse_fourier(Dfn(h.ctx, direct)).values,
+                                   h.values, rtol=0, atol=1e-9)
         np.testing.assert_allclose(h.ctx.ifft(h.ctx.fft(h.values)), h.values,
                                    rtol=0, atol=1e-12)
 
