@@ -497,8 +497,8 @@ def _cmd_count(args) -> int:
         rep.quantities[f"total_{m}"] = res.total
         rep.quantities[f"trivial_{m}"] = res.trivial
     if len(totals) == 2:
-        rep.check("methods_agree", abs(totals["brute"] - totals["fourier"]), "<=",
-                  1e-6 * max(1.0, abs(totals["brute"])))
+        # both routes count an indicator in exact integers
+        rep.check("methods_agree", totals["brute"], "==", totals["fourier"], exact=True)
     if args.report:
         emit_report(rep, args.report)
     print(rep.summary(), to_jsonable(rep.quantities))

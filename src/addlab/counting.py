@@ -2,9 +2,9 @@
 
 T(h_1, ..., h_k) sums prod h_i(x_i) over solutions of a_1 x_1 + ... + a_k x_k = 0.
 Two independent evaluation routes are kept throughout: nested enumeration over
-supports ("brute") and dual-side evaluation (1/N) sum_xi prod hat(h_j)(a_j xi)
-("fourier"); indicator counting additionally has an exact integer convolution
-route used wherever an assertion needs exactness.
+supports ("brute") and "fourier", which for integer functions is the exact
+integer convolution of their pushforwards under x -> a_j x, and for float ones
+the dual-side evaluation (1/N) sum_xi prod hat(h_j)(a_j xi).
 """
 
 from __future__ import annotations
@@ -167,32 +167,49 @@ class CountResult:
 
 
 def _brute_total(ctx, coeffs, values):
+    """sum prod_i values[i][x_i] over the solutions of sum_i coeffs[i] x_i = 0,
+    by enumeration over the supports; it never calls the convolution kernel.
+
+    The variable with an invertible coefficient and the largest support is
+    solved for (none is when no coefficient is invertible).  Of the others,
+    all but the two with the largest supports are enumerated; those two form
+    one 2-D grid of scaled offsets, built once, so each enumerated prefix
+    costs one `add` and one `_solve_last` over the grid.  Each grid row is
+    summed along its contiguous axis and added to the total in enumeration
+    order, so a float total has the bits of enumerating one variable at a
+    time.
+    """
     k = len(coeffs)
     supports = [np.nonzero(v)[0] for v in values]
     if any(len(s) == 0 for s in supports):
         return 0
     invertible = [i for i in range(k) if _is_invertible(ctx, coeffs[i])]
     solve = max(invertible, key=lambda i: len(supports[i])) if invertible else None
-    enum_idx = sorted(
+    *outer, row, last = sorted(
         (i for i in range(k) if i != solve), key=lambda i: len(supports[i])
     )
+    row_offsets = np.asarray(ctx.scale_int(coeffs[row], supports[row]))
+    last_offsets = np.asarray(ctx.scale_int(coeffs[last], supports[last]))
+    grid = np.asarray(ctx.add(row_offsets[:, None], last_offsets[None, :]))
+    row_values = values[row][supports[row]]
+    last_values = values[last][supports[last]]
     total = 0
-    last = enum_idx[-1]
 
     def rec(depth, partial, weight):
         nonlocal total
-        if depth == len(enum_idx) - 1:
-            xs = supports[last]
-            r = np.asarray(ctx.add(partial, ctx.scale_int(coeffs[last], xs)))
+        if depth == len(outer):
+            r = np.asarray(ctx.add(partial, grid))
             if solve is None:
-                hit = r == 0
-                if hit.any():
-                    total = total + weight * values[last][xs[hit]].sum()
+                sums = [last_values[hit].sum() if hit.any() else None for hit in r == 0]
             else:
                 xsol = _solve_last(ctx, coeffs[solve], ctx.neg(r))
-                total = total + weight * (values[last][xs] * values[solve][xsol]).sum()
+                sums = (last_values * values[solve][xsol]).sum(axis=1)
+            for v, row_sum in zip(row_values, sums):
+                w = weight * v
+                if w != 0 and row_sum is not None:
+                    total = total + w * row_sum
             return
-        i = enum_idx[depth]
+        i = outer[depth]
         for x in supports[i]:
             w = weight * values[i][x]
             if w == 0:
@@ -215,8 +232,13 @@ def _exact_ints(values: list) -> list:
 def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
     """The counting functional over k functions sharing a context.
 
-    For integer-dtype inputs `total` (brute) and `trivial` are exact Python
-    ints.  Whether the count is Z-faithful on a cyclic model is
+    For integer-dtype inputs `total` and `trivial` are exact Python ints on
+    both routes.  There the fourier route is (g_1 * ... * g_k)(0) over the
+    weighted pushforwards g_i(y) = sum_{a_i x = y} h_i(x), through the exact
+    convolution kernel; when an entry bound reaches 2^63 it raises the
+    kernel's OverflowError rather than return a rounded float.  Float-dtype
+    inputs take the dual-side sum (1/N) sum_xi prod_i hat(h_i)(a_i xi).
+    Whether the count is Z-faithful on a cyclic model is
     `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
@@ -226,7 +248,8 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
         raise ValueError("group context mismatch")
     eq.validate_for(ctx)
     values = [h.values for h in hs]
-    if all(np.issubdtype(v.dtype, np.integer) for v in values):
+    integer = all(np.issubdtype(v.dtype, np.integer) for v in values)
+    if integer:
         values = _exact_ints(values)
     trivial_total = functools.reduce(operator.mul, values).sum()
     if method == "brute":
@@ -237,6 +260,11 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
         return CountResult(total=total, trivial=trivial_total, method="brute")
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
+    if integer:
+        total = _convolution_value_at_zero(
+            ctx, [_weighted_pushforward(ctx, h.values, a) for a, h in zip(eq.coeffs, hs)]
+        )
+        return CountResult(total=total, trivial=int(trivial_total), method="fourier")
     idx = ctx.elements()
     dilated = {a: np.asarray(ctx.scale_int(a, idx)) for a in set(eq.coeffs) - {1}}
     dilated[1] = idx
@@ -253,6 +281,21 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
             total = rounded
         trivial_total = int(trivial_total)
     return CountResult(total=total, trivial=trivial_total, method="fourier")
+
+
+def _weighted_pushforward(ctx, h: np.ndarray, coeff: int) -> np.ndarray:
+    """g(y) = sum of h(x) over the x with coeff * x = y, for integer h, exactly.
+
+    Raises OverflowError when sum |h| is 2^63 or more, since an entry of g
+    could then wrap in int64.
+    """
+    bound = _abs_sum_max(h)[0]
+    if bound >= _INT64_LIMIT:
+        raise OverflowError(f"pushforward entry bound {bound} is not below 2^63")
+    sup = np.flatnonzero(h)
+    g = np.zeros(ctx.N, dtype=np.int64)
+    np.add.at(g, np.asarray(ctx.scale_int(coeff, sup)), h[sup].astype(np.int64))
+    return g
 
 
 def _pushforward_counts(ctx, indices, coeff: int) -> np.ndarray:

@@ -22,7 +22,7 @@ from .energy import vanishing_eta
 from .functions import Dfn, convolve, fourier
 from .groups import CyclicCtx, VectorCtx
 from .report import VerificationReport
-from .sets import SetA, rep_tuple, require_kst_free
+from .sets import SetA, rep_tuples, require_kst_free
 from .spectral import BohrSet, Subspace, annihilator, bohr_set, span, spectrum
 from .util import as_fraction, indices_to_mask, spawn_rng
 
@@ -249,7 +249,10 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     Asserts the aggregate chain S <= t|H|^s + (eta/t)|A|^s|H| exactly and the
     tuple identity r_A(a(x)) = |S_h| - 1 against an independently computed
     r_A (exhaustively when the tuple count is small, on a seeded sample
-    otherwise; the sampling is flagged).
+    otherwise; the sampling is flagged).  The tuple loop only collects the
+    checked tuples; r_A of all of them is one batched evaluation of the
+    rep_tuple definition (`sets.rep_tuples`, in blocks of rows), computed
+    from A alone and not from the masks it checks.
     """
     ctx = A.ctx
     if not isinstance(ctx, VectorCtx):
@@ -289,8 +292,8 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
         indices_to_mask(np.asarray(ctx.add(A.indices, int(h))), ctx.N) for h in h_elems
     ]
 
-    checked = 0
-    identity_ok = True
+    # x, the tuple row (flattened) and |S_h| of each tuple whose identity is checked
+    xs, checked_rows, sizes = [], [], []
     recon_S = 0
     excess_lhs = 0   # sum over tuples of (|S_h| - t)_+
     excess_rhs = 0   # sum over tuples of |S_h| (|S_h| - t)_+
@@ -302,11 +305,16 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
             if sz > t:
                 excess_lhs += sz - t
                 excess_rhs += sz * (sz - t)
-        if sz and checked < _IDENTITY_CHECKS:
-            x = (mask & -mask).bit_length() - 1
-            checked += 1
-            if rep_tuple(A, ctx.sub(x, h_elems[list(row)])) != sz - 1:
-                identity_ok = False
+        if sz and len(sizes) < _IDENTITY_CHECKS:
+            xs.append((mask & -mask).bit_length() - 1)
+            checked_rows.extend(row)
+            sizes.append(sz)
+    checked = len(sizes)
+    tuples = ctx.sub(
+        np.array(xs, dtype=np.int64)[:, None],
+        h_elems[np.array(checked_rows, dtype=np.int64).reshape(checked, s)],
+    )
+    identity_ok = np.array_equal(rep_tuples(A, tuples), np.array(sizes) - 1)
     rep.quantities["identity_checks"] = checked
     rep.check("tuple_identity", identity_ok, "==", True, exact=True)
     if exhaustive:

@@ -26,6 +26,7 @@ __all__ = [
     "SubsetRepStats",
     "rep_diff",
     "rep_tuple",
+    "rep_tuples",
     "is_kst_free",
     "find_kst_violation",
     "find_kst_violation_exhaustive",
@@ -42,6 +43,8 @@ __all__ = [
 ]
 
 _MAX_BITSET_ORDER = 1 << 24
+# rows per batched evaluation in rep_tuples, to bound the (rows, |A|) temporaries
+_TUPLE_BLOCK = 256
 
 
 class FreenessError(ValueError):
@@ -151,6 +154,31 @@ def rep_tuple(A: SetA, tpl) -> int:
         ok &= A.member[np.asarray(A.ctx.sub(a, cand))]
     shifts = cand[ok]
     return int(np.count_nonzero(shifts != 0))
+
+
+def rep_tuples(A: SetA, tuples) -> np.ndarray:
+    """rep_tuple of every row of an (R, s) array, s >= 2, as int64 counts.
+
+    The same definition, evaluated over `_TUPLE_BLOCK` rows at a time: the
+    candidate shifts tpl[:, 0] - A, kept where tpl[:, j] - shift lies in A for
+    every j >= 1, the nonzero ones counted per row.  Like rep_tuple it raises
+    ValueError on a tuple element outside A.
+    """
+    tuples = np.asarray(tuples, dtype=np.int64)
+    if tuples.ndim != 2 or tuples.shape[1] < 2:
+        raise ValueError("tuples must be an (R, s) array with s >= 2")
+    outside = ~A.member[tuples % A.ctx.N]
+    if outside.any():
+        raise ValueError(f"tuple element {int(tuples[outside][0])} not in A")
+    counts = np.empty(len(tuples), dtype=np.int64)
+    for lo in range(0, len(tuples), _TUPLE_BLOCK):
+        block = tuples[lo : lo + _TUPLE_BLOCK]
+        cand = np.asarray(A.ctx.sub(block[:, :1], A.indices))
+        ok = cand != 0
+        for col in block[:, 1:].T:
+            ok &= A.member[np.asarray(A.ctx.sub(col[:, None], cand))]
+        counts[lo : lo + _TUPLE_BLOCK] = np.count_nonzero(ok, axis=1)
+    return counts
 
 
 # -- aggregate statistics over distinct u-subsets -----------------------------------

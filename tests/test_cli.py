@@ -107,6 +107,8 @@ class TestCommands:
         data = json.loads(report.read_text())
         assert data["pass"] is True
         assert data["quantities"]["total_brute"] == data["quantities"]["total_fourier"]
+        (agree,) = [a for a in data["assertions"] if a["name"] == "methods_agree"]
+        assert agree["exact"] is True and agree["op"] == "=="
 
     def test_spectrum_command(self, tmp_path):
         setfile = tmp_path / "a.set"

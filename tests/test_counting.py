@@ -12,6 +12,7 @@ from addlab.counting import (
     EquationSpec,
     PaddingError,
     _brute_total,
+    _exact_ints,
     _is_invertible,
     _solution_counts,
     _solve_last,
@@ -86,8 +87,25 @@ class TestCountT:
         h = Dfn(CyclicCtx(7), np.array([10**4, 0, 0, 0, 0, 0, 0]))
         res = count_T(eq, [h] * 5, method)
         assert res.trivial == 10**20 and type(res.trivial) is int
-        if method == "brute":
-            assert res.total == 10**20 and type(res.total) is int
+        assert res.total == 10**20 and type(res.total) is int
+
+    @pytest.mark.parametrize("mass", [10001, 123457])
+    def test_fourier_integer_count_is_exact(self, mass):
+        # the counts pass 2^53: a rounded float misses 10001^5 by 27985
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        h = Dfn(CyclicCtx(7), np.array([mass, 0, 0, 0, 0, 0, 0]))
+        res = count_T(eq, [h] * 5, "fourier")
+        assert res.total == mass**5 and type(res.total) is int
+
+    def test_fourier_integer_count_raises_past_entry_bound(self):
+        # the 3-fold partial convolution of a point mass 2^22 would reach 2^66
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        h = Dfn(CyclicCtx(7), np.array([1 << 22, 0, 0, 0, 0, 0, 0]))
+        with pytest.raises(OverflowError, match="2\\^63"):
+            count_T(eq, [h] * 5, "fourier")
+        big = Dfn(CyclicCtx(7), np.array([1 << 62, 1 << 62, 0, 0, 0, 0, 0]))
+        with pytest.raises(OverflowError, match="2\\^63"):
+            count_T(eq, [big] + [h] * 4, "fourier")
 
     def test_singleton_diagonal(self):
         eq = EquationSpec([1, 1, 1, 1, 1], char=5)
@@ -172,6 +190,106 @@ class TestCountT:
             exact = count_equation_solutions(eq, A)
             brute = count_T(eq, [A.indicator()] * 3, "brute").total
             assert exact == brute
+
+
+def brute_scalar(ctx, coeffs, values):
+    """_brute_total one enumerated variable at a time: the oracle of its grid."""
+    k = len(coeffs)
+    supports = [np.nonzero(v)[0] for v in values]
+    if any(len(s) == 0 for s in supports):
+        return 0
+    invertible = [i for i in range(k) if _is_invertible(ctx, coeffs[i])]
+    solve = max(invertible, key=lambda i: len(supports[i])) if invertible else None
+    enum_idx = sorted(
+        (i for i in range(k) if i != solve), key=lambda i: len(supports[i])
+    )
+    total = 0
+    last = enum_idx[-1]
+
+    def rec(depth, partial, weight):
+        nonlocal total
+        if depth == len(enum_idx) - 1:
+            xs = supports[last]
+            r = np.asarray(ctx.add(partial, ctx.scale_int(coeffs[last], xs)))
+            if solve is None:
+                hit = r == 0
+                if hit.any():
+                    total = total + weight * values[last][xs[hit]].sum()
+            else:
+                xsol = _solve_last(ctx, coeffs[solve], ctx.neg(r))
+                total = total + weight * (values[last][xs] * values[solve][xsol]).sum()
+            return
+        i = enum_idx[depth]
+        for x in supports[i]:
+            w = weight * values[i][x]
+            if w == 0:
+                continue
+            rec(depth + 1, ctx.add(partial, ctx.scale_int(coeffs[i], int(x))), w)
+
+    rec(0, 0, 1)
+    return total
+
+
+class TestBruteGrid:
+    @pytest.mark.parametrize("coeffs,M,trials", [
+        ((1, 1, -2), 12, 20), ((1, 1, 1, -1, -2), 13, 4),
+    ])
+    def test_float_bits_match_scalar(self, coeffs, M, trials):
+        rng = spawn_rng(33, 0)
+        ctx = CyclicCtx(M)
+        for _ in range(trials):
+            values = [rng.normal(size=M) + 1j * rng.normal(size=M) for _ in coeffs]
+            values[0][rng.random(M) < 0.3] = 0
+            assert _brute_total(ctx, coeffs, values) == brute_scalar(ctx, coeffs, values)
+            real = [v.real.copy() for v in values]
+            assert _brute_total(ctx, coeffs, real) == brute_scalar(ctx, coeffs, real)
+
+    def test_exact_on_f5_squared(self):
+        rng = spawn_rng(33, 1)
+        ctx = VectorCtx(FieldCtx(5, 1), 2)
+        eq = EquationSpec([1, 1, 1, 1, 1], char=5)
+        for density in (0.1, 0.3, 0.6):
+            A = SetA(ctx, np.nonzero(rng.random(ctx.N) < density)[0])
+            values = [A.indicator().values] * 5
+            grid = _brute_total(ctx, eq.coeffs, values)
+            assert grid == brute_scalar(ctx, eq.coeffs, values)
+            assert grid == count_T(eq, [A.indicator()] * 5, "fourier").total
+
+    def test_no_invertible_coefficient(self):
+        # gcd(2, 12) > 1 for every coefficient: every variable is enumerated
+        rng = spawn_rng(33, 2)
+        ctx = CyclicCtx(12)
+        for coeffs in ((2, 2, -4), (2, 2, 2, -6)):
+            assert not any(_is_invertible(ctx, c) for c in coeffs)
+            for _ in range(5):
+                ints = [rng.integers(-3, 4, size=12) for _ in coeffs]
+                assert _brute_total(ctx, coeffs, ints) == brute_scalar(ctx, coeffs, ints)
+                floats = [rng.normal(size=12) for _ in coeffs]
+                assert _brute_total(ctx, coeffs, floats) == brute_scalar(ctx, coeffs, floats)
+
+    def test_k3_enumerates_no_outer_level(self):
+        # k = 3 with an invertible coefficient: the grid is the whole enumeration
+        ctx = CyclicCtx(11)
+        coeffs = (1, 1, -2)
+        point = np.zeros(11, dtype=np.int64)
+        point[4] = 3
+        for values in ([point] * 3, [point, np.ones(11, dtype=np.int64), point]):
+            assert _brute_total(ctx, coeffs, values) == brute_scalar(ctx, coeffs, values)
+        assert _brute_total(ctx, coeffs, [point] * 3) == 27
+
+    def test_object_values_past_int64(self):
+        rng = spawn_rng(33, 3)
+        ctx = CyclicCtx(7)
+        coeffs = (1, 1, 1, -1, -2)
+        ints = [rng.integers(10**3, 10**4, size=7) for _ in coeffs]
+        values = _exact_ints(ints)
+        assert values[0].dtype == object
+        total = _brute_total(ctx, coeffs, values)
+        assert type(total) is int and total > 1 << 63
+        assert total == brute_scalar(ctx, coeffs, values)
+        hs = [Dfn(ctx, v) for v in ints]
+        for method in ("brute", "fourier"):
+            assert count_T(EquationSpec(coeffs), hs, method).total == total
 
 
 class TestTrivialSolutionValue:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from addlab import dense_model
+from addlab import dense_model, sets
 from addlab.dense_model import (
     TRIVIAL_SMOOTHER_FLAG,
     build_dense_model,
@@ -19,6 +19,7 @@ from addlab.sets import (
     FreenessError,
     erdos_turan_sidon,
     greedy_kst_free,
+    rep_tuple,
     subspace_set,
 )
 from addlab.spectral import annihilator, span, spectrum
@@ -163,3 +164,54 @@ class TestSmoothingDecomposition:
         rep = verify_smoothing_decomposition(A, 2, 2, H)
         assert rep.passed
         assert any("sample" in f for f in rep.flags)
+
+
+def _spy_rep_tuples(monkeypatch):
+    """Route dense_model's batched r_A through a wrapper that compares every
+    row with the scalar rep_tuple oracle; returns the batch lengths seen."""
+    batches = []
+
+    def spy(A, tuples):
+        counts = sets.rep_tuples(A, tuples)
+        assert counts.tolist() == [rep_tuple(A, row) for row in tuples]
+        batches.append(len(tuples))
+        return counts
+
+    monkeypatch.setattr(dense_model, "rep_tuples", spy)
+    return batches
+
+
+class TestBatchedIdentity:
+    @pytest.mark.parametrize("q,n", [(3, 3), (3, 4), (5, 2)])
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_exhaustive_matches_scalar(self, monkeypatch, q, n, s):
+        ctx = VectorCtx(FieldCtx(q, 1), n)
+        A = greedy_kst_free(s, s, ctx.N, seed=10 * q + n + s, ctx=ctx)
+        H = span(ctx, [q**j for j in range(n - 1)])  # |H| = q^(n-1)
+        batches = _spy_rep_tuples(monkeypatch)
+        rep = verify_smoothing_decomposition(A, s, s, H)
+        assert rep.passed
+        assert batches == [rep.quantities["identity_checks"]] and batches[0] > 0
+        assert any(a.name == "tuple_sum_matches_S" for a in rep.assertions)
+
+    @pytest.mark.parametrize("q,n", [(3, 4), (5, 2)])
+    def test_sampled_matches_scalar_across_blocks(self, monkeypatch, q, n):
+        monkeypatch.setattr(dense_model, "_TUPLE_BUDGET", 10)
+        ctx = VectorCtx(FieldCtx(q, 1), n)
+        A = greedy_kst_free(2, 2, ctx.N, seed=q + n, ctx=ctx)
+        H = span(ctx, [q**j for j in range(n)])  # H = G: every sampled row counts
+        batches = _spy_rep_tuples(monkeypatch)
+        rep = verify_smoothing_decomposition(A, 2, 2, H)
+        assert rep.passed
+        assert any("sample" in f for f in rep.flags)
+        assert batches[0] > sets._TUPLE_BLOCK  # more than one block of rows
+
+    def test_off_by_one_count_fails_identity(self, monkeypatch):
+        monkeypatch.setattr(
+            dense_model, "rep_tuples", lambda A, tuples: sets.rep_tuples(A, tuples) + 1
+        )
+        A = greedy_kst_free(2, 2, CTX34.N, seed=6, ctx=CTX34)
+        H = span(CTX34, [1, 3])
+        rep = verify_smoothing_decomposition(A, 2, 2, H)
+        (identity,) = [a for a in rep.assertions if a.name == "tuple_identity"]
+        assert not identity.passed and not rep.passed

@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from addlab import sets
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import (
     SetA,
@@ -20,6 +21,7 @@ from addlab.sets import (
     random_subset,
     rep_diff,
     rep_tuple,
+    rep_tuples,
     save_set,
     subset_rep_aggregates,
     subspace_set,
@@ -89,6 +91,28 @@ class TestRepFunctions:
         A = SetA(CyclicCtx(10), [0, 2])
         with pytest.raises(ValueError, match="not in A"):
             rep_tuple(A, (0, 1))
+
+    @pytest.mark.parametrize("ctx", [
+        VectorCtx(FieldCtx(3, 1), 3), VectorCtx(FieldCtx(3, 1), 4),
+        VectorCtx(FieldCtx(5, 1), 2), CyclicCtx(40),
+    ], ids=repr)
+    @pytest.mark.parametrize("s", [2, 3])
+    def test_rep_tuples_match_scalar(self, monkeypatch, ctx, s):
+        monkeypatch.setattr(sets, "_TUPLE_BLOCK", 7)  # 60 rows span 9 blocks
+        A = greedy_kst_free(s, s, ctx.N, seed=ctx.N + s, ctx=ctx)
+        rng = spawn_rng(2, 8)
+        tuples = A.indices[rng.integers(0, len(A), size=(60, s))]
+        counts = rep_tuples(A, tuples)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [rep_tuple(A, row) for row in tuples]
+
+    def test_rep_tuples_requires_membership(self):
+        A = SetA(VectorCtx(FieldCtx(3, 1), 2), [0, 2, 4])
+        with pytest.raises(ValueError, match="element 1 not in A"):
+            rep_tuples(A, [[0, 2], [4, 1]])
+        with pytest.raises(ValueError, match="s >= 2"):
+            rep_tuples(A, [[0], [2]])
+        assert rep_tuples(A, np.zeros((0, 2))).shape == (0,)
 
 
 def oracle_rep_aggregates(A, u, t):
