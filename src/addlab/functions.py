@@ -23,6 +23,7 @@ from .groups import GroupCtx, is_prime, parse_ctx
 __all__ = [
     "Dfn",
     "fourier",
+    "character_matrix",
     "inverse_fourier",
     "convolve",
     "exact_convolve",
@@ -137,8 +138,9 @@ class Dfn:
         return f"Dfn({self.ctx!r}, tag={self.tag}, mass={self.mass()})"
 
 
-def _character_matrix(ctx) -> np.ndarray:
-    """W[x, xi] = conj(character(x, xi)), so that hat(h) = h @ W."""
+def character_matrix(ctx) -> np.ndarray:
+    """W[x, xi] = conj(character(x, xi)), so that hat(h) = h @ W; the rows
+    of a (k, N) array H transform together as H @ W, on one matrix."""
     if ctx.N > _DIRECT_LIMIT:
         raise ValueError(f"direct transform limited to N <= {_DIRECT_LIMIT}")
     idx = ctx.elements()
@@ -151,7 +153,7 @@ def fourier(h: Dfn, method: str = "fast") -> Dfn:
     if method == "fast":
         return Dfn(h.ctx, h.hat().copy())
     if method == "direct":
-        return Dfn(h.ctx, h.values.astype(np.complex128) @ _character_matrix(h.ctx))
+        return Dfn(h.ctx, h.values.astype(np.complex128) @ character_matrix(h.ctx))
     raise ValueError(f"unknown method {method!r}")
 
 

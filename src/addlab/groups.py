@@ -38,6 +38,12 @@ BUILTIN_MODULI = {
 }
 
 
+# Largest field order: mul_table, char_kernel and functions._ntt_kernel are
+# q x q (p x p) arrays, 16 MB at most for the complex kernel at q = 2^10,
+# where q = 10^4 would need 0.8 GB per int64 table.
+_FIELD_LIMIT = 1 << 10
+
+
 def _scalar(out):
     return out if out.ndim else int(out)
 
@@ -140,6 +146,12 @@ class FieldCtx:
             raise ValueError("characteristic 2 is unsupported (odd q only)")
         if r < 1:
             raise ValueError("extension degree must be >= 1")
+        if p**r > _FIELD_LIMIT:
+            raise ValueError(
+                f"q = {p**r} exceeds the desk-scale bound 2^10 = {_FIELD_LIMIT}: "
+                "the multiplication table and the character and transform "
+                "kernels hold q^2 entries each"
+            )
         if modulus is None:
             try:
                 modulus = BUILTIN_MODULI[(p, r)]
@@ -154,8 +166,6 @@ class FieldCtx:
         self.r = r
         self.q = p**r
         self.modulus = modulus
-        if self.q > 10**4:
-            raise ValueError(f"q = {self.q} exceeds the desk-scale bound 10^4")
         self._check_irreducible()
         self._red_rows = self._reduction_rows()
         self._radix = _Radix(p, r)

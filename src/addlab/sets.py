@@ -45,6 +45,8 @@ __all__ = [
 _MAX_BITSET_ORDER = 1 << 24
 # rows per batched evaluation in rep_tuples, to bound the (rows, |A|) temporaries
 _TUPLE_BLOCK = 256
+# candidates per batched admission test in the s = 2 greedy
+_GREEDY_BLOCK = 64
 
 
 class FreenessError(ValueError):
@@ -196,13 +198,12 @@ class SubsetRepStats:
     subsets: int = 0
 
 
-def _subset_masks(A: SetA, u: int, floor: int):
-    """Yield (positions, mask) for the u-subsets of A whose AND-ed shift mask
-    keeps at least `floor` bits, in lexicographic order of positions.
+def _mask_walk(masks, u: int, floor: int, acc: int):
+    """Yield (positions, mask) for the u-subsets of `masks` whose AND with
+    `acc` keeps at least `floor` bits, in lexicographic order of positions.
 
     A prefix below `floor` is pruned together with all its extensions.
     """
-    masks = A.shift_masks()
     n = len(masks)
 
     def rec(start, chosen, acc):
@@ -215,7 +216,13 @@ def _subset_masks(A: SetA, u: int, floor: int):
             else:
                 yield from rec(i + 1, chosen + (i,), mm)
 
-    yield from rec(0, (), (1 << A.ctx.N) - 1)
+    yield from rec(0, (), acc)
+
+
+def _subset_masks(A: SetA, u: int, floor: int):
+    """_mask_walk over the shift masks of A: the u-subsets of A whose
+    admissible-shift set keeps at least `floor` elements."""
+    return _mask_walk(A.shift_masks(), u, floor, (1 << A.ctx.N) - 1)
 
 
 def subset_rep_aggregates(A: SetA, u: int, t: int) -> SubsetRepStats:
@@ -373,8 +380,31 @@ def greedy_kst_free(
     """Random-order greedy insertion keeping the set grid-free.
 
     With a plain integer n the set lives in [0, n) inside Z_{2n+1}, padded so
-    shifts and differences never wrap.
+    shifts and differences never wrap.  Candidates are taken in one seeded
+    order and each is kept iff A + {c} is still K_{s,t}-free, A being the set
+    kept so far; A is free at every step, so only a grid through c can
+    appear, and each admission test looks only at those:
+
+    - s = 2 (`_greedy_differences`).  With r(d) = #{(a, a') in A^2 :
+      a - a' = d}, adding c gives r' = r + [d in c - A] + [d in A - c], and
+      A + {c} is free iff r'(d) <= t - 1 for every d != 0.  Only d in
+      (c - A) u (A - c) move, and r' is symmetric like r, so d = c - a
+      covers both: c is admissible iff r(c - a) + 1 + [2c - a in A] <= t - 1
+      for every a in A.
+    - s >= 3 (`_greedy_shift_masks`).  Translating a grid B + C through c so
+      that c lands in B puts 0 in C: the grid is an s-subset of A + {c}
+      containing c whose admissible shifts (0 included) number at least t.
+      So c is admissible iff no s - 1 elements of A share t admissible
+      shifts with c in A + {c}.  The walk starts from c's mask c - (A + {c})
+      and prunes below t bits; the mask a - A of each a in A, kept from step
+      to step, gains only the bit a - c.
+
+    Both tests decide exactly the freeness of A + {c}, so the set is the one
+    that re-checking the whole of A + {c} for each candidate would pick,
+    index for index.  The result is checked once more by find_kst_violation.
     """
+    if not 2 <= s <= t:
+        raise ValueError("need 2 <= s <= t")
     rng = spawn_rng(seed, 0x6B5D)
     if ctx is None:
         ctx = CyclicCtx(2 * n + 1)
@@ -383,30 +413,11 @@ def greedy_kst_free(
     else:
         candidates = rng.permutation(ctx.N)
         model_n = None
-    chosen: list[int] = []
+    limit = max_size or len(candidates)
     if s == 2:
-        r = np.zeros(ctx.N, dtype=np.int64)
-        for c in candidates:
-            c = int(c)
-            if chosen:
-                arr = np.array(chosen, dtype=np.int64)
-                diffs = np.concatenate(
-                    [np.asarray(ctx.sub(c, arr)), np.asarray(ctx.sub(arr, c))]
-                )
-                trial = r + np.bincount(diffs, minlength=ctx.N)
-                if trial[1:].max(initial=0) > t - 1:
-                    continue
-                r = trial
-            chosen.append(c)
-            if max_size and len(chosen) >= max_size:
-                break
+        chosen = _greedy_differences(ctx, candidates, t, limit)
     else:
-        for c in candidates:
-            trial = SetA(ctx, chosen + [int(c)])
-            if find_kst_violation(trial, s, t) is None:
-                chosen.append(int(c))
-                if max_size and len(chosen) >= max_size:
-                    break
+        chosen = _greedy_shift_masks(ctx, candidates, s, t, limit)
     A = SetA(
         ctx,
         chosen,
@@ -423,6 +434,52 @@ def greedy_kst_free(
     if w is not None:
         raise AssertionError(f"greedy construction produced a violation: {w}")
     return A
+
+
+def _greedy_differences(ctx, candidates, t, max_size) -> np.ndarray:
+    """greedy_kst_free for s = 2: r(c - a) + 1 + [2c - a in A] <= t - 1 for
+    all a, tested for `_GREEDY_BLOCK` candidates at once; the scan resumes
+    after the first admissible one, since keeping it changes r and A."""
+    r = np.zeros(ctx.N, dtype=np.int64)
+    member = np.zeros(ctx.N, dtype=bool)
+    chosen = np.empty(0, dtype=np.int64)
+    lo = 0
+    while lo < len(candidates) and len(chosen) < max_size:
+        block = candidates[lo : lo + _GREEDY_BLOCK]
+        hit = 0
+        if len(chosen):
+            d = np.asarray(ctx.sub(block[:, None], chosen))
+            load = r[d] + member[np.asarray(ctx.add(block[:, None], d))]
+            hits = np.flatnonzero(load.max(axis=1) < t - 1)
+            if not len(hits):
+                lo += len(block)
+                continue
+            hit = int(hits[0])
+            r[d[hit]] += 1
+            r[np.asarray(ctx.neg(d[hit]))] += 1
+        c = int(block[hit])
+        member[c] = True
+        chosen = np.append(chosen, c)
+        lo += hit + 1
+    return chosen
+
+
+def _greedy_shift_masks(ctx, candidates, s, t, max_size) -> list:
+    """greedy_kst_free for s >= 3: no (s - 1)-subset of A whose shift masks,
+    each with the bit a - c added, keep t bits of c - (A + {c})."""
+    masks: list[int] = []
+    chosen: list[int] = []
+    for c in candidates:
+        c = int(c)
+        arr = np.asarray(chosen, dtype=np.int64)
+        mask_c = indices_to_mask(np.asarray(ctx.sub(c, arr)), ctx.N) | 1
+        grown = [m | (1 << int(d)) for m, d in zip(masks, ctx.sub(arr, c))]
+        if next(_mask_walk(grown, s - 1, t, mask_c), None) is None:
+            masks = grown + [mask_c]
+            chosen.append(c)
+            if len(chosen) >= max_size:
+                break
+    return chosen
 
 
 def random_subset(ctx_or_n, density: float, seed: int) -> SetA:

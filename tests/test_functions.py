@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from addlab.functions import (
     Dfn,
-    _character_matrix,
+    character_matrix,
     convolve,
     fourier,
     fourier_mean_norm,
@@ -34,7 +34,7 @@ def definitional_convolve(h1, h2):
 
 def definitional_inverse(H):
     """(1/N) sum_xi H(xi) character(x, xi), the O(N^2) oracle."""
-    return H.values @ np.conj(_character_matrix(H.ctx)) / H.ctx.N
+    return H.values @ np.conj(character_matrix(H.ctx)) / H.ctx.N
 
 
 def rand_dfn(ctx, rng, complex_=True):

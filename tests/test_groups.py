@@ -1,5 +1,7 @@
 """Field/group arithmetic against hand-rolled polynomial oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,17 @@ class TestFieldCtx:
             FieldCtx(2, 1, (0, 1))
         with pytest.raises(ValueError):
             FieldCtx(9, 1)
+
+    def test_rejects_q_past_table_bound_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"bound 2\^10 = 1024"):
+                FieldCtx(9973)  # one 9973 x 9973 int64 table is 0.8 GB
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert FieldCtx(1021, 1, (0, 1)).q == 1021  # the largest prime under the bound
 
     def test_degree_4_irreducibility_split(self):
         # (y^2+1)^2 over F_3 has no roots but is reducible

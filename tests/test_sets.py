@@ -295,6 +295,58 @@ class TestConstructions:
         assert A.ctx.M == 459 and A.provenance["M"] == 459
 
 
+
+def _greedy_order(n, seed, ctx):
+    """The candidate order of greedy_kst_free: one seeded permutation."""
+    rng = spawn_rng(seed, 0x6B5D)
+    return (CyclicCtx(2 * n + 1), rng.permutation(n)) if ctx is None else (
+        ctx, rng.permutation(ctx.N))
+
+
+def greedy_rebuild_oracle(s, t, n, seed, ctx=None, max_size=None):
+    """The greedy with the admission test spelled out: a new SetA and a full
+    find_kst_violation for each candidate."""
+    ctx, order = _greedy_order(n, seed, ctx)
+    chosen = []
+    for c in order:
+        if find_kst_violation(SetA(ctx, chosen + [int(c)]), s, t) is None:
+            chosen.append(int(c))
+            if max_size and len(chosen) >= max_size:
+                break
+    return sorted(chosen)
+
+
+class TestGreedyIncremental:
+    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("max_size", [None, 9])
+    def test_matches_rebuild_oracle_on_z(self, s, t, max_size):
+        n = 400 if s == 2 else 60
+        for seed in range(4):
+            A = greedy_kst_free(s, t, n, seed=seed, max_size=max_size)
+            assert A.indices.tolist() == greedy_rebuild_oracle(
+                s, t, n, seed, max_size=max_size), (s, t, seed)
+
+    @pytest.mark.parametrize("p,r,n", [(3, 1, 4), (3, 1, 5), (5, 1, 3), (3, 2, 2)])
+    @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 3)])
+    def test_matches_rebuild_oracle_on_fqn(self, p, r, n, s, t):
+        ctx = VectorCtx(FieldCtx(p, r), n)
+        for seed, max_size in ((0, None), (1, None), (2, 6)):
+            A = greedy_kst_free(s, t, ctx.N, seed=seed, ctx=ctx, max_size=max_size)
+            assert A.indices.tolist() == greedy_rebuild_oracle(
+                s, t, ctx.N, seed, ctx=ctx, max_size=max_size), (s, t, seed)
+
+    def test_midpoint_candidate_rejected(self):
+        # with {0, 2} kept, c = 1 has r(c - a) = 0 for both a, and only the
+        # 2c - a in A term sees that 1 - 0 = 2 - 1 repeats a difference
+        seed = next(seed for seed in range(100)
+                    if _greedy_order(3, seed, None)[1].tolist()[-1] == 1)
+        A = greedy_kst_free(2, 2, 3, seed=seed)
+        assert A.indices.tolist() == [0, 2] == greedy_rebuild_oracle(2, 2, 3, seed)
+
+    def test_rejects_bad_parameters(self):
+        with pytest.raises(ValueError, match="2 <= s <= t"):
+            greedy_kst_free(3, 2, 20, seed=0)
+
 def test_set_file_roundtrip(tmp_path):
     for A in (erdos_turan_sidon(5),
               greedy_kst_free(2, 2, 81, seed=1, ctx=VectorCtx(FieldCtx(3, 2), 2))):
