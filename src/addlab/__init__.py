@@ -81,6 +81,6 @@ from .counting import (
     run_transference_pipeline,
     PipelineReport,
 )
-from .report import VerificationReport, Assertion, dumps_report, loads_report
+from .report import VerificationReport, Assertion, dumps_report
 
 __version__ = "0.1.0"

@@ -46,6 +46,8 @@ class SuiteConfig:
     def validate(self):
         if not self.suites:
             raise ConfigError("empty suite list")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         bad = [s for s in self.suites if s not in SUITE_NAMES]
         if bad:
             raise ConfigError(f"unknown suites: {bad}")
@@ -78,8 +80,11 @@ def _parse_suites(text: str):
     return items
 
 
+# verify's config-file keys, each also the dest of the flag that overrides it
+_CONFIG_KEYS = ("suites", "seed", "sizes", "st", "eq", "out", "threads", "plot_data")
+
+
 def _parse_config_file(path: str) -> dict:
-    known = {"suites", "seed", "sizes", "st", "eq", "out", "threads", "plot_data"}
     out: dict = {}
     with open(path) as fh:
         for ln, line in enumerate(fh, 1):
@@ -89,7 +94,7 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected key=value")
             key, val = (p.strip() for p in line.split("=", 1))
-            if key not in known:
+            if key not in _CONFIG_KEYS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
             out[key] = val
     return out
@@ -416,9 +421,7 @@ def _ratio_rows(out: dict):
     for suite, entries in out["suites"].items():
         for e in entries:
             rep = e["report"]
-            ratios = rep.measured_ratios if hasattr(rep, "measured_ratios") else {}
-            if isinstance(rep, PipelineReport):
-                ratios = rep.ledger
+            ratios = rep.ledger if isinstance(rep, PipelineReport) else rep.measured_ratios
             for k, v in ratios.items():
                 if isinstance(v, (int, float)):
                     rows.append([suite, e["label"], k, float(v)])
@@ -535,24 +538,12 @@ def _cmd_verify(args) -> int:
     overrides = {}
     if args.config:
         overrides.update(_parse_config_file(args.config))
-    if args.suite is not None:
-        overrides["suites"] = args.suite
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.sizes is not None:
-        overrides["sizes"] = args.sizes
-    if args.st is not None:
-        overrides["st"] = args.st
-    if args.eq is not None:
-        overrides["eq"] = args.eq
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
-    if args.plot_data:
-        overrides["plot_data"] = "1"
+    overrides.update({key: str(getattr(args, key)) for key in _CONFIG_KEYS
+                      if getattr(args, key) is not None})
     if "suites" not in overrides:
         raise ConfigError("no suites selected (use --suite)")
+    if overrides.get("plot_data", "0") not in ("0", "1"):
+        raise ConfigError(f"plot_data must be 0 or 1, got {overrides['plot_data']!r}")
     env_threads = os.environ.get("ADDLAB_THREADS")
     try:
         threads = int(overrides.get("threads", env_threads or "1"))
@@ -567,7 +558,7 @@ def _cmd_verify(args) -> int:
             ),
             out=overrides.get("out"),
             threads=threads,
-            plot_data=bool(overrides.get("plot_data")),
+            plot_data=overrides.get("plot_data") == "1",
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -652,7 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_pipeline)
 
     c = sub.add_parser("verify", help="run verification suites over the corpus")
-    c.add_argument("--suite", default=None, help="'all' or comma-separated names")
+    c.add_argument("--suite", dest="suites", default=None,
+                   help="'all' or comma-separated names")
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--sizes", default=None)
     c.add_argument("--st", default=None, help="e.g. 2:2,2:3")
@@ -660,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", default=None)
     c.add_argument("--threads", type=int, default=None)
     c.add_argument("--config", default=None)
-    c.add_argument("--plot-data", action="store_true")
+    c.add_argument("--plot-data", action="store_const", const=1)
     c.set_defaults(func=_cmd_verify)
     return ap
 

@@ -319,12 +319,11 @@ def _convolution_value_at_zero(ctx, arrays) -> int:
     return sum(map(operator.mul, a[sup].tolist(), b[ctx.neg(sup)].tolist()))
 
 
-def count_equation_solutions(eq: EquationSpec, A: SetA, check_padding: bool = True) -> int:
+def count_equation_solutions(eq: EquationSpec, A: SetA) -> int:
     """Exact integer count of solutions in A^k via pushforward convolutions."""
     ctx = A.ctx
     eq.validate_for(ctx)
-    if check_padding:
-        assert_z_faithful(eq, [A.indicator()] * eq.k)
+    assert_z_faithful(eq, [A.indicator()] * eq.k)
     gs = [_pushforward_counts(ctx, A.indices, a) for a in eq.coeffs]
     return _convolution_value_at_zero(ctx, gs)
 

@@ -9,18 +9,22 @@ Schema (documented, stable field order):
      "flags": [...],
      "pass": bool}
 
-Numbers serialize with 17 significant digits; exact rationals as "p/q".
+Floats serialize in Python's shortest round-trip form, so integral floats keep
+their ".0" and exact integers stay bare; non-finite floats become the strings
+"inf", "-inf" and "nan"; exact rationals become "p/q".
 """
 
 from __future__ import annotations
 
+import json
+import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["Assertion", "VerificationReport", "dumps_report", "loads_report",
-           "write_csv", "to_jsonable"]
+__all__ = ["Assertion", "VerificationReport", "dumps_report", "write_csv",
+           "to_jsonable"]
 
 
 @dataclass
@@ -126,85 +130,24 @@ def to_jsonable(obj):
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, (np.integer,)):
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else repr(obj)  # "inf", "-inf", "nan"
     if isinstance(obj, np.ndarray):
         return [to_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
+        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
     return obj
 
 
-def _write_json(obj, parts: list, indent: int):
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            parts.append(pad + "  " + _json_str(str(k)) + ": ")
-            _write_json(v, parts, indent + 2)
-            parts.append(",\n" if i + 1 < len(items) else "\n")
-        parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[\n")
-        for i, v in enumerate(obj):
-            parts.append(pad + "  ")
-            _write_json(v, parts, indent + 2)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
-        parts.append(pad + "]")
-    elif isinstance(obj, bool):
-        parts.append("true" if obj else "false")
-    elif obj is None:
-        parts.append("null")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        if np.isfinite(obj):
-            parts.append(f"{obj:.17g}")
-        else:
-            parts.append(_json_str(repr(obj)))
-    else:
-        parts.append(_json_str(str(obj)))
-
-
-def _json_str(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def dumps_report(obj) -> str:
-    """Serialize to JSON text with 17-significant-digit floats."""
-    parts: list = []
-    _write_json(to_jsonable(obj), parts, 0)
-    parts.append("\n")
-    return "".join(parts)
-
-
-def loads_report(text: str):
-    """Parse the documented schema back into plain dicts (round-trip check)."""
-    import json
-
-    return json.loads(text)
+    """Serialize to indented JSON text; floats in shortest round-trip form."""
+    return json.dumps(to_jsonable(obj), indent=2, ensure_ascii=False,
+                      allow_nan=False, default=str) + "\n"
 
 
 def write_csv(path, header: list, rows: list):
@@ -214,7 +157,7 @@ def write_csv(path, header: list, rows: list):
             cells = []
             for v in row:
                 if isinstance(v, float):
-                    cells.append(f"{v:.17g}")
+                    cells.append(repr(v))
                 elif isinstance(v, Fraction):
                     cells.append(f"{v.numerator}/{v.denominator}")
                 else:

@@ -102,26 +102,19 @@ def bohr_set(spec: Spectrum, eps, model_n: int) -> BohrSet:
     a, b = eps.numerator, eps.denominator
     freqs = spec.frequencies
     keep = np.ones(len(cand), dtype=bool)
-    # exact integer test; fall back to python ints if products could overflow
-    overflow = max(a, b) >= (1 << 62) // max(M, 1)
+    # exact integer test: |n * xi| < M^2 / 2 < 2^61 fits int64, so only
+    # dist * b and a * M can overflow, and then they run in Python ints
+    overflow = max(a, b) >= (1 << 62) // M
     for chunk_start in range(0, len(freqs), 64):
         chunk = freqs[chunk_start : chunk_start + 64]
         if not keep.any():
             break
         live = np.nonzero(keep)[0]
+        k = (cand[live, None] * chunk[None, :]) % M
+        dist = np.minimum(k, M - k)
         if overflow:
-            for i in live:
-                n = int(cand[i])
-                for xi in chunk:
-                    k = (n * int(xi)) % M
-                    if min(k, M - k) * b >= a * M:
-                        keep[i] = False
-                        break
-        else:
-            k = (cand[live, None] * chunk[None, :]) % M
-            dist = np.minimum(k, M - k)
-            ok = (dist * b < a * M).all(axis=1)
-            keep[live] = ok
+            dist = dist.astype(object)
+        keep[live] = (dist * b < a * M).all(axis=1)
     members = cand[keep]
     assert 0 in members, "Bohr set must contain 0"
     assert set(members.tolist()) == set((-members).tolist()), "Bohr set not symmetric"

@@ -14,13 +14,8 @@ import pytest
 import addlab
 from addlab import cli
 from addlab.cli import ConfigError, SuiteConfig, main, run_suite
-from addlab.report import (
-    Assertion,
-    VerificationReport,
-    dumps_report,
-    loads_report,
-    write_csv,
-)
+from addlab.report import (Assertion, VerificationReport, dumps_report, to_jsonable,
+                           write_csv)
 
 
 def run_cli(*args):
@@ -37,7 +32,7 @@ class TestReportSerialization:
         rep.check("bound", 5, "<=", 6, exact=True)
         rep.check("close", 1.0, "==", 1.0 + 1e-12, tol=1e-9)
         text = dumps_report(rep)
-        back = loads_report(text)
+        back = json.loads(text)
         assert back["lemma"] == "demo"
         assert back["inputs"]["eps"] == "1/8"
         assert back["pass"] is True
@@ -46,14 +41,36 @@ class TestReportSerialization:
             0.12345678901234567, abs=0
         )
 
-    def test_seventeen_digit_floats(self):
-        rep = VerificationReport(lemma="digits", quantities={"x": 2 / 3})
+    def test_shortest_round_trip_floats(self):
+        floats = [2 / 3, 0.1, 5e-324, 1e22, -0.0, 3.0]
+        odd = [float("inf"), -float("inf"), float("nan")]
+        rep = VerificationReport(lemma="digits", quantities={
+            "floats": floats,
+            "odd": odd,
+            "odd_numpy": [np.float64(x) for x in odd],
+            "odd_complex": complex(float("inf"), float("nan")),
+        })
         text = dumps_report(rep)
-        assert "0.66666666666666663" in text
+
+        def no_constants(name):
+            raise AssertionError(f"bare {name} in the report")
+
+        q = json.loads(text, parse_constant=no_constants)["quantities"]
+        assert all(type(x) is float for x in q["floats"])
+        assert [x.hex() for x in q["floats"]] == [x.hex() for x in floats]
+        assert q["odd"] == q["odd_numpy"] == ["inf", "-inf", "nan"]
+        assert q["odd_complex"] == {"re": "inf", "im": "nan"}
+        assert '"floats": [\n      0.6666666666666666,' in text
+
+    def test_jsonable_exact_leaves(self):
+        got = to_jsonable({"b": np.bool_(True), "i": np.int64(-7),
+                           "q": Fraction(-3, 4), "t": (1, (2, 3))})
+        assert got == {"b": True, "i": -7, "q": "-3/4", "t": [1, [2, 3]]}
+        assert type(got["b"]) is bool and type(got["i"]) is int
 
     def test_empty_report_is_valid_json(self):
         text = dumps_report(VerificationReport(lemma="empty"))
-        back = loads_report(text)
+        back = json.loads(text)
         assert back["assertions"] == [] and back["pass"] is True
 
     def test_assertion_slack(self):
@@ -76,6 +93,12 @@ class TestSuiteRunner:
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             SuiteConfig(suites=("nope",)).validate()
+
+    def test_negative_seed_rejected(self, capsys):
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            SuiteConfig(suites=("energy",), seed=-1).validate()
+        assert run_cli("verify", "--suite", "energy", "--seed", "-1") == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_run_suite_deterministic(self):
         cfg = SuiteConfig(suites=("energy",), seed=7, sizes=(32, 48))
@@ -175,6 +198,21 @@ class TestCommands:
         bad = tmp_path / "bad.txt"
         bad.write_text("nonsense=1\n")
         assert run_cli("verify", "--config", str(bad)) == 2
+
+    @pytest.mark.parametrize("value, flags, code, ledger", [
+        ("0", [], 0, False),
+        ("1", [], 0, True),
+        ("yes", [], 2, False),
+        ("yes", ["--plot-data"], 0, True),  # a flag overrides the file
+    ])
+    def test_config_plot_data(self, tmp_path, value, flags, code, ledger):
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"suites=pipeline\nseed=4\nsizes=32\nst=2:2\n"
+                           f"plot_data={value}\n")
+        out = tmp_path / "v"
+        assert run_cli("verify", "--config", str(cfgfile), "--out", str(out),
+                       *flags) == code
+        assert (out / "pipeline_ledger.csv").exists() == ledger
 
     def test_plot_data_monotone_sizes(self, tmp_path):
         out = tmp_path / "v"

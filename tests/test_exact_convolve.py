@@ -10,7 +10,6 @@ from addlab.counting import (
     EquationSpec,
     _convolution_value_at_zero,
     count_T,
-    count_equation_solutions,
 )
 from addlab.functions import _ntt_primes, _support_arc, dual_value_at_zero, exact_convolve
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx, is_prime
@@ -248,6 +247,5 @@ class TestExactCounts:
             ctx = CyclicCtx(M)
             for _ in range(3):
                 A = SetA(ctx, rng.choice(M, size=min(M, 5), replace=False))
-                exact = count_equation_solutions(eq, A, check_padding=False)
-                brute = count_T(eq, [A.indicator()] * eq.k, "brute").total
-                assert exact == brute
+                hs = [A.indicator()] * eq.k
+                assert count_T(eq, hs, "fourier").total == count_T(eq, hs, "brute").total

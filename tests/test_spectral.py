@@ -1,5 +1,6 @@
 """Spectra, Bohr sets, annihilators, and the large sieve."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,25 @@ class TestBohrSet:
         # n*4/12 = n/3: ||.|| = 1/3 for n not divisible by 3 -> excluded at eps=1/3
         B = bohr_set(sp, Fraction(1, 3), 5)
         assert all(n % 3 == 0 for n in B.signed)
+
+    def test_huge_denominator_eps_matches_definition(self):
+        # eps = 1/8 + 2^-63: its terms overflow int64 products, and n = 13 sits
+        # at ||13 * 1 / 104|| = 1/8 exactly, inside this Bohr set but not at 1/8
+        ctx = CyclicCtx(104)
+        eps = Fraction(2**60 + 1, 2**63)
+        freqs = np.array([1, 9])
+        sp = Spectrum(ctx=ctx, eps=eps, frequencies=freqs,
+                      values=np.ones(2, complex), set_size=1)
+        B = bohr_set(sp, eps, 200)
+
+        def torus_dist(x):
+            return min(x - math.floor(x), math.ceil(x) - x)
+
+        expect = [n for n in range(-25, 26)
+                  if all(torus_dist(Fraction(n * int(xi), 104)) < eps for xi in freqs)]
+        assert B.signed.tolist() == expect
+        assert 13 in expect and len(expect) > 1
+        assert 13 not in bohr_set(sp, Fraction(1, 8), 200).signed
 
     def test_monotone_in_eps(self):
         A = erdos_turan_sidon(5)
