@@ -16,9 +16,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .functions import (
-    _INT64_LIMIT, Dfn, _abs_sum_max, convolve, dual_value_at_zero, fourier_mean_norm,
-)
+from .functions import _INT64_LIMIT, Dfn, _abs_sum_max, convolve, dual_value_at_zero
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -265,22 +263,47 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
             ctx, [_weighted_pushforward(ctx, h.values, a) for a, h in zip(eq.coeffs, hs)]
         )
         return CountResult(total=total, trivial=int(trivial_total), method="fourier")
-    idx = ctx.elements()
-    dilated = {a: np.asarray(ctx.scale_int(a, idx)) for a in set(eq.coeffs) - {1}}
-    dilated[1] = idx
-    prod = np.ones(ctx.N, dtype=np.complex128)
-    for a, h in zip(eq.coeffs, hs):
-        prod *= h.hat()[dilated[a]]
-    total = prod.sum() / ctx.N
-    if all(h.tag == "real" for h in hs):
-        total = float(total.real)
+    prod = _dual_product(np.ones(ctx.N, dtype=np.complex128), zip(eq.coeffs, hs),
+                         _dilations(ctx, eq.coeffs))
     integer_inputs = all(h.is_integer_valued() for h in hs)
+    total = _dual_total(prod, all(h.tag == "real" for h in hs), integer_inputs)
     if integer_inputs:
+        trivial_total = int(trivial_total)
+    return CountResult(total=total, trivial=trivial_total, method="fourier")
+
+
+def _dilations(ctx, coeffs) -> dict:
+    """a -> the index array of xi -> a xi on the dual group, for each
+    coefficient a != 1."""
+    idx = ctx.elements()
+    return {a: np.asarray(ctx.scale_int(a, idx)) for a in set(coeffs) - {1}}
+
+
+def _dual_product(prod: np.ndarray, slots, dilated: dict) -> np.ndarray:
+    """prod times hat(h)(a xi) for each slot (a, h), multiplied into prod in
+    place from the left; a slot with a = 1 reads hat(h) as it is.
+
+    The one product loop of the float counts: count_T's route and the
+    telescoping's shared prefixes both run through it, so that equal slots
+    multiplied in equal order give equal bits.
+    """
+    for a, h in slots:
+        prod *= h.hat() if a == 1 else h.hat()[dilated[a]]
+    return prod
+
+
+def _dual_total(prod: np.ndarray, real: bool, integer: bool):
+    """(1/N) sum_xi prod(xi): a float when every input is real, and the
+    nearest integer when every input is integer-valued and it lies within a
+    relative 1e-6."""
+    total = prod.sum() / len(prod)
+    if real:
+        total = float(total.real)
+    if integer:
         rounded = round(float(np.real(total)))
         if abs(total - rounded) < 1e-6 * max(1.0, abs(rounded)):
             total = rounded
-        trivial_total = int(trivial_total)
-    return CountResult(total=total, trivial=trivial_total, method="fourier")
+    return total
 
 
 def _weighted_pushforward(ctx, h: np.ndarray, coeff: int) -> np.ndarray:
@@ -457,10 +480,19 @@ def trivial_solution_value(
 
 
 def _dual_mean_norms(h: Dfn, k: int):
-    sup = fourier_mean_norm(h, np.inf)
-    mk = fourier_mean_norm(h, k - 1)
-    m4 = fourier_mean_norm(h, 4)
-    return sup, mk, m4
+    """(sup, L^{k-1} mean, L^4 mean) of hat h, from one |hat h|."""
+    mags = np.abs(h.hat())
+    m4 = float(((mags**4).mean()) ** (1.0 / 4))
+    mk = m4 if k - 1 == 4 else float(((mags ** (k - 1)).mean()) ** (1.0 / (k - 1)))
+    return float(mags.max()), mk, m4
+
+
+def _norms_of(h: Dfn, k: int, memo: dict):
+    """_dual_mean_norms(h, k), kept in `memo` by identity, so that the checks
+    of one run that share a function take |hat h| once."""
+    if id(h) not in memo:
+        memo[id(h)] = _dual_mean_norms(h, k)
+    return memo[id(h)]
 
 
 def pair_self_energy(h: Dfn) -> float:
@@ -481,6 +513,13 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     ||hat f_j||_{k-1}^{k-1} <= sup^{k-5} * ||hat f_j||_4^4 with
     ||hat f_j||_4^4 = E_2(f_j, f_j) <= E_2(nu, nu).
     """
+    return _holder_chain(eq, nu, fs, None, {})
+
+
+def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T, norms_memo: dict):
+    """verify_counting_lemma, given T = count_T(eq, fs).total when the caller
+    has it (None otherwise) and a `_norms_of` memo shared with its other
+    checks."""
     k = eq.k
     if k < 5:
         raise ValueError("the chain needs k >= 5")
@@ -494,17 +533,21 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
                 f"coefficients {bad} not coprime to M={ctx.M}; dual dilations "
                 "must be bijective for the chain (use the padded modulus)"
             )
+    # the pipeline passes one function in several slots: check each once,
+    # under the first slot that holds it
+    distinct: dict = {}
     for j, f in enumerate(fs):
+        distinct.setdefault(id(f), (j, f))
+    slack = 1e-9 * max(1.0, float(np.abs(nu.values).max()))
+    for j, f in distinct.values():
         gap = np.abs(f.values) - nu.values
         worst = int(np.argmax(gap))
-        if gap[worst] > 1e-9 * max(1.0, float(np.abs(nu.values).max())):
+        if gap[worst] > slack:
             raise ValueError(f"|f_{j}| exceeds nu at x={worst} by {gap[worst]:.3g}")
-    T = count_T(eq, fs, method="fourier").total
+    if T is None:
+        T = count_T(eq, fs, method="fourier").total
     T_abs = abs(T)
-    # the pipeline passes one function in several slots: compute each once
-    distinct = {id(f): f for f in fs}
-    norms_of = {key: _dual_mean_norms(f, k) for key, f in distinct.items()}
-    norms = [norms_of[id(f)] for f in fs]
+    norms = [_norms_of(f, k, norms_memo) for f in fs]
     e2_nu = pair_self_energy(nu)
     rep = VerificationReport(
         lemma="counting_holder_chain",
@@ -527,7 +570,7 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     # physical convolution sum (real inputs)
     energy_of = {
         key: _physical_pair_energy(f) if f.tag == "real" else pair_self_energy(f)
-        for key, f in distinct.items()
+        for key, (_, f) in distinct.items()
     }
     for j, f in enumerate(fs):
         sup, mk, m4 = norms[j]
@@ -544,28 +587,72 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     return rep
 
 
+def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
+    """T(f, ..., f), T(F, ..., F) and the terms T(f..f, g, F..F), g in slot
+    i, each with the bits of count_T(..., "fourier").
+
+    The float counts share one dilation map and the prefix products of the
+    f slots: term i multiplies the slots g, F, ..., F into a copy of the
+    product of the first i f slots, in count_T's left-to-right order, and
+    T(f) is the product of all k.  T(F) is T(f) when F is f.  Counts over
+    integer arrays take count_T's exact route instead.
+    """
+    k, coeffs = eq.k, eq.coeffs
+    if any(np.issubdtype(h.values.dtype, np.integer) for h in (f, F, g)):
+        slot_lists = [[f] * k, [F] * k] + [[f] * i + [g] + [F] * (k - 1 - i)
+                                           for i in range(k)]
+        T_f, T_F, *terms = (count_T(eq, hs, "fourier").total for hs in slot_lists)
+        return T_f, T_F, terms
+    distinct = {id(h): h for h in (f, F, g)}
+    integer = {key: h.is_integer_valued() for key, h in distinct.items()}
+
+    def total(prod, hs):
+        return _dual_total(prod, all(h.tag == "real" for h in hs),
+                           all(integer[id(h)] for h in hs))
+
+    dilated = _dilations(f.ctx, coeffs)
+    prefix = np.ones(f.ctx.N, dtype=np.complex128)
+    terms = []
+    for i, a in enumerate(coeffs):
+        slots = [(a, g)] + [(b, F) for b in coeffs[i + 1:]]
+        term = _dual_product(prefix.copy(), slots, dilated)
+        terms.append(total(term, [f] * (i > 0) + [g] + [F] * (i < k - 1)))
+        _dual_product(prefix, [(a, f)], dilated)
+    T_f = total(prefix, [f])
+    if F is f:
+        return T_f, T_f, terms
+    T_F = total(_dual_product(np.ones(f.ctx.N, dtype=np.complex128),
+                              [(a, F) for a in coeffs], dilated), [F])
+    return T_f, T_F, terms
+
+
 def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds.
 
-    The chain bounds need k >= 5 and coefficients invertible in the scalar
-    ring, so that every dual dilation xi -> a_i xi is a bijection; otherwise
-    they are skipped and the report says why.  A caller that holds g = f - F
-    already passes it, so that g is built and transformed once.
+    The k + 2 counts share one dilation map xi -> a xi per coefficient, and
+    come from shared prefix products of the f slots, each with the bits of
+    count_T(..., "fourier") (`_telescoping_counts`).  The chain bounds need
+    k >= 5 and coefficients invertible in the scalar ring, so that every
+    dual dilation is a bijection; otherwise they are skipped and the report
+    says why.  A caller that holds g = f - F already passes it, so that g is
+    built and transformed once.
     """
     if f.ctx != F.ctx:
         raise ValueError("group context mismatch")
-    k = eq.k
     if g is None:
         g = f - F
-    T_f = count_T(eq, [f] * k, method="fourier").total
-    T_F = count_T(eq, [F] * k, method="fourier").total
-    terms = []
-    for i in range(k):
-        slots = [f] * i + [g] + [F] * (k - 1 - i)
-        terms.append(count_T(eq, slots, method="fourier").total)
+    return _telescoping(eq, f, F, g, {})[0]
+
+
+def _telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn, norms_memo: dict):
+    """verify_telescoping with g given and a `_norms_of` memo shared with the
+    caller's other checks; returns the report and the terms as counted."""
+    k = eq.k
+    T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
     lhs = T_f - T_F
     rhs = sum(terms)
     scale = max(1.0, abs(T_f), abs(T_F))
+    g_sup = _norms_of(g, k, norms_memo)[0]
     rep = VerificationReport(
         lemma="telescoping_transference",
         inputs={"eq": str(eq), "N": f.ctx.N, "k": k},
@@ -574,7 +661,7 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
             "T_F": T_F,
             "terms": [complex(t).real if not isinstance(t, (int, float)) else t
                       for t in terms],
-            "g_hat_sup": fourier_mean_norm(g, np.inf),
+            "g_hat_sup": g_sup,
         },
     )
     rep.check("telescoping_identity", abs(lhs - rhs), "<=", 1e-8 * scale)
@@ -585,9 +672,8 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
         rep.flags.append(f"chain bounds skipped: coefficients {singular} are not "
                          f"invertible on {f.ctx.describe()}")
     else:
-        g_sup = rep.quantities["g_hat_sup"]
-        f_mk = fourier_mean_norm(f, k - 1)
-        F_mk = fourier_mean_norm(F, k - 1)
+        f_mk = _norms_of(f, k, norms_memo)[1]
+        F_mk = _norms_of(F, k, norms_memo)[1]
         chain_bounds = []
         for i in range(k):
             b = g_sup * (f_mk**i) * (F_mk ** (k - 1 - i))
@@ -597,7 +683,7 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
         rep.check(
             "transfer_bound", abs(T_f - T_F), "<=", sum(chain_bounds), tol=1e-9
         )
-    return rep
+    return rep, terms
 
 
 # -- level sets ------------------------------------------------------------------------
@@ -819,21 +905,30 @@ def run_transference_pipeline(
     report.sections["model_properties"] = dm.verify_model_properties(model)
     report.flags += model.diagnostics.get("flags", [])
     f, scale, smoother_size = model.f, model.scale, model.smoother_size
+    hat_A = model.A.indicator().hat()
     del model
 
+    # the dual side of the run: F, g and nu are linear in 1_A and f, and so
+    # are their transforms, so none of the three is transformed
     F = Dfn(ctx, A.indicator().values * scale)
     if np.array_equal(F.values, f.values):
         # a one-point smoother: both are nonnegative products, so equal
         # values are equal bits, and f and its transform serve as F
         F = f
-    g = f - F
-    nu = f + F
+    else:
+        F._with_hat(scale * hat_A)
+    del hat_A
+    g = (f - F)._with_hat(f.hat() - F.hat())
     k = eq.k
     N = n_model
 
-    tele = verify_telescoping(eq, f, F, g=g)
+    # the chain's T(g, F, ..., F) is the telescoping's term 0, and the two
+    # share the dual mean norms of g and F
+    norms_memo: dict = {}
+    tele, terms = _telescoping(eq, f, F, g, norms_memo)
     report.sections["telescoping"] = tele
-    chain = verify_counting_lemma(eq, nu, [g] + [F] * (k - 1))
+    nu = (f + F)._with_hat(f.hat() + F.hat())
+    chain = _holder_chain(eq, nu, [g] + [F] * (k - 1), terms[0], norms_memo)
     report.sections["holder_chain"] = chain
 
     T_f, T_F, g_sup = (tele.quantities[key] for key in ("T_f", "T_F", "g_hat_sup"))

@@ -105,6 +105,13 @@ class Dfn:
             self._hat.flags.writeable = False
         return self._hat
 
+    def _with_hat(self, hat: np.ndarray) -> Dfn:
+        """Attach a transform the caller already knows (by linearity, say), so
+        that ``hat()`` returns it without transforming; read-only likewise."""
+        hat.flags.writeable = False
+        self._hat = hat
+        return self
+
     # arithmetic (pointwise) ------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, Dfn):

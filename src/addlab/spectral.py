@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .functions import Dfn, fourier
+from .functions import Dfn
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
 from .sets import SetA
@@ -56,7 +56,7 @@ def spectrum(A: SetA, eps) -> Spectrum:
         raise ValueError("eps must lie in (0, 1]")
     if len(A) == 0:
         raise ValueError("empty set has no spectrum")
-    hat = fourier(A.indicator()).values
+    hat = A.indicator().hat()
     mags = np.abs(hat)
     thr = float(eps) * len(A)
     sel = np.nonzero(mags >= thr)[0]

@@ -287,6 +287,14 @@ def test_construct_bad_params(tmp_path, capsys):
     assert "'N'" in capsys.readouterr().err
 
 
+def test_construct_negative_seed_is_config_error(tmp_path, capsys):
+    out = tmp_path / "a.set"
+    assert run_cli("construct", "greedy_kst_free", "--params", "s=2,t=2,N=50",
+                   "--seed", "-1", "--out", str(out)) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_construct_subspace_with_ctx_params(tmp_path):
     out = tmp_path / "sub.set"
     assert run_cli("construct", "subspace", "--params",

@@ -16,6 +16,7 @@ from addlab.counting import (
     _is_invertible,
     _solution_counts,
     _solve_last,
+    _telescoping_counts,
     assert_z_faithful,
     count_T,
     count_all_distinct,
@@ -37,6 +38,7 @@ from addlab.util import spawn_rng
 
 F5 = VectorCtx(FieldCtx(5, 1), 1)
 F3_2 = VectorCtx(FieldCtx(3, 1), 2)
+F3_3 = VectorCtx(FieldCtx(3, 1), 3)
 
 
 class TestEquationSpec:
@@ -585,6 +587,69 @@ class TestTelescoping:
         assert rep.flags == []
 
 
+def assert_same_bits(got, want):
+    assert type(got) is type(want) and repr(got) == repr(want), (got, want)
+
+
+class TestTelescopingCounts:
+    """The shared-prefix counts against one count_T per slot list, bit for bit."""
+
+    CASES = {
+        "cyclic": (CyclicCtx(61), EquationSpec([1, 1, 1, -1, -2])),
+        "vector": (F3_3, EquationSpec([1, 1, 1, 1, -4])),
+    }
+
+    @staticmethod
+    def _per_slot(eq, f, F, g):
+        k = eq.k
+        terms = [[f] * i + [g] + [F] * (k - 1 - i) for i in range(k)]
+        T_f, T_F, *rest = (count_T(eq, hs, "fourier").total
+                           for hs in [[f] * k, [F] * k] + terms)
+        return T_f, T_F, rest
+
+    def _check(self, eq, f, F, g):
+        T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
+        want_f, want_F, want_terms = self._per_slot(eq, f, F, g)
+        assert_same_bits(T_f, want_f)
+        assert_same_bits(T_F, want_F)
+        assert len(terms) == eq.k
+        for got, want in zip(terms, want_terms):
+            assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_random_real(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 0)
+        for _ in range(4):
+            f, F, g = (Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(3))
+            self._check(eq, f, F, g)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_F_is_f(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 1)
+        f = Dfn(ctx, rng.uniform(0, 1, size=ctx.N))
+        self._check(eq, f, f, f - f)
+        self._check(eq, f, f, Dfn(ctx, rng.normal(size=ctx.N)))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_integer_valued_floats_round(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 2)
+        f, F = (Dfn(ctx, rng.integers(0, 3, size=ctx.N).astype(float)) for _ in range(2))
+        self._check(eq, f, F, f - F)
+        T_f, _, terms = _telescoping_counts(eq, f, F, f - F)
+        assert isinstance(T_f, int) and all(isinstance(t, int) for t in terms)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_integer_arrays_count_exactly(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 3)
+        f, F = (Dfn(ctx, rng.integers(0, 3, size=ctx.N)) for _ in range(2))
+        self._check(eq, f, F, f - F)
+        self._check(eq, f, F, Dfn(ctx, rng.normal(size=ctx.N)))
+
+
 class TestLevelSet:
     def test_constant_one(self):
         ctx = CyclicCtx(50)
@@ -736,6 +801,46 @@ class TestPipeline:
                                         s, t, eps)
         assert rep.passed and seen
         assert len(set(seen)) == len(seen)
+
+    @pytest.mark.parametrize("eps, transforms", [("1/8", 5), ("1/2", 6)],
+                             ids=["one_point_smoother", "wide_bohr_set"])
+    def test_transform_count(self, monkeypatch, eps, transforms):
+        # 1_A, f and the smoother are transformed, F, g and nu are not; the
+        # rest are the inverse transforms of the physical pair energies
+        calls = []
+        for name in ("fft", "ifft"):
+            method = getattr(CyclicCtx, name)
+
+            def recording(ctx, values, method=method, name=name):
+                calls.append(name)
+                return method(ctx, values)
+
+            monkeypatch.setattr(CyclicCtx, name, recording)
+        rep = run_transference_pipeline(erdos_turan_sidon(31),
+                                        EquationSpec([1, 1, 1, -1, -2]), 2, 2, eps)
+        assert rep.passed
+        assert (rep.ledger["smoother_size"] == 1) == (eps == "1/8")
+        assert len(calls) == transforms, calls
+
+    @pytest.mark.parametrize("eps", ["1/8", "1/2"])
+    def test_derived_transforms_match_fft(self, monkeypatch, eps):
+        attached = []
+        with_hat = Dfn._with_hat
+
+        def recording(h, hat):
+            attached.append(h)
+            return with_hat(h, hat)
+
+        monkeypatch.setattr(Dfn, "_with_hat", recording)
+        rep = run_transference_pipeline(erdos_turan_sidon(31),
+                                        EquationSpec([1, 1, 1, -1, -2]), 2, 2, eps)
+        assert rep.passed
+        # F, g and nu; F is f itself under a one-point smoother
+        assert len(attached) == (2 if rep.ledger["smoother_size"] == 1 else 3)
+        for h in attached:
+            direct = h.ctx.fft(h.values.astype(np.complex128))
+            scale = max(1.0, float(np.abs(direct).max()))
+            assert float(np.abs(h.hat() - direct).max()) <= 1e-9 * scale
 
     def test_nonfree_input_raises_with_witness(self):
         from addlab.sets import FreenessError
