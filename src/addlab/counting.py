@@ -16,7 +16,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .functions import _INT64_LIMIT, Dfn, _abs_sum_max, convolve, dual_value_at_zero
+from .functions import (
+    _INT64_LIMIT, Dfn, _abs_sum_max, convolve, dual_value_at_zero, fourier_mean_norm,
+)
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -487,14 +489,6 @@ def _dual_mean_norms(h: Dfn, k: int):
     return float(mags.max()), mk, m4
 
 
-def _norms_of(h: Dfn, k: int, memo: dict):
-    """_dual_mean_norms(h, k), kept in `memo` by identity, so that the checks
-    of one run that share a function take |hat h| once."""
-    if id(h) not in memo:
-        memo[id(h)] = _dual_mean_norms(h, k)
-    return memo[id(h)]
-
-
 def pair_self_energy(h: Dfn) -> float:
     """E_2(h, h) = (1/N) sum |hat h|^4 (equals sum (h*h)^2 for real h)."""
     return float((np.abs(h.hat()) ** 4).mean())
@@ -513,13 +507,12 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     ||hat f_j||_{k-1}^{k-1} <= sup^{k-5} * ||hat f_j||_4^4 with
     ||hat f_j||_4^4 = E_2(f_j, f_j) <= E_2(nu, nu).
     """
-    return _holder_chain(eq, nu, fs, None, {})
+    return _holder_chain(eq, nu, fs, None)
 
 
-def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T, norms_memo: dict):
+def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
     """verify_counting_lemma, given T = count_T(eq, fs).total when the caller
-    has it (None otherwise) and a `_norms_of` memo shared with its other
-    checks."""
+    has it (None otherwise)."""
     k = eq.k
     if k < 5:
         raise ValueError("the chain needs k >= 5")
@@ -547,7 +540,8 @@ def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T, norms_memo: dict):
     if T is None:
         T = count_T(eq, fs, method="fourier").total
     T_abs = abs(T)
-    norms = [_norms_of(f, k, norms_memo) for f in fs]
+    norms_of = {key: _dual_mean_norms(f, k) for key, (_, f) in distinct.items()}
+    norms = [norms_of[id(f)] for f in fs]
     e2_nu = pair_self_energy(nu)
     rep = VerificationReport(
         lemma="counting_holder_chain",
@@ -626,6 +620,17 @@ def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
     return T_f, T_F, terms
 
 
+def _verify_transforms_at_zero(named: dict) -> VerificationReport:
+    """hat(h)(0) = sum_x h(x) for each named function: an O(N) tie between a
+    transform derived by linearity and the values it stands for."""
+    rep = VerificationReport(lemma="derived_transforms")
+    for name, h in named.items():
+        gap = abs(complex(h.hat()[0]) - float(h.values.sum()))
+        rep.check(f"hat_{name}_at_0_is_sum", gap, "<=",
+                  1e-9 * max(1.0, float(np.abs(h.values).sum())))
+    return rep
+
+
 def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds.
 
@@ -634,25 +639,21 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     count_T(..., "fourier") (`_telescoping_counts`).  The chain bounds need
     k >= 5 and coefficients invertible in the scalar ring, so that every
     dual dilation is a bijection; otherwise they are skipped and the report
-    says why.  A caller that holds g = f - F already passes it, so that g is
-    built and transformed once.
+    says why.  A caller that holds g = f - F passes it, so that g is built
+    and transformed once; the pipeline passes a g whose transform it derived
+    by linearity.
     """
     if f.ctx != F.ctx:
         raise ValueError("group context mismatch")
+    eq.validate_for(f.ctx)
+    k = eq.k
     if g is None:
         g = f - F
-    return _telescoping(eq, f, F, g, {})[0]
-
-
-def _telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn, norms_memo: dict):
-    """verify_telescoping with g given and a `_norms_of` memo shared with the
-    caller's other checks; returns the report and the terms as counted."""
-    k = eq.k
     T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
     lhs = T_f - T_F
     rhs = sum(terms)
     scale = max(1.0, abs(T_f), abs(T_F))
-    g_sup = _norms_of(g, k, norms_memo)[0]
+    g_sup = fourier_mean_norm(g, np.inf)
     rep = VerificationReport(
         lemma="telescoping_transference",
         inputs={"eq": str(eq), "N": f.ctx.N, "k": k},
@@ -672,8 +673,8 @@ def _telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn, norms_memo: dict):
         rep.flags.append(f"chain bounds skipped: coefficients {singular} are not "
                          f"invertible on {f.ctx.describe()}")
     else:
-        f_mk = _norms_of(f, k, norms_memo)[1]
-        F_mk = _norms_of(F, k, norms_memo)[1]
+        f_mk = fourier_mean_norm(f, k - 1)
+        F_mk = fourier_mean_norm(F, k - 1)
         chain_bounds = []
         for i in range(k):
             b = g_sup * (f_mk**i) * (F_mk ** (k - 1 - i))
@@ -683,7 +684,7 @@ def _telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn, norms_memo: dict):
         rep.check(
             "transfer_bound", abs(T_f - T_F), "<=", sum(chain_bounds), tol=1e-9
         )
-    return rep, terms
+    return rep
 
 
 # -- level sets ------------------------------------------------------------------------
@@ -922,14 +923,16 @@ def run_transference_pipeline(
     k = eq.k
     N = n_model
 
-    # the chain's T(g, F, ..., F) is the telescoping's term 0, and the two
-    # share the dual mean norms of g and F
-    norms_memo: dict = {}
-    tele, terms = _telescoping(eq, f, F, g, norms_memo)
+    tele = verify_telescoping(eq, f, F, g=g)
     report.sections["telescoping"] = tele
     nu = (f + F)._with_hat(f.hat() + F.hat())
-    chain = _holder_chain(eq, nu, [g] + [F] * (k - 1), terms[0], norms_memo)
+    # the chain's T(g, F, ..., F) is the telescoping's term 0; every input is
+    # real, so the report holds that term with its bits
+    chain = _holder_chain(eq, nu, [g] + [F] * (k - 1), tele.quantities["terms"][0])
     report.sections["holder_chain"] = chain
+    report.sections["derived_transforms"] = _verify_transforms_at_zero(
+        {"F": F, "g": g, "nu": nu}
+    )
 
     T_f, T_F, g_sup = (tele.quantities[key] for key in ("T_f", "T_F", "g_hat_sup"))
     delta = len(A) / N ** (1 - 1 / s)

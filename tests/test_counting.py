@@ -17,6 +17,7 @@ from addlab.counting import (
     _solution_counts,
     _solve_last,
     _telescoping_counts,
+    _verify_transforms_at_zero,
     assert_z_faithful,
     count_T,
     count_all_distinct,
@@ -560,6 +561,16 @@ class TestTelescoping:
         assert rep.passed
         assert rep.flags == ["chain bounds skipped: they need k >= 5, here k = 3"]
 
+    @pytest.mark.parametrize("ctx, eq, match", [
+        (VectorCtx(FieldCtx(3, 1), 2), EquationSpec([1, 1, 1, -3]), "vanishes mod 3"),
+        (CyclicCtx(23), EquationSpec([1, 1, 1], char=3), "over Z"),
+    ], ids=["coefficient_vanishes_mod_p", "char_p_spec_on_Z_M"])
+    def test_equation_checked_against_group_for_float_inputs(self, ctx, eq, match):
+        rng = spawn_rng(34, 4)
+        f, F = (Dfn(ctx, rng.uniform(0, 1, size=ctx.N)) for _ in range(2))
+        with pytest.raises(ValueError, match=match):
+            verify_telescoping(eq, f, F)
+
     @staticmethod
     def _half_period_pair(M):
         # F = 1_{0, M/2} has hat F(2 xi) = 2 for every xi on Z_40, so the
@@ -841,6 +852,41 @@ class TestPipeline:
             direct = h.ctx.fft(h.values.astype(np.complex128))
             scale = max(1.0, float(np.abs(direct).max()))
             assert float(np.abs(h.hat() - direct).max()) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("eps", ["1/8", "1/2"])
+    def test_report_ties_derived_transforms_to_values(self, eps):
+        rep = run_transference_pipeline(erdos_turan_sidon(31),
+                                        EquationSpec([1, 1, 1, -1, -2]), 2, 2, eps)
+        section = rep.sections["derived_transforms"]
+        assert section.passed
+        assert [a.name for a in section.assertions] == [
+            f"hat_{name}_at_0_is_sum" for name in ("F", "g", "nu")]
+
+    def test_transform_at_zero_catches_a_wrong_transform(self):
+        ctx = CyclicCtx(31)
+        h = Dfn(ctx, spawn_rng(36, 0).uniform(0, 1, size=31))
+        wrong = Dfn(ctx, h.values.copy())._with_hat(2 * h.hat())
+        assert _verify_transforms_at_zero({"h": h}).passed
+        assert not _verify_transforms_at_zero({"h": wrong}).passed
+
+    def test_pipeline_runs_the_public_telescoping(self, monkeypatch):
+        # the pipeline's telescoping goes through verify_telescoping, with the
+        # g it built
+        from addlab import counting
+
+        calls = []
+        tele = counting.verify_telescoping
+
+        def recording(eq, f, F, g=None):
+            calls.append(g)
+            return tele(eq, f, F, g=g)
+
+        monkeypatch.setattr(counting, "verify_telescoping", recording)
+        rep = run_transference_pipeline(erdos_turan_sidon(31),
+                                        EquationSpec([1, 1, 1, -1, -2]), 2, 2, "1/2")
+        assert rep.passed and len(calls) == 1 and calls[0] is not None
+        chain_T = rep.sections["holder_chain"].quantities["T"]
+        assert_same_bits(chain_T, rep.sections["telescoping"].quantities["terms"][0])
 
     def test_nonfree_input_raises_with_witness(self):
         from addlab.sets import FreenessError
