@@ -25,7 +25,7 @@ for p, eps in ((5, "1/4"), (7, "1/8"), (11, "1/6")):
     A = erdos_turan_sidon(p)
     model = build_dense_model(A, 2, 2, eps)
     rep = verify_model_properties(model)
-    d = model.diagnostics
+    d = rep.quantities
     print(f"  p={p} eps={eps}: |B|={model.smoother_size} mass={d['mass']:.1f} "
           f"gap={d['fourier_gap']:.2f} sum f^s / N = "
           f"{d['ls_norm'] / model.n_model:.2f}  -> {rep.summary()}")
@@ -38,7 +38,7 @@ for n, st, eps in ((4, (2, 2), "1/2"), (5, (2, 2), "1/2"), (4, (2, 3), "1/4")):
     A = greedy_kst_free(s, t, ctx.N, seed=n + s + t, ctx=ctx)
     model = build_dense_model(A, s, t, eps)
     rep = verify_model_properties(model)
-    d = model.diagnostics
+    d = rep.quantities
     print(f"  F_3^{n} (s,t)={st} eps={eps}: |Spec|={d['spectrum_size']} "
           f"|H|={model.smoother_size} gap={d['fourier_gap']:.2f} "
           f"sum f^s / N = {d['ls_norm'] / ctx.N:.2f}  -> {rep.summary()}")

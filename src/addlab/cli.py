@@ -56,6 +56,8 @@ class SuiteConfig:
         for s, t in self.st_pairs:
             if not 2 <= s <= t:
                 raise ConfigError(f"bad (s, t) pair ({s}, {t})")
+        if len(self.equations) != 1:  # the counting and pipeline suites run one
+            raise ConfigError(f"expected one equation, got {len(self.equations)}")
         for coeffs in self.equations:
             try:
                 EquationSpec(coeffs)
@@ -103,8 +105,11 @@ def _parse_config_file(path: str) -> dict:
 def _parse_st(text: str):
     pairs = []
     for part in text.split(","):
-        s, t = part.strip().split(":")
-        pairs.append((int(s), int(t)))
+        try:
+            s, t = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise ConfigError(f"bad (s, t) pair {part.strip()!r}: expected s:t") from None
+        pairs.append((s, t))
     return tuple(pairs)
 
 
@@ -447,6 +452,8 @@ def _cmd_construct(args) -> int:
             else:
                 pieces[-1] += "," + tok
         for part in pieces:
+            if "=" not in part:
+                raise ConfigError(f"--params token {part!r} is not key=value")
             k, v = part.split("=", 1)
             params[k.strip()] = v.strip()
     try:
@@ -652,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=None)
     c.add_argument("--sizes", default=None)
     c.add_argument("--st", default=None, help="e.g. 2:2,2:3")
-    c.add_argument("--eq", default=None, help="semicolon-separated equations")
+    c.add_argument("--eq", default=None, help="one equation's coefficients")
     c.add_argument("--out", default=None)
     c.add_argument("--threads", type=int, default=None)
     c.add_argument("--config", default=None)

@@ -16,8 +16,13 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from . import dense_model as dm
+from .energy import (
+    moment_energy, verify_energy_interpolation, verify_excess_vanishing,
+    verify_kst_energy_bound, verify_size_bound,
+)
 from .functions import (
-    _INT64_LIMIT, Dfn, _abs_sum_max, convolve, dual_value_at_zero, fourier_mean_norm,
+    _INT64_LIMIT, Dfn, _abs_sum_max, dual_value_at_zero, fourier_mean_norm,
 )
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
@@ -494,12 +499,6 @@ def pair_self_energy(h: Dfn) -> float:
     return float((np.abs(h.hat()) ** 4).mean())
 
 
-def _physical_pair_energy(h: Dfn) -> float:
-    """sum_x (h*h)(x)^2 by actual convolution: the physical side of E_2."""
-    conv = convolve(h, h)
-    return float((np.abs(conv.values) ** 2).sum())
-
-
 def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
     """Every link of the dual-side Hoelder chain, numerically, no hidden constants.
 
@@ -518,6 +517,8 @@ def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
         raise ValueError("the chain needs k >= 5")
     if len(fs) != k:
         raise ValueError(f"expected {k} functions")
+    if nu.tag == "complex":
+        raise ValueError("nu majorizes |f_j|, so it must be real")
     ctx = nu.ctx
     if isinstance(ctx, CyclicCtx):
         bad = [a for a in eq.coeffs if math.gcd(abs(a), ctx.M) != 1]
@@ -558,12 +559,12 @@ def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
         bounds.append(b)
         rep.check(f"T_le_bound_{i}", T_abs, "<=", b, tol=1e-9)
     rep.quantities["min_bound"] = min(bounds)
-    e2_nu_phys = _physical_pair_energy(nu)
+    e2_nu_phys = moment_energy([nu, nu], 2)
     rep.quantities["E2_nu_physical"] = e2_nu_phys
     # the fourth moment really is the pair energy: dual mean vs the
-    # physical convolution sum (real inputs)
+    # physical convolution sum (real inputs), exact for integer-valued ones
     energy_of = {
-        key: _physical_pair_energy(f) if f.tag == "real" else pair_self_energy(f)
+        key: moment_energy([f, f], 2) if f.tag == "real" else pair_self_energy(f)
         for key, (_, f) in distinct.items()
     }
     for j, f in enumerate(fs):
@@ -856,14 +857,6 @@ def run_transference_pipeline(
     comparison of the dense count against the diagonal value is reported as
     ratios only.
     """
-    from . import dense_model as dm
-    from .energy import (
-        verify_energy_interpolation,
-        verify_excess_vanishing,
-        verify_kst_energy_bound,
-        verify_size_bound,
-    )
-
     eps = as_fraction(eps)
     ctx = A.ctx
     integer_mode = isinstance(ctx, CyclicCtx)
@@ -904,7 +897,7 @@ def run_transference_pipeline(
     model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps, n_model=n_model,
                                  check_free=False)
     report.sections["model_properties"] = dm.verify_model_properties(model)
-    report.flags += model.diagnostics.get("flags", [])
+    report.flags += report.sections["model_properties"].flags
     f, scale, smoother_size = model.f, model.scale, model.smoother_size
     hat_A = model.A.indicator().hat()
     del model

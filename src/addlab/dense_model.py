@@ -10,7 +10,7 @@ a rational and the assertions carry no tolerance at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -18,12 +18,12 @@ from operator import and_
 
 import numpy as np
 
-from .energy import vanishing_eta
-from .functions import Dfn, convolve, fourier
+from .energy import power_sum, vanishing_eta
+from .functions import Dfn, convolve
 from .groups import CyclicCtx, VectorCtx
 from .report import VerificationReport
 from .sets import SetA, rep_tuples, require_kst_free
-from .spectral import BohrSet, Subspace, annihilator, bohr_set, span, spectrum
+from .spectral import Subspace, annihilator, bohr_set, span, spectrum
 from .util import as_fraction, indices_to_mask, spawn_rng
 
 TRIVIAL_SMOOTHER_FLAG = "trivial smoother (|B|=1): g = 0"
@@ -54,7 +54,6 @@ class DenseModel:
     smoother_size: int
     integer_f: Dfn                  # 1_A * 1_smoother, exact integers
     spec: object
-    diagnostics: dict = dc_field(default_factory=dict)
 
 
 def build_dense_model(
@@ -99,8 +98,7 @@ def build_dense_model(
     integer_f = convolve(A.indicator(), smoother_ind)
     scale = float(n) ** (1.0 / s)
     f = Dfn(ctx, integer_f.values.astype(np.float64) * (scale / size))
-    hat_gap = np.abs(f.hat() - scale * A.indicator().hat())
-    model = DenseModel(
+    return DenseModel(
         f=f,
         mode=mode,
         smoother=smoother,
@@ -114,16 +112,6 @@ def build_dense_model(
         integer_f=integer_f,
         spec=spec,
     )
-    model.diagnostics = {
-        "mass": float(f.values.sum()),
-        "fourier_gap": float(hat_gap.max()),
-        "ls_norm": float((f.values**s).sum()),
-        "smoother_size": size,
-        "spectrum_size": len(spec),
-    }
-    if size == 1:
-        model.diagnostics["flags"] = [TRIVIAL_SMOOTHER_FLAG]
-    return model
 
 
 def verify_model_properties(model: DenseModel):
@@ -140,6 +128,11 @@ def verify_model_properties(model: DenseModel):
     n = model.n_model
     m = len(A)
     size = model.smoother_size
+    hat_f = model.f.hat()
+    hat_A = A.indicator().hat()
+    gap = np.abs(hat_f - model.scale * hat_A)
+    mass = float(model.f.values.sum())
+    ls_norm = float((model.f.values**s).sum())
     rep = VerificationReport(
         lemma="dense_model_properties",
         inputs={
@@ -151,9 +144,16 @@ def verify_model_properties(model: DenseModel):
             "N": n,
             "smoother_size": size,
         },
-        quantities=dict(model.diagnostics),
+        quantities={
+            "mass": mass,
+            "fourier_gap": float(gap.max()),
+            "ls_norm": ls_norm,
+            "smoother_size": size,
+            "spectrum_size": len(model.spec),
+        },
     )
-    rep.flags = list(rep.quantities.pop("flags", []))
+    if size == 1:
+        rep.flags.append(TRIVIAL_SMOOTHER_FLAG)
     int_vals = model.integer_f.values
     rep.check("nonnegative", int(int_vals.min()) >= 0, "==", True, exact=True)
 
@@ -178,26 +178,22 @@ def verify_model_properties(model: DenseModel):
     rep.check("mass_exact", int(int_vals.sum()), "==", m * size, exact=True)
     rep.check(
         "mass_float",
-        abs(model.diagnostics["mass"] - model.scale * m),
+        abs(mass - model.scale * m),
         "<=",
         1e-10 * max(1.0, model.scale * m),
     )
 
     # fourier factorization: hat f = scale * hat 1_A * hat mu (rel 1e-9)
-    hat_f = model.f.hat()
-    hat_A = A.indicator().hat()
     mu_hat = model.smoother.indicator().hat() / size
-    hat_pred = model.scale * hat_A * mu_hat
     rep.check(
         "fourier_factorization",
-        float(np.abs(hat_f - hat_pred).max()),
+        float(np.abs(hat_f - model.scale * hat_A * mu_hat).max()),
         "<=",
         1e-9 * max(1.0, float(np.abs(hat_f).max())),
     )
 
     # (ii) the Fourier gap
     mags = np.abs(hat_A)
-    gap = np.abs(hat_f - model.scale * hat_A)
     thr = float(eps) * m
     if model.mode == "finite_field":
         V = span(ctx, model.spec.frequencies)
@@ -227,7 +223,7 @@ def verify_model_properties(model: DenseModel):
         rep.measured_ratios["gap_over_epsN"] = float(gap.max()) / (float(eps) * n)
 
     # (iii) moment bound on the rescaled integer object, exact rationals
-    S = sum(int(v) ** s for v in int_vals[int_vals > 0])
+    S = power_sum(int_vals, s)
     eta = vanishing_eta(A, s, t)
     rep.quantities["S"] = S
     rep.quantities["eta"] = eta
@@ -236,10 +232,8 @@ def verify_model_properties(model: DenseModel):
     # the float form sum f^s <= N (t + excess), with the asymptotic factor
     # reported as a ratio only
     excess = float(eta / t) * m**s / size ** (s - 1)
-    rep.measured_ratios["moment_fill"] = model.diagnostics["ls_norm"] / (
-        n * (t + excess)
-    )
-    rep.measured_ratios["ls_norm_over_N"] = model.diagnostics["ls_norm"] / n
+    rep.measured_ratios["moment_fill"] = ls_norm / (n * (t + excess))
+    rep.measured_ratios["ls_norm_over_N"] = ls_norm / n
     return rep
 
 
@@ -260,7 +254,7 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     require_kst_free(A, s, t)
     h_ind = H.indicator()
     conv = convolve(A.indicator(), h_ind)
-    S = sum(int(v) ** s for v in conv.values[conv.values > 0])
+    S = power_sum(conv.values, s)
     size = H.size
     m = len(A)
     eta = vanishing_eta(A, s, t)

@@ -19,6 +19,7 @@ from .report import VerificationReport
 from .sets import SetA, rep_diff, require_kst_free, subset_rep_aggregates
 
 __all__ = [
+    "power_sum",
     "moment_energy",
     "pair_energy",
     "verify_trivial_bounds",
@@ -47,19 +48,26 @@ def moment_energy(fs: list, s: int):
     for f in fs[1:]:
         conv = convolve(conv, f)
     if exact:
-        return sum(int(v) ** s for v in conv.values)
-    vals = conv.values.astype(np.complex128)
-    return complex((vals**s).sum()).real if conv.tag == "complex" else float(
-        (conv.values.astype(np.float64) ** s).sum()
-    )
+        return power_sum(conv.values, s)
+    if conv.tag == "complex":
+        return complex((conv.values.astype(np.complex128) ** s).sum()).real
+    return float((conv.values.astype(np.float64) ** s).sum())
+
+
+def power_sum(values, s: int) -> int:
+    """sum_x values[x]^s, s >= 1, as a Python int; exact for integer values.
+
+    Convolutions of indicators take few distinct values, so the Python-int
+    powers run once per distinct nonzero value, weighted by its count.
+    """
+    values = np.asarray(values)
+    distinct, counts = np.unique(values[values != 0], return_counts=True)
+    return sum(int(c) * int(v) ** s for v, c in zip(distinct, counts))
 
 
 def pair_energy(A: SetA, s: int) -> int:
     """E_s of (1_A, 1_{-A}): sum_d r(d)^s, exact."""
-    r = rep_diff(A).values
-    # r takes few distinct values, so the Python-int powers run per value
-    values, counts = np.unique(r[r > 0], return_counts=True)
-    return sum(int(c) * int(v) ** s for v, c in zip(values, counts))
+    return power_sum(rep_diff(A).values, s)
 
 
 def surjection_count(s: int, u: int) -> int:

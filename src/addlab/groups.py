@@ -134,9 +134,9 @@ class FieldCtx:
     """F_q = F_p[y]/(m(y)) with q = p^r; elements are indices in [0, q).
 
     Index e encodes the polynomial sum(d_j y^j) with d_j the base-p digits
-    of e, little-endian.  Multiplication is schoolbook polynomial multiply
-    followed by reduction (r <= 4 at desk scale), with a cached q x q table
-    for small q.
+    of e, little-endian.  Multiplication looks up a q x q table, built on
+    first use by schoolbook polynomial multiply followed by reduction
+    (r <= 4 at desk scale).
     """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
@@ -247,13 +247,8 @@ class FieldCtx:
         return res
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            a = np.asarray(a, dtype=np.int64)
-            b = np.asarray(b, dtype=np.int64)
-            out = self._mul_table[a, b]
-            return out if out.ndim else int(out)
-        out = self.from_digits(self._mul_digits(self.digits(a), self.digits(b)))
-        return out if np.asarray(out).ndim else int(out)
+        return _scalar(self.mul_table[np.asarray(a, dtype=np.int64),
+                                      np.asarray(b, dtype=np.int64)])
 
     def pow(self, a, e: int):
         e = int(e)

@@ -244,9 +244,12 @@ def test_package_runs_as_module():
     assert "verify" in res.stdout
 
 
-def test_bad_st_flag_is_config_error():
+def test_bad_st_flag_is_config_error(capsys):
     assert run_cli("verify", "--suite", "energy", "--st", "banana",
                    "--sizes", "32") == 2
+    assert run_cli("verify", "--suite", "energy", "--st", "2:2,2",
+                   "--sizes", "32") == 2
+    assert "bad (s, t) pair '2'" in capsys.readouterr().err
 
 
 def test_bad_eq_flag_is_config_error_before_any_suite(monkeypatch, capsys):
@@ -256,6 +259,10 @@ def test_bad_eq_flag_is_config_error_before_any_suite(monkeypatch, capsys):
     assert run_cli("verify", "--suite", "all", "--eq", "1,2,3") == 2
     assert ran == []
     assert "1, 2, 3" in capsys.readouterr().err
+    # the suites run one equation, so a second one is refused, not ignored
+    assert run_cli("verify", "--suite", "all", "--eq", "1,1,1,-1,-2;1,1,-2") == 2
+    assert ran == []
+    assert "expected one equation, got 2" in capsys.readouterr().err
 
 
 def _readme_commands():
@@ -285,6 +292,9 @@ def test_construct_bad_params(tmp_path, capsys):
     assert run_cli("construct", "greedy_kst_free", "--params", "s=2,t=2",
                    "--out", out) == 2
     assert "'N'" in capsys.readouterr().err
+    assert run_cli("construct", "greedy_kst_free", "--params", "N",
+                   "--out", out) == 2
+    assert "token 'N' is not key=value" in capsys.readouterr().err
 
 
 def test_construct_negative_seed_is_config_error(tmp_path, capsys):

@@ -515,6 +515,28 @@ class TestCountingLemma:
         with pytest.raises(ValueError, match="x=3"):
             verify_counting_lemma(eq, nu, fs)
 
+    def test_integer_majorant_energy_does_not_wrap(self):
+        # (nu * nu)(x)^2 passes 2^63 for nu near 2^20 on Z_67; the physical
+        # E_2 of an integer nu is summed in Python ints
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        ctx = CyclicCtx(67)
+        rng = spawn_rng(15, 0)
+        nu_vals = rng.integers(2**19, 2**20, size=ctx.N)
+        fs = [Dfn(ctx, nu_vals * rng.uniform(-1, 1, size=ctx.N)) for _ in range(5)]
+        rep = verify_counting_lemma(eq, Dfn(ctx, nu_vals), fs)
+        nu = [int(v) for v in nu_vals]
+        conv = [sum(nu[y] * nu[(x - y) % 67] for y in range(67)) for x in range(67)]
+        assert rep.quantities["E2_nu_physical"] == sum(c * c for c in conv)
+        assert rep.passed, [a.name for a in rep.failing()]
+
+    def test_complex_majorant_rejected(self):
+        # its physical E_2 would be Re sum (nu * nu)^2, not sum |nu * nu|^2
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        ctx = CyclicCtx(67)
+        nu = Dfn.constant(ctx, 1 + 0.5j)
+        with pytest.raises(ValueError, match="must be real"):
+            verify_counting_lemma(eq, nu, [Dfn.constant(ctx, 0.5)] * 5)
+
     def test_k4_rejected(self):
         eq = EquationSpec([1, 1, -1, -1])
         ctx = CyclicCtx(41)

@@ -36,7 +36,8 @@ class TestBuild:
         model = build_dense_model(A, 2, 2, "1/2", check_free=False)
         expect = CTX34.N ** 0.5 * A.indicator().values
         assert np.allclose(model.f.values, expect, rtol=1e-12)
-        assert model.diagnostics["mass"] == pytest.approx(CTX34.N**0.5 * len(A))
+        rep = verify_model_properties(model)
+        assert rep.quantities["mass"] == pytest.approx(CTX34.N**0.5 * len(A))
 
     def test_full_spectrum_gives_delta_smoother(self):
         # tiny eps: Spec = everything, V = G, H = {0}, f = N^{1/s} 1_A
@@ -45,7 +46,6 @@ class TestBuild:
         assert model.smoother_size == 1
         assert np.allclose(model.f.values, CTX34.N**0.5 * A.indicator().values)
         # g = f - N^{1/s} 1_A = 0: the model is flagged, not silently vacuous
-        assert model.diagnostics["flags"] == [TRIVIAL_SMOOTHER_FLAG]
         rep = verify_model_properties(model)
         assert rep.flags == [TRIVIAL_SMOOTHER_FLAG]
         assert "flags" not in rep.quantities

@@ -9,6 +9,7 @@ import pytest
 from addlab.energy import (
     moment_energy,
     pair_energy,
+    power_sum,
     surjection_count,
     vanishing_eta,
     vanishing_exponent,
@@ -85,6 +86,29 @@ class TestEnergy:
             for s in range(2, 7):
                 assert pair_energy(A, s) == sum(int(v) ** s for v in r[r > 0])
         assert pair_energy(A, 6) > 2**63  # r(0) = |A| > 1448 alone passes int64
+
+    def test_power_sum_against_generator_form(self):
+        rng = spawn_rng(7, 0)
+        for size, hi in ((50, 10), (1000, 2**12), (300, 2**40)):
+            v = rng.integers(-hi, hi, size=size)
+            for s in range(1, 7):
+                assert power_sum(v, s) == sum(int(x) ** s for x in v)
+        assert power_sum(v, 2) > 2**63 and power_sum(v, 6) > 2**63
+        small = rng.integers(-5, 5, size=40)
+        assert power_sum(small.astype(float), 3) == sum(int(x) ** 3 for x in small)
+
+    def test_signed_integer_moment_against_generator_form(self):
+        rng = spawn_rng(8, 0)
+        for ctx in (CyclicCtx(37), VectorCtx(FieldCtx(3, 1), 3)):
+            vals = [rng.integers(-50, 50, size=ctx.N) for _ in range(3)]
+            conv = vals[0].astype(object)
+            for v in vals[1:]:  # (a * b)(x) = sum_y a(y) b(x - y), by definition
+                conv = [sum(conv[y] * int(v[ctx.sub(x, y)]) for y in range(ctx.N))
+                        for x in range(ctx.N)]
+            for s in (1, 3, 5):
+                value = moment_energy([Dfn(ctx, v) for v in vals], s)
+                assert type(value) is int
+                assert value == sum(c**s for c in conv)
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
