@@ -3,17 +3,14 @@
 Commands: construct, spectrum, dense-model, count, pipeline, verify.
 Exit codes: 0 all hard assertions pass, 1 an assertion or precondition
 failed (the failing report path is printed), 2 config/usage error.
-ADDLAB_THREADS caps the suite runner's worker pool.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +37,6 @@ class SuiteConfig:
     st_pairs: tuple = ((2, 2), (2, 3), (3, 3))
     equations: tuple = ((1, 1, 1, -1, -2),)
     out: str | None = None
-    threads: int = 1
     plot_data: bool = False
 
     def validate(self):
@@ -65,25 +61,59 @@ class SuiteConfig:
                 raise ConfigError(f"bad equation {coeffs}: {exc}") from exc
 
     def to_dict(self):
-        return {
-            "suites": list(self.suites),
-            "seed": self.seed,
-            "sizes": list(self.sizes),
-            "st_pairs": [list(p) for p in self.st_pairs],
-            "equations": [list(e) for e in self.equations],
-            "threads": self.threads,
-        }
+        # the fields that shape the results; the suites run serially
+        return {**{f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)
+                   if f.name not in ("out", "plot_data")}, "threads": 1}
+
+
+def _parse_value(name: str, parse, token: str):
+    """parse(token); its ValueError becomes a ConfigError naming name and token."""
+    try:
+        return parse(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{name} {token!r}: {exc}") from None
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(x) for x in text.split(","))
 
 
 def _parse_suites(text: str):
     if text.strip() == "all":
         return SUITE_NAMES
-    items = tuple(s.strip() for s in text.split(",") if s.strip())
-    return items
+    return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-# verify's config-file keys, each also the dest of the flag that overrides it
-_CONFIG_KEYS = ("suites", "seed", "sizes", "st", "eq", "out", "threads", "plot_data")
+def _parse_st(text: str):
+    pairs = []
+    for part in text.split(","):
+        try:
+            s, t = (int(x) for x in part.split(":"))
+        except ValueError:
+            raise ValueError(f"bad (s, t) pair {part.strip()!r}: expected s:t") from None
+        pairs.append((s, t))
+    return tuple(pairs)
+
+
+def _parse_bit(text: str, allowed=("0", "1")) -> bool:
+    if text not in allowed:
+        raise ValueError(f"expected {' or '.join(allowed)}")
+    return text == "1"
+
+
+# verify's inputs: config-file key, also the dest of the flag that overrides
+# it -> (SuiteConfig field or None, parser of the key's text)
+_VERIFY_KEYS = {
+    "suites": ("suites", _parse_suites),
+    "seed": ("seed", int),
+    "sizes": ("sizes", _ints),
+    "st": ("st_pairs", _parse_st),
+    "eq": ("equations", lambda text: tuple(_ints(e) for e in text.split(";"))),
+    "out": ("out", str),
+    # the suites run serially: threads stays a key only for callers passing 1
+    "threads": (None, lambda text: _parse_bit(text, ("1",))),
+    "plot_data": ("plot_data", _parse_bit),
+}
 
 
 def _parse_config_file(path: str) -> dict:
@@ -96,21 +126,10 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{ln}: expected key=value")
             key, val = (p.strip() for p in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
+            if key not in _VERIFY_KEYS:
                 raise ConfigError(f"{path}:{ln}: unknown key {key!r}")
             out[key] = val
     return out
-
-
-def _parse_st(text: str):
-    pairs = []
-    for part in text.split(","):
-        try:
-            s, t = (int(x) for x in part.split(":"))
-        except ValueError:
-            raise ConfigError(f"bad (s, t) pair {part.strip()!r}: expected s:t") from None
-        pairs.append((s, t))
-    return tuple(pairs)
 
 
 # -- suites ---------------------------------------------------------------------
@@ -383,24 +402,15 @@ _SUITES = {
 
 
 def run_suite(cfg: SuiteConfig):
-    """Run the configured suites; returns (exit_code, result dict)."""
+    """Run the configured suites in order; returns (exit_code, result dict,
+    the first failing (suite, label) or None)."""
     cfg.validate()
-    threads = max(1, min(cfg.threads, len(cfg.suites)))
-    results: dict = {}
-    if threads == 1:
-        for name in cfg.suites:
-            results[name] = _SUITES[name](cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {name: pool.submit(_SUITES[name], cfg) for name in cfg.suites}
-            for name in cfg.suites:  # merge in config order
-                results[name] = futures[name].result()
     out: dict = {"config": cfg.to_dict(), "suites": {}}
     all_pass = True
     first_fail = None
     for name in cfg.suites:
         entries = []
-        for item in results[name]:
+        for item in _SUITES[name](cfg):
             label, rep = item if isinstance(item, tuple) else (item.lemma, item)
             entries.append({"label": label, "report": rep})
             if not rep.passed and first_fail is None:
@@ -417,12 +427,6 @@ def emit_report(obj, path):
         fh.write(dumps_report(obj))
 
 
-def emit_plot_data(path, header, rows):
-    """x,y column files; the pipeline ledger keeps a monotone first column."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    write_csv(path, header, rows)
-
-
 def _ratio_rows(out: dict):
     rows = []
     for suite, entries in out["suites"].items():
@@ -436,6 +440,25 @@ def _ratio_rows(out: dict):
 
 
 # -- command implementations --------------------------------------------------
+
+
+# construct's numeric parameters; the others (ctx, basis, eq) pass as text
+_CONSTRUCT_NUMBERS = {"p": int, "M": int, "s": int, "t": int, "N": int, "density": float}
+
+
+def _parse_equation(text: str, A) -> EquationSpec:
+    """count's and pipeline's --eq: coefficients over A's scalar ring."""
+    char = A.ctx.field.p if isinstance(A.ctx, VectorCtx) else 0
+    return _parse_value("--eq", lambda t: EquationSpec(t.split(","), char=char), text)
+
+
+def _precondition_failed(exc: sets.FreenessError, report_path) -> int:
+    """Write the violated freeness precondition and its witness grid."""
+    if report_path:
+        emit_report({"error": str(exc), "witness": to_jsonable(vars(exc.witness))},
+                    report_path)
+    print(f"precondition failed: {exc}", file=sys.stderr)
+    return 1
 
 
 def _cmd_construct(args) -> int:
@@ -454,8 +477,8 @@ def _cmd_construct(args) -> int:
         for part in pieces:
             if "=" not in part:
                 raise ConfigError(f"--params token {part!r} is not key=value")
-            k, v = part.split("=", 1)
-            params[k.strip()] = v.strip()
+            k, v = (x.strip() for x in part.split("=", 1))
+            params[k] = _parse_value(f"--params {k}", _CONSTRUCT_NUMBERS.get(k, str), v)
     try:
         A = sets.construct(args.kind, params, seed=args.seed)
     except KeyError as exc:
@@ -467,10 +490,11 @@ def _cmd_construct(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     A = sets.load_set(args.input)
-    sp = spectral.spectrum(A, args.eps)
+    eps = _parse_value("--eps", as_fraction, args.eps)
+    sp = spectral.spectrum(A, eps)
     payload = {
         "ctx": A.ctx.describe(),
-        "eps": as_fraction(args.eps),
+        "eps": eps,
         "set_size": sp.set_size,
         "frequencies": [A.ctx.format_element(int(x)) for x in sp.frequencies],
         "magnitudes": [float(abs(v)) for v in sp.values],
@@ -482,13 +506,11 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_dense_model(args) -> int:
     A = sets.load_set(args.input)
+    eps = _parse_value("--eps", as_fraction, args.eps)
     try:
-        model = dense_model.build_dense_model(A, args.s, args.t, args.eps)
+        model = dense_model.build_dense_model(A, args.s, args.t, eps)
     except sets.FreenessError as exc:
-        emit_report({"error": str(exc), "witness": to_jsonable(vars(exc.witness))},
-                    args.report)
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
+        return _precondition_failed(exc, args.report)
     rep = dense_model.verify_model_properties(model)
     emit_report(rep, args.report)
     if args.emit_f:
@@ -499,8 +521,7 @@ def _cmd_dense_model(args) -> int:
 
 def _cmd_count(args) -> int:
     A = sets.load_set(args.input)
-    char = A.ctx.field.p if isinstance(A.ctx, VectorCtx) else 0
-    eq = EquationSpec([int(c) for c in args.eq.split(",")], char=char)
+    eq = _parse_equation(args.eq, A)
     hs = [A.indicator()] * eq.k
     methods = ("brute", "fourier") if args.method == "both" else (args.method,)
     rep = VerificationReport(
@@ -523,22 +544,19 @@ def _cmd_count(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     A = sets.load_set(args.input)
-    char = A.ctx.field.p if isinstance(A.ctx, VectorCtx) else 0
-    eq = EquationSpec([int(c) for c in args.eq.split(",")], char=char)
+    eq = _parse_equation(args.eq, A)
+    eps = _parse_value("--eps", as_fraction, args.eps)
     try:
-        rep = counting.run_transference_pipeline(A, eq, args.s, args.t, args.eps)
+        rep = counting.run_transference_pipeline(A, eq, args.s, args.t, eps)
     except sets.FreenessError as exc:
-        payload = {"error": str(exc), "witness": to_jsonable(vars(exc.witness))}
-        if args.report:
-            emit_report(payload, args.report)
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return 1
+        return _precondition_failed(exc, args.report)
     if args.report:
         emit_report(rep, args.report)
     if args.plot_data:
         rows = [[k, float(v)] for k, v in rep.ledger.items()
                 if isinstance(v, (int, float))]
-        emit_plot_data(args.plot_data, ["quantity", "value"], rows)
+        Path(args.plot_data).parent.mkdir(parents=True, exist_ok=True)
+        write_csv(args.plot_data, ["quantity", "value"], rows)
     print(rep.summary())
     for name, sec in rep.sections.items():
         print(" ", sec.summary())
@@ -546,33 +564,15 @@ def _cmd_pipeline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    overrides = {}
-    if args.config:
-        overrides.update(_parse_config_file(args.config))
-    overrides.update({key: str(getattr(args, key)) for key in _CONFIG_KEYS
-                      if getattr(args, key) is not None})
-    if "suites" not in overrides:
+    texts = _parse_config_file(args.config) if args.config else {}
+    texts.update({key: str(getattr(args, key)) for key in _VERIFY_KEYS
+                  if getattr(args, key) is not None})
+    if "suites" not in texts:
         raise ConfigError("no suites selected (use --suite)")
-    if overrides.get("plot_data", "0") not in ("0", "1"):
-        raise ConfigError(f"plot_data must be 0 or 1, got {overrides['plot_data']!r}")
-    env_threads = os.environ.get("ADDLAB_THREADS")
-    try:
-        threads = int(overrides.get("threads", env_threads or "1"))
-        cfg = SuiteConfig(
-            suites=_parse_suites(overrides["suites"]),
-            seed=int(overrides.get("seed", "42")),
-            sizes=tuple(int(x) for x in overrides.get("sizes", "64,128,256").split(",")),
-            st_pairs=_parse_st(overrides.get("st", "2:2,2:3,3:3")),
-            equations=tuple(
-                tuple(int(c) for c in e.split(","))
-                for e in overrides.get("eq", "1,1,1,-1,-2").split(";")
-            ),
-            out=overrides.get("out"),
-            threads=threads,
-            plot_data=overrides.get("plot_data") == "1",
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    values = {field: _parse_value(key, parse, texts[key])
+              for key, (field, parse) in _VERIFY_KEYS.items() if key in texts}
+    values.pop(None, None)  # threads: checked, not kept
+    cfg = SuiteConfig(**values)
     t0 = time.time()
     code, out, first_fail = run_suite(cfg)
     out["generated_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -597,14 +597,13 @@ def _cmd_verify(args) -> int:
                     rows.append([n, rep.ledger["delta"],
                                  rep.ledger["T_F_over_Nk1"],
                                  rep.ledger["g_hat_sup_over_epsN"]])
-            rows.sort(key=lambda r: r[0])
-            emit_plot_data(outdir / "pipeline_ledger.csv",
-                           ["N", "delta", "TF_over_Nk1", "ghat_over_epsN"], rows)
+            rows.sort(key=lambda r: r[0])  # x,y columns over a monotone N
+            write_csv(outdir / "pipeline_ledger.csv",
+                      ["N", "delta", "TF_over_Nk1", "ghat_over_epsN"], rows)
         print(f"report: {report_path}")
-    if code != 0 and first_fail:
-        where = f"{first_fail[0]}/{first_fail[1]}"
-        path_hint = f" ({outdir / 'report.json'})" if outdir else ""
-        print(f"FAILED: {where}{path_hint}", file=sys.stderr)
+    if first_fail:
+        hint = f" ({outdir / 'report.json'})" if outdir else ""
+        print(f"FAILED: {first_fail[0]}/{first_fail[1]}{hint}", file=sys.stderr)
     print(f"{n_reports} reports, exit {code}")
     return code
 
@@ -656,12 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("verify", help="run verification suites over the corpus")
     c.add_argument("--suite", dest="suites", default=None,
                    help="'all' or comma-separated names")
-    c.add_argument("--seed", type=int, default=None)
+    c.add_argument("--seed", default=None)
     c.add_argument("--sizes", default=None)
     c.add_argument("--st", default=None, help="e.g. 2:2,2:3")
     c.add_argument("--eq", default=None, help="one equation's coefficients")
     c.add_argument("--out", default=None)
-    c.add_argument("--threads", type=int, default=None)
+    c.add_argument("--threads", default=None, help="only 1: the suites run serially")
     c.add_argument("--config", default=None)
     c.add_argument("--plot-data", action="store_const", const=1)
     c.set_defaults(func=_cmd_verify)

@@ -107,16 +107,34 @@ class TestSuiteRunner:
         assert code1 == code2 == 0
         assert dumps_report(out1) == dumps_report(out2)
 
-    def test_threads_match_serial(self):
-        cfg1 = SuiteConfig(suites=("energy", "counting"), seed=5, sizes=(32,),
-                           st_pairs=((2, 2),))
-        cfg2 = SuiteConfig(suites=("energy", "counting"), seed=5, sizes=(32,),
-                           st_pairs=((2, 2),), threads=2)
-        _, out1, _ = run_suite(cfg1)
-        _, out2, _ = run_suite(cfg2)
-        d1 = dumps_report(out1)
-        d2 = dumps_report(out2).replace('"threads": 2', '"threads": 1')
-        assert d1 == d2
+    def test_threads_bound_and_benchmark_hook(self, tmp_path, monkeypatch, capsys):
+        # the suites run serially: threads accepts only 1, as a flag or a line
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("suites=energy\nthreads=0\n")
+        assert run_cli("verify", "--suite", "energy", "--threads", "2") == 2
+        assert "threads '2'" in capsys.readouterr().err
+        assert run_cli("verify", "--config", str(cfgfile)) == 2
+        assert "threads '0'" in capsys.readouterr().err
+        # a parse error names its key and its token, from a flag or a line
+        cfgfile.write_text("suites=energy\nsizes=64,x\n")
+        assert run_cli("verify", "--suite", "energy", "--sizes", "64,x") == 2
+        assert "sizes '64,x'" in capsys.readouterr().err
+        assert run_cli("verify", "--config", str(cfgfile)) == 2
+        assert "sizes '64,x'" in capsys.readouterr().err
+        # the benchmark captures the result by rebinding cli.run_suite
+        captured = {}
+
+        def capture(cfg, run_suite=cli.run_suite):
+            code, out, first_fail = run_suite(cfg)
+            captured["out"] = out
+            return code, out, first_fail
+
+        monkeypatch.setattr(cli, "run_suite", capture)
+        assert run_cli("verify", "--suite", "energy", "--seed", "3", "--sizes", "16",
+                       "--st", "2:2", "--out", str(tmp_path / "v"),
+                       "--threads", "1") == 0
+        assert captured["out"]["config"]["threads"] == 1
+        assert list(captured["out"]["suites"]) == ["energy"]
 
 
 class TestCommands:
@@ -263,6 +281,28 @@ def test_bad_eq_flag_is_config_error_before_any_suite(monkeypatch, capsys):
     assert run_cli("verify", "--suite", "all", "--eq", "1,1,1,-1,-2;1,1,-2") == 2
     assert ran == []
     assert "expected one equation, got 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, token", [
+    ("count --eq 1,1,x --input {set}", "--eq", "1,1,x"),
+    ("count --eq 1,1,1 --input {set}", "--eq", "1,1,1"),  # sums to 3, not 0
+    ("pipeline --input {set} --eq 1,1,1,-1,-2 --s 2 --t 2 --eps x", "--eps", "x"),
+    ("spectrum --input {set} --eps 1/x --out {out}", "--eps", "1/x"),
+    ("spectrum --input {set} --eps 1/0 --out {out}", "--eps", "1/0"),
+    ("dense-model --input {set} --s 2 --t 2 --eps x --report {out}", "--eps", "x"),
+    ("construct erdos_turan_sidon --params p=x --out {out}", "--params p", "x"),
+], ids=["count-eq", "count-eq-sum", "pipeline-eps", "spectrum-eps", "spectrum-eps-zero",
+        "dense-model-eps", "construct-params"])
+def test_usage_errors_exit_2(tmp_path, capsys, command, name, token):
+    setfile = tmp_path / "a.set"
+    assert run_cli("construct", "erdos_turan_sidon", "--params", "p=5",
+                   "--out", str(setfile)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    argv = shlex.split(command.format(set=setfile, out=out))
+    assert run_cli(*argv) == 2
+    assert f"config error: {name} {token!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _readme_commands():

@@ -92,13 +92,15 @@ class TestCountT:
         assert res.trivial == 10**20 and type(res.trivial) is int
         assert res.total == 10**20 and type(res.total) is int
 
-    @pytest.mark.parametrize("mass", [10001, 123457])
+    @pytest.mark.parametrize("mass", [10001, 123457, pytest.param(
+        np.float64(10001), id="float64", marks=pytest.mark.xfail(
+            strict=True, reason="integer-valued floats take the rounded dual sum"))])
     def test_fourier_integer_count_is_exact(self, mass):
         # the counts pass 2^53: a rounded float misses 10001^5 by 27985
         eq = EquationSpec([1, 1, 1, -1, -2])
         h = Dfn(CyclicCtx(7), np.array([mass, 0, 0, 0, 0, 0, 0]))
         res = count_T(eq, [h] * 5, "fourier")
-        assert res.total == mass**5 and type(res.total) is int
+        assert res.total == int(mass)**5 and type(res.total) is int
 
     def test_fourier_integer_count_raises_past_entry_bound(self):
         # the 3-fold partial convolution of a point mass 2^22 would reach 2^66
