@@ -2,9 +2,12 @@
 
 T(h_1, ..., h_k) sums prod h_i(x_i) over solutions of a_1 x_1 + ... + a_k x_k = 0.
 Two independent evaluation routes are kept throughout: nested enumeration over
-supports ("brute") and "fourier", which for integer functions is the exact
-integer convolution of their pushforwards under x -> a_j x, and for float ones
-the dual-side evaluation (1/N) sum_xi prod hat(h_j)(a_j xi).
+supports ("brute") and "fourier", which for integer-valued functions is the
+exact integer convolution of their pushforwards under x -> a_j x, and for any
+other ones the dual-side evaluation (1/N) sum_xi prod hat(h_j)(a_j xi).  One
+rule picks the arithmetic of every count: when all its inputs are
+integer-valued (`Dfn.is_integer_valued`, whatever their dtype) both routes
+count in exact Python ints, and otherwise in unrounded floats.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from .energy import (
     verify_kst_energy_bound, verify_size_bound,
 )
 from .functions import (
-    _INT64_LIMIT, Dfn, _abs_sum_max, dual_value_at_zero, fourier_mean_norm,
+    _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, dual_value_at_zero,
+    fourier_mean_norm,
 )
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
@@ -237,12 +241,13 @@ def _exact_ints(values: list) -> list:
 def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
     """The counting functional over k functions sharing a context.
 
-    For integer-dtype inputs `total` and `trivial` are exact Python ints on
-    both routes.  There the fourier route is (g_1 * ... * g_k)(0) over the
-    weighted pushforwards g_i(y) = sum_{a_i x = y} h_i(x), through the exact
-    convolution kernel; when an entry bound reaches 2^63 it raises the
-    kernel's OverflowError rather than return a rounded float.  Float-dtype
-    inputs take the dual-side sum (1/N) sum_xi prod_i hat(h_i)(a_i xi).
+    For integer-valued inputs, of any dtype, `total` and `trivial` are exact
+    Python ints on both routes.  There the fourier route is
+    (g_1 * ... * g_k)(0) over the weighted pushforwards
+    g_i(y) = sum_{a_i x = y} h_i(x), through the exact convolution kernel;
+    an entry or an entry bound of 2^63 or more raises OverflowError rather
+    than return a rounded float.  Other inputs take the unrounded dual-side
+    sum (1/N) sum_xi prod_i hat(h_i)(a_i xi).
     Whether the count is Z-faithful on a cyclic model is
     `assert_z_faithful`'s question, not this one's.
     """
@@ -252,30 +257,27 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
     if any(h.ctx != ctx for h in hs):
         raise ValueError("group context mismatch")
     eq.validate_for(ctx)
-    values = [h.values for h in hs]
-    integer = all(np.issubdtype(v.dtype, np.integer) for v in values)
-    if integer:
-        values = _exact_ints(values)
+    # one value test, conversion and pushforward per distinct function and coefficient
+    integer = all(h.is_integer_valued() for h in set(hs))
+    ints = {h: _as_int64(h.values) for h in set(hs)} if integer else None
+    values = _exact_ints([ints[h] for h in hs]) if integer else [h.values for h in hs]
     trivial_total = functools.reduce(operator.mul, values).sum()
+    if integer:
+        trivial_total = int(trivial_total)
     if method == "brute":
         total = _brute_total(ctx, eq.coeffs, values)
-        if isinstance(total, (int, np.integer)):
-            total = int(total)
-            trivial_total = int(trivial_total)
-        return CountResult(total=total, trivial=trivial_total, method="brute")
+        return CountResult(total=int(total) if integer else total,
+                           trivial=trivial_total, method="brute")
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
     if integer:
-        total = _convolution_value_at_zero(
-            ctx, [_weighted_pushforward(ctx, h.values, a) for a, h in zip(eq.coeffs, hs)]
-        )
-        return CountResult(total=total, trivial=int(trivial_total), method="fourier")
-    prod = _dual_product(np.ones(ctx.N, dtype=np.complex128), zip(eq.coeffs, hs),
-                         _dilations(ctx, eq.coeffs))
-    integer_inputs = all(h.is_integer_valued() for h in hs)
-    total = _dual_total(prod, all(h.tag == "real" for h in hs), integer_inputs)
-    if integer_inputs:
-        trivial_total = int(trivial_total)
+        slots = list(zip(eq.coeffs, hs))
+        pushed = {(a, h): _weighted_pushforward(ctx, ints[h], a) for a, h in set(slots)}
+        total = _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
+    else:
+        prod = _dual_product(np.ones(ctx.N, dtype=np.complex128), zip(eq.coeffs, hs),
+                             _dilations(ctx, eq.coeffs))
+        total = _dual_total(prod, all(h.tag == "real" for h in hs))
     return CountResult(total=total, trivial=trivial_total, method="fourier")
 
 
@@ -299,32 +301,24 @@ def _dual_product(prod: np.ndarray, slots, dilated: dict) -> np.ndarray:
     return prod
 
 
-def _dual_total(prod: np.ndarray, real: bool, integer: bool):
-    """(1/N) sum_xi prod(xi): a float when every input is real, and the
-    nearest integer when every input is integer-valued and it lies within a
-    relative 1e-6."""
+def _dual_total(prod: np.ndarray, real: bool):
+    """(1/N) sum_xi prod(xi): a float when every input is real."""
     total = prod.sum() / len(prod)
-    if real:
-        total = float(total.real)
-    if integer:
-        rounded = round(float(np.real(total)))
-        if abs(total - rounded) < 1e-6 * max(1.0, abs(rounded)):
-            total = rounded
-    return total
+    return float(total.real) if real else total
 
 
 def _weighted_pushforward(ctx, h: np.ndarray, coeff: int) -> np.ndarray:
-    """g(y) = sum of h(x) over the x with coeff * x = y, for integer h, exactly.
+    """g(y) = sum of h(x) over the x with coeff * x = y, for int64 h, exactly.
 
     Raises OverflowError when sum |h| is 2^63 or more, since an entry of g
     could then wrap in int64.
     """
-    bound = _abs_sum_max(h)[0]
+    sup = np.flatnonzero(h)
+    bound = _abs_sum_max(h[sup])[0]
     if bound >= _INT64_LIMIT:
         raise OverflowError(f"pushforward entry bound {bound} is not below 2^63")
-    sup = np.flatnonzero(h)
     g = np.zeros(ctx.N, dtype=np.int64)
-    np.add.at(g, np.asarray(ctx.scale_int(coeff, sup)), h[sup].astype(np.int64))
+    np.add.at(g, np.asarray(ctx.scale_int(coeff, sup)), h[sup])
     return g
 
 
@@ -586,38 +580,42 @@ def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
     """T(f, ..., f), T(F, ..., F) and the terms T(f..f, g, F..F), g in slot
     i, each with the bits of count_T(..., "fourier").
 
-    The float counts share one dilation map and the prefix products of the
-    f slots: term i multiplies the slots g, F, ..., F into a copy of the
-    product of the first i f slots, in count_T's left-to-right order, and
-    T(f) is the product of all k.  T(F) is T(f) when F is f.  Counts over
-    integer arrays take count_T's exact route instead.
+    A count whose slots are all integer-valued takes count_T's exact route,
+    before any float buffer exists.  The others share one dilation map and
+    the prefix products of the f slots: term i multiplies the slots g, F,
+    ..., F into a copy of the product of the first i f slots, in count_T's
+    left-to-right order, and T(f) is the product of all k.  T(F) is T(f)
+    when F is f.
     """
     k, coeffs = eq.k, eq.coeffs
-    if any(np.issubdtype(h.values.dtype, np.integer) for h in (f, F, g)):
-        slot_lists = [[f] * k, [F] * k] + [[f] * i + [g] + [F] * (k - 1 - i)
-                                           for i in range(k)]
-        T_f, T_F, *terms = (count_T(eq, hs, "fourier").total for hs in slot_lists)
-        return T_f, T_F, terms
-    distinct = {id(h): h for h in (f, F, g)}
-    integer = {key: h.is_integer_valued() for key, h in distinct.items()}
+    # one value test per distinct function: each allocates N floats
+    integer = {h: h.is_integer_valued() for h in {f, F, g}}
+
+    def exact(hs):
+        return count_T(eq, hs).total if all(map(integer.get, hs)) else None
 
     def total(prod, hs):
-        return _dual_total(prod, all(h.tag == "real" for h in hs),
-                           all(integer[id(h)] for h in hs))
+        return _dual_total(prod, all(h.tag == "real" for h in hs))
 
+    T_f = exact([f] * k)
+    T_F = T_f if F is f else exact([F] * k)
+    terms = [exact([f] * i + [g] + [F] * (k - 1 - i)) for i in range(k)]
+    if all(t is not None for t in [T_f, T_F, *terms]):
+        return T_f, T_F, terms
     dilated = _dilations(f.ctx, coeffs)
     prefix = np.ones(f.ctx.N, dtype=np.complex128)
-    terms = []
     for i, a in enumerate(coeffs):
-        slots = [(a, g)] + [(b, F) for b in coeffs[i + 1:]]
-        term = _dual_product(prefix.copy(), slots, dilated)
-        terms.append(total(term, [f] * (i > 0) + [g] + [F] * (i < k - 1)))
+        if terms[i] is None:
+            slots = [(a, g)] + [(b, F) for b in coeffs[i + 1:]]
+            term = _dual_product(prefix.copy(), slots, dilated)
+            terms[i] = total(term, [f] * (i > 0) + [g] + [F] * (i < k - 1))
         _dual_product(prefix, [(a, f)], dilated)
-    T_f = total(prefix, [f])
-    if F is f:
-        return T_f, T_f, terms
-    T_F = total(_dual_product(np.ones(f.ctx.N, dtype=np.complex128),
-                              [(a, F) for a in coeffs], dilated), [F])
+    if T_f is None:
+        T_f = total(prefix, [f])
+    if T_F is None:
+        T_F = T_f if F is f else total(
+            _dual_product(np.ones(f.ctx.N, dtype=np.complex128),
+                          [(a, F) for a in coeffs], dilated), [F])
     return T_f, T_F, terms
 
 
@@ -635,10 +633,11 @@ def _verify_transforms_at_zero(named: dict) -> VerificationReport:
 def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds.
 
-    The k + 2 counts share one dilation map xi -> a xi per coefficient, and
-    come from shared prefix products of the f slots, each with the bits of
-    count_T(..., "fourier") (`_telescoping_counts`).  The chain bounds need
-    k >= 5 and coefficients invertible in the scalar ring, so that every
+    Each of the k + 2 counts has the bits of count_T(..., "fourier")
+    (`_telescoping_counts`): an exact int when its slots are all
+    integer-valued, else a float from one shared dilation map xi -> a xi per
+    coefficient and shared prefix products of the f slots.  The chain bounds
+    need k >= 5 and coefficients invertible in the scalar ring, so that every
     dual dilation is a bijection; otherwise they are skipped and the report
     says why.  A caller that holds g = f - F passes it, so that g is built
     and transformed once; the pipeline passes a g whose transform it derived

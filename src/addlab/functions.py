@@ -177,6 +177,16 @@ _PAIRS_PER_BYTE = 8
 _PAIR_BLOCK = 1 << 16  # pairwise products per scatter-add, to bound temporaries
 
 
+def _as_int64(v) -> np.ndarray:
+    """Integer values as int64.  Raises OverflowError naming 2^63 when an
+    entry of any other dtype reaches it in magnitude, where numpy's cast would
+    wrap it."""
+    v = np.asarray(v)
+    if v.dtype.kind != "i" and v.size and np.abs(v).max() >= _INT64_LIMIT:
+        raise OverflowError(f"entry {np.abs(v).max()} is not below 2^63 in magnitude")
+    return v.astype(np.int64, copy=False)
+
+
 def _abs_sum_max(v: np.ndarray) -> tuple[int, int]:
     """(sum |v|, max |v|) as Python ints, without int64 wraparound."""
     if not len(v):
@@ -372,11 +382,10 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     product exceed twice the entry bound; the residues are recombined by
     Garner's CRT, centred.  Integer arithmetic only on every route.
 
-    Raises OverflowError, before any work, when the entry bound
+    Raises OverflowError, before any work, when an entry or the entry bound
     min(sum|g1| max|g2|, sum|g2| max|g1|) is 2^63 or more.
     """
-    g1 = np.asarray(g1, dtype=np.int64)
-    g2 = np.asarray(g2, dtype=np.int64)
+    g1, g2 = _as_int64(g1), _as_int64(g2)
     cyclic = ctx.kind == "cyclic"
     if cyclic:
         (s1, g1), (s2, g2) = _support_arc(g1), _support_arc(g2)

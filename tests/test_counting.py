@@ -92,15 +92,43 @@ class TestCountT:
         assert res.trivial == 10**20 and type(res.trivial) is int
         assert res.total == 10**20 and type(res.total) is int
 
-    @pytest.mark.parametrize("mass", [10001, 123457, pytest.param(
-        np.float64(10001), id="float64", marks=pytest.mark.xfail(
-            strict=True, reason="integer-valued floats take the rounded dual sum"))])
-    def test_fourier_integer_count_is_exact(self, mass):
+    MASSES = [10001, 123457, pytest.param(np.float64(10001), id="float64")]
+
+    @staticmethod
+    def _check_point_mass(mass, method):
         # the counts pass 2^53: a rounded float misses 10001^5 by 27985
         eq = EquationSpec([1, 1, 1, -1, -2])
         h = Dfn(CyclicCtx(7), np.array([mass, 0, 0, 0, 0, 0, 0]))
-        res = count_T(eq, [h] * 5, "fourier")
+        res = count_T(eq, [h] * 5, method)
         assert res.total == int(mass)**5 and type(res.total) is int
+
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_fourier_integer_count_is_exact(self, mass):
+        self._check_point_mass(mass, "fourier")
+
+    @pytest.mark.parametrize("mass", MASSES)
+    def test_brute_integer_count_is_exact(self, mass):
+        self._check_point_mass(mass, "brute")
+
+    @pytest.mark.parametrize("method", ["brute", "fourier"])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_integer_valued_count_past_2_53(self, method, dtype):
+        # the float dual sum of this count rounds to 47021807518040209752064
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        h = Dfn(CyclicCtx(67), np.zeros(67, dtype=dtype))
+        h.values[[0, 1, 3, 7, 12, 20]] = 12345
+        res = count_T(eq, [h] * 5, method)
+        assert res.total == 47021807518040216362500 and type(res.total) is int
+        assert res.trivial == 6 * 12345**5 and type(res.trivial) is int
+
+    @pytest.mark.parametrize("method", ["brute", "fourier"])
+    def test_float_entry_past_int64_raises(self, method):
+        # numpy's cast would wrap 2^63 to -2^63 with only a warning
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        big = Dfn(CyclicCtx(7), np.array([2.0**63, 0, 0, 0, 0, 0, 0]))
+        one = Dfn.delta(CyclicCtx(7))
+        with pytest.raises(OverflowError, match="2\\^63"):
+            count_T(eq, [big] + [one] * 4, method)
 
     def test_fourier_integer_count_raises_past_entry_bound(self):
         # the 3-fold partial convolution of a point mass 2^22 would reach 2^66
@@ -668,13 +696,27 @@ class TestTelescopingCounts:
         self._check(eq, f, f, Dfn(ctx, rng.normal(size=ctx.N)))
 
     @pytest.mark.parametrize("case", CASES)
-    def test_integer_valued_floats_round(self, case):
+    def test_integer_valued_floats_count_exactly(self, case):
         ctx, eq = self.CASES[case]
         rng = spawn_rng(35, 2)
         f, F = (Dfn(ctx, rng.integers(0, 3, size=ctx.N).astype(float)) for _ in range(2))
         self._check(eq, f, F, f - F)
-        T_f, _, terms = _telescoping_counts(eq, f, F, f - F)
-        assert isinstance(T_f, int) and all(isinstance(t, int) for t in terms)
+        T_f, T_F, terms = _telescoping_counts(eq, f, F, f - F)
+        assert all(type(t) is int for t in [T_f, T_F, *terms])
+        as_ints = [Dfn(ctx, h.values.astype(np.int64)) for h in (f, F, f - F)]
+        assert (T_f, T_F, terms) == _telescoping_counts(eq, *as_ints)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_integer_valued_F_counts_exactly_beside_float_f(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 4)
+        f = Dfn(ctx, rng.uniform(0, 1, size=ctx.N))
+        F = Dfn(ctx, 8.0 * rng.integers(0, 2, size=ctx.N))
+        self._check(eq, f, F, f - F)
+        T_f, T_F, terms = _telescoping_counts(eq, f, F, f - F)
+        exact = count_T(eq, [Dfn(ctx, F.values.astype(np.int64))] * eq.k).total
+        assert type(T_F) is int and T_F == exact
+        assert all(type(t) is float for t in [T_f, *terms])
 
     @pytest.mark.parametrize("case", CASES)
     def test_integer_arrays_count_exactly(self, case):
@@ -911,6 +953,20 @@ class TestPipeline:
         assert rep.passed and len(calls) == 1 and calls[0] is not None
         chain_T = rep.sections["holder_chain"].quantities["T"]
         assert_same_bits(chain_T, rep.sections["telescoping"].quantities["terms"][0])
+
+    @pytest.mark.parametrize("build, N, t, eps", [
+        (lambda: greedy_kst_free(2, 2, 64, seed=3), 64, 2, "1/8"),  # f is F
+        (lambda: greedy_kst_free(2, 3, 1024, seed=0), 1024, 3, "1/2"),
+    ], ids=["sidon_64", "kst23_free_1024"])
+    def test_T_F_is_the_scaled_solution_count(self, build, N, t, eps):
+        # N^{1/2} is an integer, so F = N^{1/2} 1_A is integer-valued and T(F)
+        # is counted exactly, independently of the ledger's solutions in A
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        rep = run_transference_pipeline(build(), eq, 2, t, eps)
+        assert rep.passed
+        T_F, solutions = rep.ledger["T_F"], rep.ledger["solutions_in_A"]
+        assert type(T_F) is int and type(solutions) is int
+        assert T_F == round(N ** (1 / 2)) ** eq.k * solutions
 
     def test_nonfree_input_raises_with_witness(self):
         from addlab.sets import FreenessError

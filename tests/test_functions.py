@@ -159,6 +159,13 @@ class TestConvolve:
         assert exact.values.dtype == np.int64
         assert np.array_equal(exact.values, definitional_convolve(a, b))
 
+    def test_float_entry_past_int64_raises(self):
+        # an integer-valued float of 2^63 would wrap to -2^63 in the cast
+        ctx = CyclicCtx(5)
+        big = Dfn(ctx, np.array([2.0**63, 0, 0, 0, 0]))
+        with pytest.raises(OverflowError, match="2\\^63"):
+            convolve(big, Dfn.delta(ctx))
+
     def test_ctx_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             convolve(Dfn.delta(CyclicCtx(4)), Dfn.delta(CyclicCtx(5)))
