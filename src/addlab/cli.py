@@ -17,7 +17,7 @@ import numpy as np
 
 from . import counting, dense_model, energy, functions, sets, spectral
 from .counting import EquationSpec, PipelineReport
-from .groups import CyclicCtx, FieldCtx, VectorCtx
+from .groups import CyclicCtx, FieldCtx, VectorCtx, parse_ctx
 from .functions import Dfn, character_matrix, fourier
 from .report import VerificationReport, dumps_report, to_jsonable, write_csv
 from .util import as_fraction, spawn_rng
@@ -442,8 +442,17 @@ def _ratio_rows(out: dict):
 # -- command implementations --------------------------------------------------
 
 
-# construct's numeric parameters; the others (ctx, basis, eq) pass as text
-_CONSTRUCT_NUMBERS = {"p": int, "M": int, "s": int, "t": int, "N": int, "density": float}
+def _density(text: str) -> float:
+    density = float(text)
+    if not 0 <= density <= 1:
+        raise ValueError("density must lie in [0, 1]")
+    return density
+
+
+# construct's parameters by key; basis parses against the parsed ctx
+_CONSTRUCT_PARSERS = {"p": int, "M": int, "s": int, "t": int, "N": int,
+                      "density": _density, "eq": lambda t: EquationSpec(_ints(t)),
+                      "ctx": parse_ctx}
 
 
 def _parse_equation(text: str, A) -> EquationSpec:
@@ -478,7 +487,13 @@ def _cmd_construct(args) -> int:
             if "=" not in part:
                 raise ConfigError(f"--params token {part!r} is not key=value")
             k, v = (x.strip() for x in part.split("=", 1))
-            params[k] = _parse_value(f"--params {k}", _CONSTRUCT_NUMBERS.get(k, str), v)
+            params[k] = _parse_value(f"--params {k}", _CONSTRUCT_PARSERS.get(k, str), v)
+    if "basis" in params and "ctx" in params:
+        ctx = params["ctx"]
+        params["basis"] = _parse_value(
+            "--params basis",
+            lambda t: [ctx.parse_element(b) for b in t.split("|") if b],
+            params["basis"])
     try:
         A = sets.construct(args.kind, params, seed=args.seed)
     except KeyError as exc:

@@ -742,9 +742,6 @@ def level_set_extract(f: Dfn, delta, p, n: int | None = None):
 
 # -- cycles and supersaturation -----------------------------------------------------
 
-# the reported supersaturation curve is (density / 2k)^3
-_SUPERSAT_EXPONENT = 3.0
-
 
 def count_k_cycles(eq: EquationSpec, sets: list) -> CountResult:
     """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers.
@@ -774,7 +771,7 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     y_i = a_i x_i identifies cycles with solutions of the equation in A_0^k.
     The cycles are counted on the dual side and the solutions by physical
     pushforward convolutions, so the bijection check compares two routes.
-    The polynomial supersaturation ratio is reported, never asserted.
+    The cycle count over N^{k-1} is reported, never asserted.
     """
     ctx = A0.ctx
     if not isinstance(ctx, VectorCtx):
@@ -804,13 +801,11 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     solutions = count_equation_solutions(eq, A0)
     rep.quantities["solution_count"] = solutions
     rep.check("cycles_equal_solutions", cycles.total, "==", solutions, exact=True)
-    # (c) ratio against the polynomial supersaturation curve, report only
+    # (c) the density of A_0 and the cycles over N^{k-1}, report only
     rho = len(A0) / ctx.N
     rep.quantities["density"] = rho
     denom = ctx.N ** (eq.k - 1)
     rep.measured_ratios["cycles_over_Nk1"] = cycles.total / denom
-    if rho > 0:
-        rep.measured_ratios["supersat_curve"] = (rho / (2 * eq.k)) ** _SUPERSAT_EXPONENT
     return rep
 
 

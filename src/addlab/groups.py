@@ -107,36 +107,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_divmod(num, den, p):
-    """Polynomial divmod over F_p on little-endian coefficient lists."""
-    num = [c % p for c in num]
-    den = [c % p for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(den[-1], -1, p)
-    deg_d = len(den) - 1
-    quot = [0] * max(len(num) - deg_d, 1)
-    rem = list(num)
-    for k in range(len(rem) - 1, deg_d - 1, -1):
-        coef = rem[k] * inv_lead % p
-        if coef:
-            quot[k - deg_d] = coef
-            for j, dc in enumerate(den):
-                rem[k - deg_d + j] = (rem[k - deg_d + j] - coef * dc) % p
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quot, rem
-
-
 class FieldCtx:
     """F_q = F_p[y]/(m(y)) with q = p^r; elements are indices in [0, q).
 
     Index e encodes the polynomial sum(d_j y^j) with d_j the base-p digits
-    of e, little-endian.  Multiplication looks up a q x q table, built on
-    first use by schoolbook polynomial multiply followed by reduction
-    (r <= 4 at desk scale).
+    of e, little-endian.  All multiplicative structure comes from the powers
+    C^0, ..., C^{r-1} of the companion matrix C of m, the matrix of x -> y*x
+    in the power basis: a acts on digit vectors as M_a = sum_i a_i C^i.
+    The q x q multiplication table, built from these powers, holds the
+    digits M_a b; the trace is Tr(a) = tr(M_a) = sum_i a_i tr(C^i) mod p,
+    since the field trace is the trace of the multiplication map (Lidl and
+    Niederreiter, Finite Fields, ch. 2); and F_p[y]/(m) is a field exactly
+    when the table has no zero divisors, which the constructor checks for
+    r > 1 (so the table is built there; for r = 1 on first use).
     """
 
     def __init__(self, p: int, r: int = 1, modulus=None):
@@ -166,52 +149,24 @@ class FieldCtx:
         self.r = r
         self.q = p**r
         self.modulus = modulus
-        self._check_irreducible()
-        self._red_rows = self._reduction_rows()
         self._radix = _Radix(p, r)
+        # C: the shift y^j -> y^{j+1}, with y^r = -(m_0 + ... + m_{r-1} y^{r-1})
+        C = np.eye(r, k=-1, dtype=np.int64)
+        C[:, -1] = [-c % p for c in modulus[:r]]
+        powers = [np.eye(r, dtype=np.int64)]
+        for _ in range(r - 1):
+            powers.append(C @ powers[-1] % p)
+        self._companion_powers = np.stack(powers)
         self._mul_table = None
         self._inv_table = None
         self._trace_table = None
         self._char_kernel = {}
-
-    # -- construction checks -------------------------------------------------
-
-    def _check_irreducible(self):
-        p, r, m = self.p, self.r, self.modulus
-        if r == 1:
-            return
-        if r > 4:
-            raise ValueError("irreducibility check supports r <= 4 only")
-        for x in range(p):
-            acc = 0
-            for c in reversed(m):
-                acc = (acc * x + c) % p
-            if acc == 0:
-                raise ValueError(f"modulus has root {x} mod {p}; not irreducible")
-        if r == 4:
-            # degree 4 with no roots can still split into two quadratics
-            for b in range(p):
-                for c in range(p):
-                    _, rem = _poly_divmod(list(m), [c, b, 1], p)
-                    if not rem:
-                        raise ValueError(
-                            f"modulus divisible by y^2+{b}y+{c}; not irreducible"
-                        )
-
-    def _reduction_rows(self):
-        # row k = coefficients of y^{r+k} mod m(y), k = 0..r-2
-        p, r = self.p, self.r
-        rows = np.zeros((max(r - 1, 1), r), dtype=np.int64)
-        cur = np.array([(-c) % p for c in self.modulus[:r]], dtype=np.int64)
-        for k in range(r - 1):
-            rows[k] = cur
-            nxt = np.roll(cur, 1)
-            carry = nxt[0]
-            nxt[0] = 0
-            if carry:
-                nxt = (nxt + carry * rows[0]) % p
-            cur = nxt
-        return rows
+        if r > 1:
+            zero = np.argwhere(self.mul_table[1:, 1:] == 0)
+            if len(zero):
+                a, b = (self.format_element(x) for x in zero[0] + 1)
+                raise ValueError(f"modulus {modulus} is not irreducible mod {p}: "
+                                 f"({a}) * ({b}) = 0 (little-endian digits)")
 
     # -- digit codecs ----------------------------------------------------------
 
@@ -232,19 +187,6 @@ class FieldCtx:
 
     def sub(self, a, b):
         return self._radix.sub(a, b)
-
-    def _mul_digits(self, da, db):
-        p, r = self.p, self.r
-        shape = np.broadcast_shapes(da.shape[:-1], db.shape[:-1])
-        conv = np.zeros(shape + (2 * r - 1,), dtype=np.int64)
-        for i in range(r):
-            for j in range(r):
-                conv[..., i + j] += da[..., i] * db[..., j]
-        conv %= p
-        res = conv[..., :r].copy()
-        for k in range(r - 1):
-            res = (res + conv[..., r + k, None] * self._red_rows[k]) % p
-        return res
 
     def mul(self, a, b):
         return _scalar(self.mul_table[np.asarray(a, dtype=np.int64),
@@ -275,14 +217,13 @@ class FieldCtx:
 
     @property
     def mul_table(self):
+        """Row a holds a * b for every b: the digits of b times M_a."""
         if self._mul_table is None:
-            q = self.q
-            all_digits = self.digits(np.arange(q))
-            table = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                table[a] = self.from_digits(
-                    self._mul_digits(all_digits[a][None, :], all_digits)
-                )
+            digits = self.digits(np.arange(self.q))
+            mats = np.tensordot(digits, self._companion_powers, axes=1)
+            table = np.empty((self.q, self.q), dtype=np.int64)
+            for a in range(self.q):
+                table[a] = self.from_digits(digits @ mats[a].T)
             self._mul_table = table
         return self._mul_table
 
@@ -298,18 +239,10 @@ class FieldCtx:
 
     @property
     def trace_table(self):
-        """Tr(a) = a + a^p + ... + a^{p^{r-1}}, as an element of F_p."""
+        """Tr(a) = sum_i a_i tr(C^i) mod p, as an element of F_p."""
         if self._trace_table is None:
-            idx = np.arange(self.q, dtype=np.int64)
-            acc = idx.copy()
-            frob = idx.copy()
-            for _ in range(self.r - 1):
-                frob = np.asarray(self.pow(frob, self.p), dtype=np.int64)
-                acc = self.add(acc, frob)
-            dig = self.digits(acc)
-            if self.r > 1 and np.any(dig[..., 1:]):
-                raise AssertionError("trace left the prime subfield")
-            self._trace_table = dig[..., 0].astype(np.int64)
+            traces = np.trace(self._companion_powers, axis1=1, axis2=2)
+            self._trace_table = self.digits(np.arange(self.q)) @ traces % self.p
         return self._trace_table
 
     def trace(self, a):
@@ -612,15 +545,16 @@ class VectorCtx(GroupCtx):
 
 def parse_ctx(text: str) -> GroupCtx:
     """Inverse of GroupCtx.describe()."""
-    parts = text.strip().split(";")
-    if parts[0] == "cyclic":
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        return CyclicCtx(int(kv["M"]))
-    if parts[0] == "vector":
-        kv = dict(p.split("=", 1) for p in parts[1:])
+    kind, *parts = text.strip().split(";")
+    if kind not in ("cyclic", "vector"):
+        raise ValueError(f"unknown group encoding {text!r}")
+    kv = dict(p.split("=", 1) for p in parts)
+    try:
+        if kind == "cyclic":
+            return CyclicCtx(int(kv["M"]))
         modulus = (
             tuple(int(c) for c in kv["mod"].split(",")) if "mod" in kv else None
         )
-        field = FieldCtx(int(kv["p"]), int(kv["r"]), modulus)
-        return VectorCtx(field, int(kv["n"]))
-    raise ValueError(f"unknown group encoding {text!r}")
+        return VectorCtx(FieldCtx(int(kv["p"]), int(kv["r"]), modulus), int(kv["n"]))
+    except KeyError as exc:
+        raise ValueError(f"{kind} encoding needs {exc.args[0]}=") from None

@@ -531,7 +531,11 @@ def equation_free_greedy(eq, n: int, seed: int) -> SetA:
 
 
 def construct(kind: str, params: dict, seed: int = 0) -> SetA:
-    """Dispatcher used by the CLI; params is a {name: value} dict."""
+    """Dispatcher used by the CLI; params is a {name: value} dict.
+
+    Numbers may arrive as text; eq is an EquationSpec, ctx a GroupCtx and
+    basis a list of element indices, as the CLI parses them.
+    """
     if kind == "erdos_turan_sidon":
         M = int(params["M"]) if "M" in params else None
         return erdos_turan_sidon(int(params["p"]), M)
@@ -542,14 +546,9 @@ def construct(kind: str, params: dict, seed: int = 0) -> SetA:
     if kind == "random_subset":
         return random_subset(int(params["N"]), float(params["density"]), seed)
     if kind == "equation_free_greedy":
-        from .counting import EquationSpec
-
-        coeffs = [int(c) for c in str(params["eq"]).split(",")]
-        return equation_free_greedy(EquationSpec(coeffs), int(params["N"]), seed)
+        return equation_free_greedy(params["eq"], int(params["N"]), seed)
     if kind == "subspace":
-        ctx = parse_ctx(params["ctx"])
-        basis = [ctx.parse_element(b) for b in params.get("basis", "").split("|") if b]
-        return subspace_set(ctx, basis)
+        return subspace_set(params["ctx"], params.get("basis", []))
     raise ValueError(f"unknown construction kind {kind!r}")
 
 

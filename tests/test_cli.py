@@ -335,6 +335,25 @@ def test_construct_bad_params(tmp_path, capsys):
     assert run_cli("construct", "greedy_kst_free", "--params", "N",
                    "--out", out) == 2
     assert "token 'N' is not key=value" in capsys.readouterr().err
+    for kind, params, message in [
+        ("equation_free_greedy", "eq=1,1,x,N=10",
+         "--params eq '1,1,x': invalid literal for int()"),
+        ("equation_free_greedy", "eq=1,1,1,N=10",
+         "--params eq '1,1,1': coefficients must sum to 0 over Z"),
+        ("subspace", "ctx=vector;p=3;r=1;n=2,basis=1 x",
+         "--params basis '1 x': invalid literal for int()"),
+        ("subspace", "ctx=vector;p=3;n=2", "--params ctx 'vector;p=3;n=2': "),
+        ("subspace", "ctx=vector;p=3;r=2;n=1;mod=1,2,1", "not irreducible"),
+        ("random_subset", "N=10,density=2",
+         "--params density '2': density must lie in [0, 1]"),
+        ("random_subset", "N=10,density=-0.5", "--params density '-0.5'"),
+    ]:
+        assert run_cli("construct", kind, "--params", params, "--out", out) == 2, params
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err, err
+    assert run_cli("construct", "random_subset", "--params", "N=10,density=1",
+                   "--out", out) == 0
+    assert "|A| = 10" in capsys.readouterr().out
 
 
 def test_construct_negative_seed_is_config_error(tmp_path, capsys):

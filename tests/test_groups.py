@@ -1,5 +1,6 @@
 """Field/group arithmetic against hand-rolled polynomial oracles."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -37,6 +38,43 @@ def poly_mul_mod(a, b, modulus, p):
     return [v % p for v in out[:r]]
 
 
+def frobenius_trace(digs, modulus, p):
+    """a + a^p + ... + a^{p^{r-1}} by square-and-multiply over the oracle."""
+    r = len(modulus) - 1
+    acc, frob = list(digs), list(digs)
+    for _ in range(r - 1):
+        out = [1] + [0] * (r - 1)
+        e, base = p, list(frob)
+        while e:
+            if e & 1:
+                out = poly_mul_mod(out, base, modulus, p)
+            base = poly_mul_mod(base, base, modulus, p)
+            e >>= 1
+        frob = out
+        acc = [(x + y) % p for x, y in zip(acc, frob)]
+    return acc
+
+
+def has_low_factor(modulus, p):
+    """Trial division: does a monic factor of degree 1..r//2 divide the modulus?"""
+    r = len(modulus) - 1
+    for d in range(1, r // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            rem = list(modulus)
+            for k in range(r, d - 1, -1):  # long division by the monic low + y^d
+                c = rem[k]
+                for j, fj in enumerate(low + (1,)):
+                    rem[k - d + j] = (rem[k - d + j] - c * fj) % p
+            if not any(rem[:d]):
+                return True
+    return False
+
+
+# y^5 + 2y + 1 and y^6 + y + 2 over F_3, past the built-in degrees
+F3_5_MODULUS = (1, 2, 0, 0, 0, 1)
+F3_6_MODULUS = (2, 1, 0, 0, 0, 0, 1)
+
+
 class TestFieldCtx:
     def test_trace_examples_f9(self):
         F9 = FieldCtx(3, 2)  # F_3[y]/(y^2+1)
@@ -61,20 +99,7 @@ class TestFieldCtx:
         F = FieldCtx(3, 3)
         mod = list(F.modulus)
         for a in range(F.q):
-            digs = [int(d) for d in F.digits(a)]
-            acc = list(digs)
-            frob = list(digs)
-            for _ in range(F.r - 1):
-                # frob <- frob^p by square-and-multiply over the oracle
-                out = [1] + [0] * (F.r - 1)
-                e, base = F.p, list(frob)
-                while e:
-                    if e & 1:
-                        out = poly_mul_mod(out, base, mod, F.p)
-                    base = poly_mul_mod(base, base, mod, F.p)
-                    e >>= 1
-                frob = out
-                acc = [(x + y) % F.p for x, y in zip(acc, frob)]
+            acc = frobenius_trace([int(d) for d in F.digits(a)], mod, F.p)
             assert all(v == 0 for v in acc[1:]), "trace must land in F_p"
             assert F.trace(a) == acc[0]
 
@@ -134,6 +159,51 @@ class TestFieldCtx:
         sq = (1, 0, 2, 0, 1)
         with pytest.raises(ValueError, match="irreducible"):
             FieldCtx(3, 4, sq)
+
+    def test_rootless_reducible_degree_5(self):
+        # (y^2+1)(y^3+2y+1) over F_3: no root, no quadratic-squared shape
+        with pytest.raises(ValueError, match=r"\(1, 2, 1, 0, 0, 1\) is not irreducible mod 3"):
+            FieldCtx(3, 5, (1, 2, 1, 0, 0, 1))
+
+    def test_accepts_exactly_the_irreducible_moduli(self):
+        for p, degrees in ((3, (2, 3, 4)), (5, (2, 3))):
+            for r in degrees:
+                for low in itertools.product(range(p), repeat=r):
+                    modulus = low + (1,)
+                    if has_low_factor(modulus, p):
+                        with pytest.raises(ValueError, match="not irreducible"):
+                            FieldCtx(p, r, modulus)
+                    else:
+                        assert FieldCtx(p, r, modulus).modulus == modulus
+
+    @pytest.mark.parametrize("r, modulus", [(5, F3_5_MODULUS), (6, F3_6_MODULUS)])
+    def test_degrees_past_four(self, r, modulus):
+        assert not has_low_factor(modulus, 3)
+        F = FieldCtx(3, r, modulus)
+        mod = list(modulus)
+        rng = np.random.default_rng(r)
+        for a, b in rng.integers(0, F.q, size=(200, 2)):
+            da = [int(d) for d in F.digits(int(a))]
+            db = [int(d) for d in F.digits(int(b))]
+            assert [int(d) for d in F.digits(F.mul(int(a), int(b)))] == \
+                poly_mul_mod(da, db, mod, 3)
+        for a in range(F.q):
+            acc = frobenius_trace([int(d) for d in F.digits(a)], mod, 3)
+            assert acc[1:] == [0] * (r - 1) and F.trace(a) == acc[0]
+        units = np.arange(1, F.q)
+        assert np.all(F.mul(units, F.inv(units)) == 1)
+
+    def test_pow(self):
+        for p, r, modulus in [(3, 2, None), (5, 2, None), (3, 5, F3_5_MODULUS)]:
+            F = FieldCtx(p, r, modulus)
+            units = np.arange(1, F.q)
+            assert np.all(F.pow(units, F.q - 1) == 1)
+            assert np.all(F.pow(np.arange(F.q), 0) == 1)
+            assert F.pow(0, 0) == 1 and F.pow(0, 3) == 0
+            for e in (1, 2, 7, F.q):
+                assert np.array_equal(F.pow(units, -e), F.pow(F.inv(units), e))
+            with pytest.raises(ZeroDivisionError):
+                F.pow(0, -1)
 
 
 class TestGroupCtx:
