@@ -152,18 +152,12 @@ def verify_energy_interpolation(A: SetA, s: int):
     return rep
 
 
-def _tuple_decomposition(A: SetA, s: int, t: int):
-    """Per-support-size aggregates, weighted by the surjection counts."""
-    stats = {u: subset_rep_aggregates(A, u, t) for u in range(1, s + 1)}
-    weighted = {
-        u: {
-            "rep_sum": surjection_count(s, u) * st.rep_sum,
-            "count_over": surjection_count(s, u) * st.count_over,
-            "excess_sum": surjection_count(s, u) * st.excess_sum,
-        }
-        for u, st in stats.items()
-    }
-    return stats, weighted
+def _tuple_sum(A: SetA, s: int, weight, sizes=None) -> int:
+    """sum of weight(rep) over the s-tuples of A with rep >= 1 whose support
+    size lies in `sizes` (default 1..s), from the rep profile of each size."""
+    sizes = range(1, s + 1) if sizes is None else sizes
+    return sum(surjection_count(s, u) * n * weight(rep)
+               for u in sizes for rep, n in subset_rep_aggregates(A, u).items())
 
 
 def verify_kst_energy_bound(A: SetA, s: int, t: int):
@@ -178,9 +172,9 @@ def verify_kst_energy_bound(A: SetA, s: int, t: int):
     require_kst_free(A, s, t)
     m = len(A)
     e_s = pair_energy(A, s)
-    stats, weighted = _tuple_decomposition(A, s, t)
-    distinct_total = weighted[s]["rep_sum"]
-    degenerate_total = sum(weighted[u]["rep_sum"] for u in range(1, s))
+    distinct_total = _tuple_sum(A, s, lambda rep: rep, [s])
+    degenerate_total = _tuple_sum(A, s, lambda rep: rep, range(1, s))
+    max_rep = max(subset_rep_aggregates(A, s), default=0)
     c_s = vanishing_exponent(s)
     rep = VerificationReport(
         lemma="kst_energy_bound",
@@ -189,13 +183,13 @@ def verify_kst_energy_bound(A: SetA, s: int, t: int):
             "E_s": e_s,
             "distinct_total": distinct_total,
             "degenerate_total": degenerate_total,
-            "max_distinct_rep": stats[s].max_rep,
+            "max_distinct_rep": max_rep,
             "c_s": c_s,
         },
     )
     if s == 2:
         rep.flags.append("s=2 uses the patched exponent c_2 = 1")
-    rep.check("admissible_shift_bound", stats[s].max_rep, "<=", t - 1, exact=True)
+    rep.check("admissible_shift_bound", max_rep, "<=", t - 1, exact=True)
     rep.check(
         "decomposition_identity",
         m**s + distinct_total + degenerate_total,
@@ -234,8 +228,7 @@ def verify_heavy_tuple_count(A: SetA, s: int, t: int):
     if eta >= 1:
         rep.flags.append("not-applicable: eta >= 1")
         return rep
-    _, weighted = _tuple_decomposition(A, s, t)
-    count = sum(weighted[u]["count_over"] for u in range(1, s + 1))
+    count = _tuple_sum(A, s, lambda rep: int(rep > t - 1))
     rep.quantities["heavy_count"] = count
     rep.quantities["bound"] = (1 - (1 - eta) / t) * m**s
     rep.check("count_bound", t * count, "<=", e_s - m**s, exact=True)
@@ -284,9 +277,8 @@ def verify_excess_vanishing(A: SetA, s: int, t: int):
         raise ValueError("need 2 <= s <= t")
     require_kst_free(A, s, t)
     m = len(A)
-    _, weighted = _tuple_decomposition(A, s, t)
-    distinct_excess = weighted[s]["excess_sum"]
-    total = sum(weighted[u]["excess_sum"] for u in range(1, s + 1))
+    distinct_excess = _tuple_sum(A, s, lambda rep: max(rep - (t - 1), 0), [s])
+    total = _tuple_sum(A, s, lambda rep: max(rep - (t - 1), 0))
     c_s = vanishing_exponent(s)
     rep = VerificationReport(
         lemma="excess_vanishing",
@@ -313,6 +305,5 @@ def vanishing_eta(A: SetA, s: int, t: int) -> Fraction:
     m = len(A)
     if m == 0:
         return Fraction(0)
-    _, weighted = _tuple_decomposition(A, s, t)
-    total = sum(weighted[u]["excess_sum"] for u in range(1, s + 1))
+    total = _tuple_sum(A, s, lambda rep: max(rep - (t - 1), 0))
     return Fraction(total, m**s)

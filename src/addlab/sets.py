@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from types import MappingProxyType
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "SetA",
     "FreenessError",
     "GridWitness",
-    "SubsetRepStats",
     "rep_diff",
     "rep_tuple",
     "rep_tuples",
@@ -74,6 +73,7 @@ class SetA:
         self.model_n = model_n
         self._shift_masks = None
         self._indicator = None
+        self._rep_profiles = {}
 
     def __len__(self):
         return len(self.indices)
@@ -183,19 +183,7 @@ def rep_tuples(A: SetA, tuples) -> np.ndarray:
     return counts
 
 
-# -- aggregate statistics over distinct u-subsets -----------------------------------
-
-
-@dataclass
-class SubsetRepStats:
-    """Aggregates of rep = |admissible nonzero shifts| over distinct u-subsets."""
-
-    u: int
-    max_rep: int = 0
-    rep_sum: int = 0          # sum of rep over u-subsets
-    count_over: int = 0       # subsets with rep > t - 1
-    excess_sum: int = 0       # sum of (rep - (t-1))_+ over u-subsets
-    subsets: int = 0
+# -- rep profiles over distinct u-subsets -----------------------------------------
 
 
 def _mask_walk(masks, u: int, floor: int, acc: int):
@@ -225,37 +213,34 @@ def _subset_masks(A: SetA, u: int, floor: int):
     return _mask_walk(A.shift_masks(), u, floor, (1 << A.ctx.N) - 1)
 
 
-def subset_rep_aggregates(A: SetA, u: int, t: int) -> SubsetRepStats:
+def subset_rep_aggregates(A: SetA, u: int) -> MappingProxyType:
+    """{rep: number of u-subsets of A with that rep}, for rep >= 1, where rep
+    is the number of admissible nonzero shifts; built once per (A, u) and
+    returned read-only."""
+    if u not in A._rep_profiles:
+        A._rep_profiles[u] = MappingProxyType(_rep_profile(A, u))
+    return A._rep_profiles[u]
+
+
+def _rep_profile(A: SetA, u: int) -> dict:
     m = len(A)
-    st = SubsetRepStats(u=u, subsets=comb(m, u))
     if m < u:
-        return st
+        return {}
     if u == 1:
-        rep = m - 1
-        st.max_rep = rep
-        st.rep_sum = m * rep
-        st.count_over = m if rep > t - 1 else 0
-        st.excess_sum = m * max(rep - (t - 1), 0)
-        return st
+        return {m - 1: m} if m > 1 else {}
     if u == 2:
-        r = rep_diff(A).values
-        nz = r.copy()
-        nz[0] = 0
-        live = nz[nz > 0]
-        st.max_rep = int(live.max()) - 1 if len(live) else 0
-        st.rep_sum = int((live * (live - 1)).sum()) // 2
-        st.count_over = int(live[live > t].sum()) // 2
-        st.excess_sum = int((live * np.maximum(live - t, 0)).sum()) // 2
-        return st
-    # a subset whose only admissible shift is 0 has rep 0 and adds nothing
+        # the l ordered pairs with difference d != 0 share l - 1 nonzero shifts;
+        # r(d) = r(-d), and r(d) is even when d = -d, so l * count is even;
+        # index 0 is d = 0
+        r = rep_diff(A).values[1:]
+        ls, counts = np.unique(r[r > 1], return_counts=True)
+        return {int(l) - 1: int(l * c) // 2 for l, c in zip(ls, counts)}
+    # a subset whose only admissible shift is 0 has rep 0 and is left out
+    profile: dict = {}
     for _, mm in _subset_masks(A, u, 2):
         rep = mm.bit_count() - 1
-        st.max_rep = max(st.max_rep, rep)
-        st.rep_sum += rep
-        if rep > t - 1:
-            st.count_over += 1
-            st.excess_sum += rep - (t - 1)
-    return st
+        profile[rep] = profile.get(rep, 0) + 1
+    return profile
 
 
 # -- freeness ------------------------------------------------------------------------
@@ -272,12 +257,8 @@ def find_kst_violation(A: SetA, s: int, t: int) -> GridWitness | None:
         raise ValueError("need 2 <= s <= t")
     if len(A) < s:
         return None
-    if s == 2:
-        r = rep_diff(A).values
-        nz = r.copy()
-        nz[0] = 0
-        if nz.max(initial=0) < t:
-            return None
+    if s == 2 and max(subset_rep_aggregates(A, 2), default=0) < t - 1:
+        return None
     hit = next(_subset_masks(A, s, t), None)
     if hit is None:
         return None
@@ -483,6 +464,8 @@ def _greedy_shift_masks(ctx, candidates, s, t, max_size) -> list:
 
 
 def random_subset(ctx_or_n, density: float, seed: int) -> SetA:
+    if not 0 <= density <= 1:
+        raise ValueError(f"density {density} must lie in [0, 1]")
     ctx = CyclicCtx(ctx_or_n) if isinstance(ctx_or_n, int) else ctx_or_n
     rng = spawn_rng(seed, 0x52A2)
     picks = np.nonzero(rng.random(ctx.N) < density)[0]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from addlab.energy import (
+    _tuple_sum,
     moment_energy,
     pair_energy,
     power_sum,
@@ -22,7 +23,9 @@ from addlab.energy import (
 )
 from addlab.functions import Dfn
 from addlab.groups import CyclicCtx, VectorCtx, FieldCtx
-from addlab.sets import SetA, erdos_turan_sidon, greedy_kst_free, random_subset
+from addlab.sets import (
+    SetA, erdos_turan_sidon, greedy_kst_free, is_kst_free, random_subset, rep_tuple,
+)
 from addlab.util import spawn_rng
 
 
@@ -308,3 +311,43 @@ def test_surjection_counts():
             from math import comb
 
             assert sum(comb(m, u) * surjection_count(s, u) for u in range(1, s + 1)) == m**s
+
+
+def test_tuple_sum_against_definition():
+    # every tuple-level sum against weight(rep) summed over itertools.product;
+    # E_s = |A|^s + sum of rep holds on grid-free and non-free sets alike
+    rng = spawn_rng(19, 7)
+    cases = 0
+    non_free = 0
+    for trial in range(40):
+        if trial % 2:
+            ctx = VectorCtx(FieldCtx(3, 1), 3)
+        else:
+            ctx = CyclicCtx(int(rng.integers(12, 30)))
+        size = int(rng.integers(1, 8))
+        A = SetA(ctx, rng.choice(ctx.N, size=size, replace=False))
+        non_free += not is_kst_free(A, 2, 2)
+        for s in (2, 3):
+            reps = [
+                (len(set(tpl)) == s, rep_tuple(A, tpl))
+                for tpl in product([int(a) for a in A.indices], repeat=s)
+            ]
+            assert pair_energy(A, s) == len(A) ** s + _tuple_sum(A, s, lambda rep: rep)
+            for t in (2, 3, 4):
+                for weight in (
+                    lambda rep: rep,
+                    lambda rep: int(rep > t - 1),
+                    lambda rep: max(rep - (t - 1), 0),
+                ):
+                    for sizes in (None, [s]):
+                        expected = sum(
+                            weight(rep) for distinct, rep in reps
+                            if distinct or sizes is None
+                        )
+                        assert _tuple_sum(A, s, weight, sizes) == expected, (
+                            f"s={s}, t={t}, sizes={sizes}, A={A.indices.tolist()} "
+                            f"in {ctx!r}"
+                        )
+                        cases += 1
+    assert cases == 1440
+    assert non_free > 0

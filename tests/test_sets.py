@@ -115,18 +115,24 @@ class TestRepFunctions:
         assert rep_tuples(A, np.zeros((0, 2))).shape == (0,)
 
 
-def oracle_rep_aggregates(A, u, t):
-    """The five aggregates from rep_tuple over itertools.combinations."""
-    reps = [
-        rep_tuple(A, sub if u > 1 else sub * 2)  # (a, a) has the shifts of {a}
-        for sub in combinations([int(a) for a in A.indices], u)
-    ]
+def oracle_rep_profile(A, u):
+    """{rep: u-subsets with that rep}, rep >= 1, from rep_tuple over
+    itertools.combinations."""
+    profile = {}
+    for sub in combinations([int(a) for a in A.indices], u):
+        rep = rep_tuple(A, sub if u > 1 else sub * 2)  # (a, a) has the shifts of {a}
+        if rep:
+            profile[rep] = profile.get(rep, 0) + 1
+    return profile
+
+
+def profile_aggregates(profile, t):
+    """The t-dependent sums that the energy verifiers read off a profile."""
     return {
-        "max_rep": max(reps, default=0),
-        "rep_sum": sum(reps),
-        "count_over": sum(rep > t - 1 for rep in reps),
-        "excess_sum": sum(max(rep - (t - 1), 0) for rep in reps),
-        "subsets": len(reps),
+        "max_rep": max(profile, default=0),
+        "rep_sum": sum(n * rep for rep, n in profile.items()),
+        "count_over": sum(n for rep, n in profile.items() if rep > t - 1),
+        "excess_sum": sum(n * max(rep - (t - 1), 0) for rep, n in profile.items()),
     }
 
 
@@ -141,16 +147,28 @@ def test_subset_rep_aggregates_oracle():
         size = int(rng.integers(0, 12))
         A = SetA(ctx, rng.choice(ctx.N, size=size, replace=False))
         for u in range(1, 5):
+            expected = oracle_rep_profile(A, u)
+            profile = subset_rep_aggregates(A, u)
+            assert dict(profile) == expected, (
+                f"u={u}, A={A.indices.tolist()} in {ctx!r}"
+            )
             for t in range(2, 5):
-                st = subset_rep_aggregates(A, u, t)
-                got = {key: getattr(st, key) for key in
-                       ("max_rep", "rep_sum", "count_over", "excess_sum", "subsets")}
-                assert st.u == u
-                assert got == oracle_rep_aggregates(A, u, t), (
-                    f"u={u}, t={t}, A={A.indices.tolist()} in {ctx!r}"
-                )
+                assert profile_aggregates(profile, t) == profile_aggregates(expected, t)
                 cases += 1
     assert cases == 720
+
+
+def test_rep_profile_follows_the_group_and_is_read_only():
+    A = SetA(CyclicCtx(7), [0, 1, 3])
+    profile = subset_rep_aggregates(A, 2)
+    assert dict(profile) == {}  # {0, 1, 3} is Sidon in Z_7
+    assert subset_rep_aggregates(A, 2) is profile
+    with pytest.raises(TypeError):
+        profile[1] = 1
+    B = A.with_ctx(CyclicCtx(5))
+    assert dict(subset_rep_aggregates(B, 2)) == {1: 2}
+    assert not is_kst_free(B, 2, 2)
+    assert is_kst_free(A, 2, 2)
 
 
 class TestFreeness:
@@ -164,7 +182,7 @@ class TestFreeness:
     def test_zero_shift_grid_detected(self):
         # max nonzero-shift count is t-1 here, yet a grid exists (zero shift)
         A = SetA(CyclicCtx(20), [0, 1, 2])
-        assert subset_rep_aggregates(A, 2, 2).max_rep == 1
+        assert max(subset_rep_aggregates(A, 2)) == 1
         w = find_kst_violation(A, 2, 2)
         assert w is not None and w.verify(A, 2, 2)
         assert find_kst_violation_exhaustive(A, 2, 2) is not None
@@ -216,11 +234,11 @@ class TestFreeness:
                 continue
             s, t = 2, 2
             free = find_kst_violation(A, s, t) is None
-            max_with_zero = subset_rep_aggregates(A, s, t).max_rep + 1
+            max_with_zero = max(subset_rep_aggregates(A, s), default=0) + 1
             assert free == (max_with_zero <= t - 1)
             if free:
                 # the one-sided bound from the shift-count argument
-                assert subset_rep_aggregates(A, s, t).max_rep <= t - 1
+                assert max(subset_rep_aggregates(A, s), default=0) <= t - 1
 
 
 class TestConstructions:
@@ -280,6 +298,13 @@ class TestConstructions:
     def test_random_subset_density(self):
         A = random_subset(400, 0.25, seed=8)
         assert 40 <= len(A) <= 160
+
+    def test_random_subset_density_range(self):
+        assert len(random_subset(10, 0, seed=0)) == 0
+        assert len(random_subset(10, 1, seed=0)) == 10
+        for density in (2, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=f"density {density} must lie"):
+                random_subset(10, density, seed=0)
 
     def test_construct_dispatcher(self):
         A = construct("erdos_turan_sidon", {"p": 5})
