@@ -66,7 +66,6 @@ from .dense_model import (
 )
 from .counting import (
     EquationSpec,
-    CountResult,
     PaddingError,
     padded_modulus,
     count_T,

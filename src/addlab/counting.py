@@ -16,6 +16,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
@@ -36,7 +37,6 @@ from .util import as_fraction, signed_residue
 
 __all__ = [
     "EquationSpec",
-    "CountResult",
     "PaddingError",
     "padded_modulus",
     "count_T",
@@ -97,14 +97,24 @@ class EquationSpec:
 
     def validate_for(self, ctx: GroupCtx):
         if isinstance(ctx, VectorCtx):
-            p = ctx.field.p
-            if any(c % p == 0 for c in self.coeffs):
-                raise ValueError(f"coefficient vanishes mod {p}")
-            if sum(self.coeffs) % p != 0:
-                raise ValueError(f"coefficients do not sum to 0 mod {p}")
-        else:
-            if self.char != 0 and sum(self.coeffs) != 0:
-                raise ValueError("equation is not translation invariant over Z")
+            if not all(_is_invertible(ctx, c) for c in self.coeffs):
+                raise ValueError(f"coefficient vanishes mod {ctx.exponent}")
+            if sum(self.coeffs) % ctx.exponent != 0:
+                raise ValueError(f"coefficients do not sum to 0 mod {ctx.exponent}")
+        elif self.char != 0 and sum(self.coeffs) != 0:
+            raise ValueError("equation is not translation invariant over Z")
+
+    def vanishing_subsum(self, ctx: GroupCtx) -> tuple | None:
+        """The first proper nonempty sub-multiset of the coefficients summing
+        to 0 mod ctx.exponent, fewest coefficients first, or None.  Then x in
+        those slots and y != x in the rest solve the equation, so no set with
+        |A| >= 2 is equation-free.  On the pipeline's padded modulus, which
+        exceeds sum |a_i|, a subsum that is 0 mod M is 0 over Z."""
+        for size in range(1, self.k):
+            for sub in combinations(self.coeffs, size):
+                if sum(sub) % ctx.exponent == 0:
+                    return sub
+        return None
 
     def __str__(self):
         return ",".join(str(c) for c in self.coeffs)
@@ -153,26 +163,14 @@ def assert_z_faithful(eq: EquationSpec, hs):
         )
 
 
-def _is_invertible(ctx, c: int) -> bool:
-    if isinstance(ctx, CyclicCtx):
-        return math.gcd(abs(c), ctx.M) == 1
-    return c % ctx.field.p != 0
+def _is_invertible(ctx: GroupCtx, c: int) -> bool:
+    """Whether x -> c x is a bijection of the group."""
+    return math.gcd(c, ctx.exponent) == 1
 
 
 def _solve_last(ctx, c: int, rhs):
-    """x with c*x = rhs; only called when c is invertible in the scalar ring."""
-    if isinstance(ctx, CyclicCtx):
-        inv = pow(c % ctx.M, -1, ctx.M)
-        return (inv * np.asarray(rhs, dtype=np.int64)) % ctx.M
-    inv = pow(c % ctx.field.p, -1, ctx.field.p)
-    return np.asarray(ctx.scale_int(inv, rhs))
-
-
-@dataclass
-class CountResult:
-    total: object
-    trivial: object
-    method: str
+    """x with c*x = rhs; only called when c is invertible."""
+    return np.asarray(ctx.scale_int(pow(c, -1, ctx.exponent), rhs))
 
 
 def _brute_total(ctx, coeffs, values):
@@ -238,17 +236,17 @@ def _exact_ints(values: list) -> list:
     return [v.astype(object) for v in values]
 
 
-def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
+def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     """The counting functional over k functions sharing a context.
 
-    For integer-valued inputs, of any dtype, `total` and `trivial` are exact
-    Python ints on both routes.  There the fourier route is
+    For integer-valued inputs, of any dtype, the count is an exact Python
+    int on both routes.  There the fourier route is
     (g_1 * ... * g_k)(0) over the weighted pushforwards
     g_i(y) = sum_{a_i x = y} h_i(x), through the exact convolution kernel;
     an entry or an entry bound of 2^63 or more raises OverflowError rather
     than return a rounded float.  Other inputs take the unrounded dual-side
-    sum (1/N) sum_xi prod_i hat(h_i)(a_i xi).
-    Whether the count is Z-faithful on a cyclic model is
+    sum (1/N) sum_xi prod_i hat(h_i)(a_i xi), a float for real inputs and
+    complex otherwise.  Whether the count is Z-faithful on a cyclic model is
     `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
@@ -260,25 +258,19 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier") -> CountResult:
     # one value test, conversion and pushforward per distinct function and coefficient
     integer = all(h.is_integer_valued() for h in set(hs))
     ints = {h: _as_int64(h.values) for h in set(hs)} if integer else None
-    values = _exact_ints([ints[h] for h in hs]) if integer else [h.values for h in hs]
-    trivial_total = functools.reduce(operator.mul, values).sum()
-    if integer:
-        trivial_total = int(trivial_total)
     if method == "brute":
-        total = _brute_total(ctx, eq.coeffs, values)
-        return CountResult(total=int(total) if integer else total,
-                           trivial=trivial_total, method="brute")
+        if not integer:
+            return _brute_total(ctx, eq.coeffs, [h.values for h in hs])
+        return int(_brute_total(ctx, eq.coeffs, _exact_ints([ints[h] for h in hs])))
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
     if integer:
         slots = list(zip(eq.coeffs, hs))
         pushed = {(a, h): _weighted_pushforward(ctx, ints[h], a) for a, h in set(slots)}
-        total = _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
-    else:
-        prod = _dual_product(np.ones(ctx.N, dtype=np.complex128), zip(eq.coeffs, hs),
-                             _dilations(ctx, eq.coeffs))
-        total = _dual_total(prod, all(h.tag == "real" for h in hs))
-    return CountResult(total=total, trivial=trivial_total, method="fourier")
+        return _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
+    prod = _dual_product(np.ones(ctx.N, dtype=np.complex128), zip(eq.coeffs, hs),
+                         _dilations(ctx, eq.coeffs))
+    return _dual_total(prod, all(h.tag == "real" for h in hs))
 
 
 def _dilations(ctx, coeffs) -> dict:
@@ -381,10 +373,9 @@ def _set_partitions(items):
 def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
     """(solutions in A^k, solutions with pairwise distinct coordinates)."""
     ctx, m = A.ctx, len(A)
-    modulus = ctx.M if isinstance(ctx, CyclicCtx) else ctx.field.p
     weights: dict = {}  # sorted nonzero block sums, up to sign -> Moebius weight
     for blocks in _set_partitions(eq.coeffs):
-        sums = sorted(c for c in (signed_residue(sum(B), modulus) for B in blocks) if c)
+        sums = sorted(filter(None, (signed_residue(sum(B), ctx.exponent) for B in blocks)))
         key = min(tuple(sums), tuple(sorted(-c for c in sums)))
         mu = math.prod((-1) ** (len(B) - 1) * math.factorial(len(B) - 1) for B in blocks)
         weights[key] = weights.get(key, 0) + mu * m ** (len(blocks) - len(key))
@@ -467,7 +458,7 @@ def trivial_solution_value(
     value = float(n) ** (eq.k / s) * len(A)
     if scaled is None:
         scaled = Dfn(A.ctx, A.indicator().values * float(n) ** (1.0 / s))
-    measured = count_T(eq, [scaled] * eq.k, method="fourier").total
+    measured = count_T(eq, [scaled] * eq.k, method="fourier")
     rep = VerificationReport(
         lemma="diagonal_count_value",
         inputs={"eq": str(eq), "set": A.provenance, "s": s, "N": n},
@@ -504,7 +495,7 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
 
 
 def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
-    """verify_counting_lemma, given T = count_T(eq, fs).total when the caller
+    """verify_counting_lemma, given T = count_T(eq, fs) when the caller
     has it (None otherwise)."""
     k = eq.k
     if k < 5:
@@ -514,13 +505,12 @@ def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
     if nu.tag == "complex":
         raise ValueError("nu majorizes |f_j|, so it must be real")
     ctx = nu.ctx
-    if isinstance(ctx, CyclicCtx):
-        bad = [a for a in eq.coeffs if math.gcd(abs(a), ctx.M) != 1]
-        if bad:
-            raise ValueError(
-                f"coefficients {bad} not coprime to M={ctx.M}; dual dilations "
-                "must be bijective for the chain (use the padded modulus)"
-            )
+    bad = [a for a in eq.coeffs if not _is_invertible(ctx, a)]
+    if bad:
+        raise ValueError(
+            f"coefficients {bad} are not invertible on {ctx.describe()}; dual "
+            "dilations must be bijective for the chain (use the padded modulus)"
+        )
     # the pipeline passes one function in several slots: check each once,
     # under the first slot that holds it
     distinct: dict = {}
@@ -533,7 +523,7 @@ def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
         if gap[worst] > slack:
             raise ValueError(f"|f_{j}| exceeds nu at x={worst} by {gap[worst]:.3g}")
     if T is None:
-        T = count_T(eq, fs, method="fourier").total
+        T = count_T(eq, fs, method="fourier")
     T_abs = abs(T)
     norms_of = {key: _dual_mean_norms(f, k) for key, (_, f) in distinct.items()}
     norms = [norms_of[id(f)] for f in fs]
@@ -592,7 +582,7 @@ def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
     integer = {h: h.is_integer_valued() for h in {f, F, g}}
 
     def exact(hs):
-        return count_T(eq, hs).total if all(map(integer.get, hs)) else None
+        return count_T(eq, hs) if all(map(integer.get, hs)) else None
 
     def total(prod, hs):
         return _dual_total(prod, all(h.tag == "real" for h in hs))
@@ -743,7 +733,7 @@ def level_set_extract(f: Dfn, delta, p, n: int | None = None):
 # -- cycles and supersaturation -----------------------------------------------------
 
 
-def count_k_cycles(eq: EquationSpec, sets: list) -> CountResult:
+def count_k_cycles(eq: EquationSpec, sets: list) -> int:
     """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers.
 
     Evaluated on the dual side, N^-1 sum_xi prod_i hat(1_{X_i})(xi) modulo
@@ -755,12 +745,10 @@ def count_k_cycles(eq: EquationSpec, sets: list) -> CountResult:
     ctx = sets[0].ctx
     if not isinstance(ctx, VectorCtx):
         raise ValueError("cycle counting runs in the vector-space model")
-    if any(a % ctx.field.p == 0 for a in eq.coeffs):
+    if not all(_is_invertible(ctx, a) for a in eq.coeffs):
         raise ValueError("coefficients must be invertible mod p")
-    common = functools.reduce(np.intersect1d, [X.indices for X in sets])
-    diag = int(np.count_nonzero(np.asarray(ctx.scale_int(eq.k, common)) == 0))
     gs = [np.bincount(X.indices, minlength=ctx.N).astype(np.int64) for X in sets]
-    return CountResult(total=dual_value_at_zero(ctx, gs), trivial=diag, method="dual")
+    return dual_value_at_zero(ctx, gs)
 
 
 def verify_supersaturation(eq: EquationSpec, A0: SetA):
@@ -795,17 +783,17 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
     cycles = count_k_cycles(eq, dilated)
-    rep.quantities["cycle_count"] = cycles.total
-    rep.check("cycles_ge_diagonal", cycles.total, ">=", len(A0), exact=True)
+    rep.quantities["cycle_count"] = cycles
+    rep.check("cycles_ge_diagonal", cycles, ">=", len(A0), exact=True)
     # (b) bijection with equation solutions inside A_0^k
     solutions = count_equation_solutions(eq, A0)
     rep.quantities["solution_count"] = solutions
-    rep.check("cycles_equal_solutions", cycles.total, "==", solutions, exact=True)
+    rep.check("cycles_equal_solutions", cycles, "==", solutions, exact=True)
     # (c) the density of A_0 and the cycles over N^{k-1}, report only
     rho = len(A0) / ctx.N
     rep.quantities["density"] = rho
     denom = ctx.N ** (eq.k - 1)
-    rep.measured_ratios["cycles_over_Nk1"] = cycles.total / denom
+    rep.measured_ratios["cycles_over_Nk1"] = cycles / denom
     return rep
 
 
@@ -859,7 +847,7 @@ def run_transference_pipeline(
         # re-embed into a modulus that covers the smoothed support window
         width = int(eps * n_model)
         M_req = padded_modulus(eq, n_model, radius=n_model + width)
-        if ctx.M < M_req or any(math.gcd(abs(a), ctx.M) != 1 for a in eq.coeffs):
+        if ctx.M < M_req or not all(_is_invertible(ctx, a) for a in eq.coeffs):
             ctx = CyclicCtx(M_req)
             A = A.with_ctx(ctx)
     eq.validate_for(ctx)
@@ -885,11 +873,11 @@ def run_transference_pipeline(
     assert_z_faithful(eq, [A.indicator()] * eq.k)
     exact_solutions, distinct = _solution_counts(eq, A)
 
-    # the model is built on a copy of A, checked free above, and dropped once
-    # f is taken from it: the transform of 1_A memoized on the copy serves
-    # the spectrum, the model and its properties, then goes with the copy
-    model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps, n_model=n_model,
-                                 check_free=False)
+    # the model is built on a copy of A, which shares A's rep profile and so
+    # its freeness verdict, and dropped once f is taken from it: the transform
+    # of 1_A memoized on the copy serves the spectrum, the model and its
+    # properties, then goes with the copy
+    model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps, n_model=n_model)
     report.sections["model_properties"] = dm.verify_model_properties(model)
     report.flags += report.sections["model_properties"].flags
     f, scale, smoother_size = model.f, model.scale, model.smoother_size
@@ -941,10 +929,15 @@ def run_transference_pipeline(
     )
     report.ledger["solutions_in_A"] = exact_solutions
     report.ledger["all_distinct_solutions"] = distinct
+    vanishing = eq.vanishing_subsum(ctx)
     if exact_solutions == len(A):
         _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F,
                                              exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep
+    elif vanishing is not None:
+        report.flags.append(
+            f"set is not equation-free: the coefficients {list(vanishing)} sum to 0 "
+            f"mod {ctx.exponent}, so every set with |A| >= 2 has a nontrivial solution")
     else:
         report.flags.append("set is not equation-free: T(F) exceeds the diagonal value")
 

@@ -62,15 +62,12 @@ def build_dense_model(
     t: int,
     eps,
     n_model: int | None = None,
-    check_free: bool = True,
 ) -> DenseModel:
     """Smooth 1_A by the Bohr set / annihilator built from its large spectrum.
 
     The context sets the mode: a Bohr set on Z_M ('integer_model'), an
-    annihilator on F_q^n ('finite_field').  check_free=False skips the
-    grid-freeness precondition; the construction is well-defined for any set
-    (used e.g. for the subspace fixed-point sanity check), but the moment
-    property is only meaningful on free sets.
+    annihilator on F_q^n ('finite_field').  A must be K_{s,t}-free
+    (FreenessError otherwise): the moment property is only meaningful there.
     """
     eps = as_fraction(eps)
     ctx = A.ctx
@@ -83,8 +80,7 @@ def build_dense_model(
         if ctx.M < min_M:
             ctx = CyclicCtx(min_M)
             A = A.with_ctx(ctx)
-    if check_free:
-        require_kst_free(A, s, t)
+    require_kst_free(A, s, t)
     spec = spectrum(A, eps)
     if mode == "integer_model":
         smoother = bohr_set(spec, eps, n)

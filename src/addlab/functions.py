@@ -155,13 +155,10 @@ def character_matrix(ctx) -> np.ndarray:
     return np.exp(-2j * np.pi * np.asarray(num) / den)
 
 
-def fourier(h: Dfn, method: str = "fast") -> Dfn:
-    """hat(h)(xi) = sum_x h(x) conj(character(x, xi)); 'direct' is the O(N^2) oracle."""
-    if method == "fast":
-        return Dfn(h.ctx, h.hat().copy())
-    if method == "direct":
-        return Dfn(h.ctx, h.values.astype(np.complex128) @ character_matrix(h.ctx))
-    raise ValueError(f"unknown method {method!r}")
+def fourier(h: Dfn) -> Dfn:
+    """hat(h)(xi) = sum_x h(x) conj(character(x, xi)); the O(N^2) sum itself is
+    h.values @ character_matrix(h.ctx)."""
+    return Dfn(h.ctx, h.hat().copy())
 
 
 def inverse_fourier(H: Dfn) -> Dfn:

@@ -287,6 +287,9 @@ class GroupCtx:
 
     kind: str
     N: int
+    # the integers act through Z_exponent: c acts invertibly iff
+    # gcd(c, exponent) = 1 (M on Z_M, the characteristic p on F_q^n)
+    exponent: int
 
     # index arithmetic -------------------------------------------------------
     def add(self, i, j):
@@ -385,6 +388,7 @@ class CyclicCtx(GroupCtx):
             raise ValueError("cyclic order exceeds the desk-scale bound 2^31")
         self.M = M
         self.N = M
+        self.exponent = M
 
     def add(self, i, j):
         out = (np.asarray(i, dtype=np.int64) + np.asarray(j, dtype=np.int64)) % self.M
@@ -460,6 +464,7 @@ class VectorCtx(GroupCtx):
         self.field = field
         self.n = n
         self.N = int(N)
+        self.exponent = field.p
         self._radix = _Radix(field.p, n * field.r)
         self._coords = _Radix(field.q, n)
 

@@ -109,7 +109,12 @@ class SetA:
         return self._shift_masks
 
     def with_ctx(self, ctx: GroupCtx) -> "SetA":
-        return SetA(ctx, self.indices, self.provenance, self.model_n)
+        """A copy with its own indicator; on an equal group it shares the rep
+        profiles and shift masks, which depend only on the indices and group."""
+        copy = SetA(ctx, self.indices, self.provenance, self.model_n)
+        if ctx == self.ctx:
+            copy._rep_profiles, copy._shift_masks = self._rep_profiles, self._shift_masks
+        return copy
 
     def __repr__(self):
         name = self.provenance.get("construction", "set")
@@ -252,17 +257,13 @@ def find_kst_violation(A: SetA, s: int, t: int) -> GridWitness | None:
     A distinct s-subset whose admissible-shift set (zero included) has at
     least t elements yields the witness x_i = a_i - d_1, y_j = -(d_j - d_1),
     with d_1 < ... < d_t the first t admissible shifts by residue order.
+    Such a subset has rep >= t - 1, so the rep profile decides freeness.
     """
     if not 2 <= s <= t:
         raise ValueError("need 2 <= s <= t")
-    if len(A) < s:
+    if max(subset_rep_aggregates(A, s), default=0) < t - 1:
         return None
-    if s == 2 and max(subset_rep_aggregates(A, 2), default=0) < t - 1:
-        return None
-    hit = next(_subset_masks(A, s, t), None)
-    if hit is None:
-        return None
-    chosen, mm = hit
+    chosen, mm = next(_subset_masks(A, s, t))
     shifts = []
     m = mm
     while m and len(shifts) < t:

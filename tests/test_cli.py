@@ -148,6 +148,8 @@ class TestCommands:
         data = json.loads(report.read_text())
         assert data["pass"] is True
         assert data["quantities"]["total_brute"] == data["quantities"]["total_fourier"]
+        assert data["inputs"]["|A|"] == 5
+        assert not [key for key in data["quantities"] if key.startswith("trivial")]
         (agree,) = [a for a in data["assertions"] if a["name"] == "methods_agree"]
         assert agree["exact"] is True and agree["op"] == "=="
 

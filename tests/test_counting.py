@@ -40,6 +40,8 @@ from addlab.util import spawn_rng
 F5 = VectorCtx(FieldCtx(5, 1), 1)
 F3_2 = VectorCtx(FieldCtx(3, 1), 2)
 F3_3 = VectorCtx(FieldCtx(3, 1), 3)
+F3_4 = VectorCtx(FieldCtx(3, 1), 4)
+F5_2 = VectorCtx(FieldCtx(5, 1), 2)
 
 
 class TestEquationSpec:
@@ -74,23 +76,44 @@ class TestEquationSpec:
         with pytest.raises(ValueError, match="vanishes"):
             eq.validate_for(VectorCtx(FieldCtx(3, 1), 2))
 
+    @pytest.mark.parametrize("coeffs, ctx, subsum", [
+        ((1, 1, 1, -1, -2), CyclicCtx(433), (1, -1)),
+        ((1, 1, 1, 1, -4), F3_4, (1, -4)),
+        ((1, 1, 1, 1, -4), F5_2, None),  # every coefficient is 1 mod 5
+        ((1, 1, 6, -8), CyclicCtx(6), (6,)),
+    ])
+    def test_vanishing_subsum(self, coeffs, ctx, subsum):
+        assert EquationSpec(coeffs).vanishing_subsum(ctx) == subsum
+
+
+@pytest.mark.parametrize("ctx", [CyclicCtx(1), CyclicCtx(12), CyclicCtx(35), F3_3,
+                                 VectorCtx(FieldCtx(3, 2), 2), F5_2], ids=repr)
+def test_units_are_the_bijective_dilations(ctx):
+    # c is a unit exactly when x -> c x permutes the group, and then
+    # _solve_last inverts it
+    elements = ctx.elements()
+    for c in range(-12, 13):
+        bijective = len(np.unique(ctx.scale_int(c, elements))) == ctx.N
+        assert _is_invertible(ctx, c) == bijective, c
+        if bijective:
+            solved = _solve_last(ctx, c, elements)
+            np.testing.assert_array_equal(ctx.scale_int(c, solved), elements)
+
 
 class TestCountT:
     def test_full_group_f5(self):
         eq = EquationSpec([1, 1, 1, 1, 1], char=5)
         hs = [Dfn.indicator(F5, range(5))] * 5
         for method in ("brute", "fourier"):
-            res = count_T(eq, hs, method)
-            assert res.total == 625  # N^{k-1}
+            assert count_T(eq, hs, method) == 625  # N^{k-1}
 
     @pytest.mark.parametrize("method", ["brute", "fourier"])
     def test_integer_counts_do_not_wrap(self, method):
         # prod_i sum h_i = 10^20 > 2^63: int64 products would wrap
         eq = EquationSpec([1, 1, 1, -1, -2])
         h = Dfn(CyclicCtx(7), np.array([10**4, 0, 0, 0, 0, 0, 0]))
-        res = count_T(eq, [h] * 5, method)
-        assert res.trivial == 10**20 and type(res.trivial) is int
-        assert res.total == 10**20 and type(res.total) is int
+        count = count_T(eq, [h] * 5, method)
+        assert count == 10**20 and type(count) is int
 
     MASSES = [10001, 123457, pytest.param(np.float64(10001), id="float64")]
 
@@ -99,8 +122,8 @@ class TestCountT:
         # the counts pass 2^53: a rounded float misses 10001^5 by 27985
         eq = EquationSpec([1, 1, 1, -1, -2])
         h = Dfn(CyclicCtx(7), np.array([mass, 0, 0, 0, 0, 0, 0]))
-        res = count_T(eq, [h] * 5, method)
-        assert res.total == int(mass)**5 and type(res.total) is int
+        count = count_T(eq, [h] * 5, method)
+        assert count == int(mass)**5 and type(count) is int
 
     @pytest.mark.parametrize("mass", MASSES)
     def test_fourier_integer_count_is_exact(self, mass):
@@ -117,9 +140,8 @@ class TestCountT:
         eq = EquationSpec([1, 1, 1, -1, -2])
         h = Dfn(CyclicCtx(67), np.zeros(67, dtype=dtype))
         h.values[[0, 1, 3, 7, 12, 20]] = 12345
-        res = count_T(eq, [h] * 5, method)
-        assert res.total == 47021807518040216362500 and type(res.total) is int
-        assert res.trivial == 6 * 12345**5 and type(res.trivial) is int
+        count = count_T(eq, [h] * 5, method)
+        assert count == 47021807518040216362500 and type(count) is int
 
     @pytest.mark.parametrize("method", ["brute", "fourier"])
     def test_float_entry_past_int64_raises(self, method):
@@ -143,8 +165,7 @@ class TestCountT:
     def test_singleton_diagonal(self):
         eq = EquationSpec([1, 1, 1, 1, 1], char=5)
         hs = [Dfn.indicator(F5, [0])] * 5
-        res = count_T(eq, hs, "brute")
-        assert res.total == 1 and res.trivial == 1
+        assert count_T(eq, hs, "brute") == 1
 
     def test_brute_equals_fourier_complex(self):
         rng = spawn_rng(31, 0)
@@ -153,8 +174,8 @@ class TestCountT:
         for _ in range(20):
             hs = [Dfn(ctx, rng.normal(size=12) + 1j * rng.normal(size=12))
                   for _ in range(3)]
-            b = count_T(eq, hs, "brute").total
-            f = count_T(eq, hs, "fourier").total
+            b = count_T(eq, hs, "brute")
+            f = count_T(eq, hs, "fourier")
             assert abs(b - f) < 1e-9 * max(1.0, abs(b))
 
     def test_brute_equals_fourier_indicators(self):
@@ -164,8 +185,8 @@ class TestCountT:
             ctx = CyclicCtx(int(rng.integers(20, 40)))
             A = SetA(ctx, np.nonzero(rng.random(ctx.N) < 0.3)[0])
             hs = [A.indicator()] * 5
-            b = count_T(eq, hs, "brute").total
-            f = count_T(eq, hs, "fourier").total
+            b = count_T(eq, hs, "brute")
+            f = count_T(eq, hs, "fourier")
             assert b == f
 
     def test_noninvertible_coefficient_scan_path(self):
@@ -174,8 +195,8 @@ class TestCountT:
         ctx = CyclicCtx(12)
         rng = spawn_rng(31, 2)
         hs = [Dfn(ctx, rng.normal(size=12)) for _ in range(3)]
-        b = count_T(eq, hs, "brute").total
-        f = count_T(eq, hs, "fourier").total
+        b = count_T(eq, hs, "brute")
+        f = count_T(eq, hs, "fourier")
         assert abs(b - f) < 1e-9 * max(1.0, abs(b))
 
     def test_multilinearity(self):
@@ -187,10 +208,10 @@ class TestCountT:
             extra = Dfn(ctx, rng.normal(size=31))
             a, b = map(float, rng.normal(size=2))
             mixed = Dfn(ctx, a * hs[1].values + b * extra.values)
-            lhs = count_T(eq, [hs[0], mixed] + hs[2:], "fourier").total
-            rhs = a * count_T(eq, hs, "fourier").total + b * count_T(
+            lhs = count_T(eq, [hs[0], mixed] + hs[2:], "fourier")
+            rhs = a * count_T(eq, hs, "fourier") + b * count_T(
                 eq, [hs[0], extra] + hs[2:], "fourier"
-            ).total
+            )
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
     def test_translation_invariance(self):
@@ -201,8 +222,8 @@ class TestCountT:
                 hs = [Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(5)]
                 c = int(rng.integers(1, ctx.N))
                 shifted = [h.translate(c) for h in hs]
-                t0 = count_T(eq, hs, "fourier").total
-                t1 = count_T(eq, shifted, "fourier").total
+                t0 = count_T(eq, hs, "fourier")
+                t1 = count_T(eq, shifted, "fourier")
                 assert t1 == pytest.approx(t0, rel=1e-9, abs=1e-9)
 
     def test_padding_check_names_minimal_modulus(self):
@@ -221,7 +242,7 @@ class TestCountT:
             ctx = CyclicCtx(padded_modulus(eq, n))
             A = SetA(ctx, rng.choice(n, size=min(n, 6), replace=False))
             exact = count_equation_solutions(eq, A)
-            brute = count_T(eq, [A.indicator()] * 3, "brute").total
+            brute = count_T(eq, [A.indicator()] * 3, "brute")
             assert exact == brute
 
 
@@ -286,7 +307,7 @@ class TestBruteGrid:
             values = [A.indicator().values] * 5
             grid = _brute_total(ctx, eq.coeffs, values)
             assert grid == brute_scalar(ctx, eq.coeffs, values)
-            assert grid == count_T(eq, [A.indicator()] * 5, "fourier").total
+            assert grid == count_T(eq, [A.indicator()] * 5, "fourier")
 
     def test_no_invertible_coefficient(self):
         # gcd(2, 12) > 1 for every coefficient: every variable is enumerated
@@ -322,7 +343,7 @@ class TestBruteGrid:
         assert total == brute_scalar(ctx, coeffs, values)
         hs = [Dfn(ctx, v) for v in ints]
         for method in ("brute", "fourier"):
-            assert count_T(EquationSpec(coeffs), hs, method).total == total
+            assert count_T(EquationSpec(coeffs), hs, method) == total
 
 
 class TestTrivialSolutionValue:
@@ -463,7 +484,7 @@ class TestAllDistinct:
         eq, A = case
         total, distinct = _solution_counts(eq, A)
         assert distinct == count_all_distinct(eq, A)
-        assert total == count_T(eq, [A.indicator()] * eq.k, "fourier").total
+        assert total == count_T(eq, [A.indicator()] * eq.k, "fourier")
         if len(A) ** eq.k <= 40_000:
             assert distinct == product_oracle(eq, A)
         eq_last = with_invertible_last(eq, A.ctx)
@@ -666,7 +687,7 @@ class TestTelescopingCounts:
     def _per_slot(eq, f, F, g):
         k = eq.k
         terms = [[f] * i + [g] + [F] * (k - 1 - i) for i in range(k)]
-        T_f, T_F, *rest = (count_T(eq, hs, "fourier").total
+        T_f, T_F, *rest = (count_T(eq, hs, "fourier")
                            for hs in [[f] * k, [F] * k] + terms)
         return T_f, T_F, rest
 
@@ -714,7 +735,7 @@ class TestTelescopingCounts:
         F = Dfn(ctx, 8.0 * rng.integers(0, 2, size=ctx.N))
         self._check(eq, f, F, f - F)
         T_f, T_F, terms = _telescoping_counts(eq, f, F, f - F)
-        exact = count_T(eq, [Dfn(ctx, F.values.astype(np.int64))] * eq.k).total
+        exact = count_T(eq, [Dfn(ctx, F.values.astype(np.int64))] * eq.k)
         assert type(T_F) is int and T_F == exact
         assert all(type(t) is float for t in [T_f, *terms])
 
@@ -778,14 +799,13 @@ class TestCycles:
         eq = EquationSpec([1, 1, 1], char=3)
         ctx = VectorCtx(FieldCtx(3, 1), 2)
         A0 = SetA(ctx, [0])
-        res = count_k_cycles(eq, [A0] * 3)
-        assert res.total == 1
+        assert count_k_cycles(eq, [A0] * 3) == 1
 
     def test_full_f3(self):
         eq = EquationSpec([1, 1, 1], char=3)
         ctx = VectorCtx(FieldCtx(3, 1), 1)
         X = SetA(ctx, range(3))
-        assert count_k_cycles(eq, [X] * 3).total == 9  # N^{k-1}
+        assert count_k_cycles(eq, [X] * 3) == 9  # N^{k-1}
         assert brute_cycles(eq, [X] * 3) == 9
 
     def test_brute_matches_convolution(self):
@@ -796,7 +816,7 @@ class TestCycles:
             Xs = [SetA(ctx, np.nonzero(rng.random(ctx.N) < 0.5)[0]) for _ in range(5)]
             if any(len(X) == 0 for X in Xs):
                 continue
-            assert count_k_cycles(eq, Xs).total == brute_cycles(eq, Xs)
+            assert count_k_cycles(eq, Xs) == brute_cycles(eq, Xs)
 
     def test_diagonal_lower_bound_random(self):
         rng = spawn_rng(36, 1)
@@ -846,6 +866,19 @@ class TestPipeline:
             assert key in rep.ledger
         assert rep.ledger["smoother_size"] == 1
         assert TRIVIAL_SMOOTHER_FLAG in rep.flags
+        M = rep.inputs["modulus"]
+        assert (f"set is not equation-free: the coefficients [1, -1] sum to 0 mod {M}, "
+                "so every set with |A| >= 2 has a nontrivial solution") in rep.flags
+
+    def test_no_vanishing_subsum_keeps_the_generic_flag(self):
+        # over F_5 every coefficient of 1,1,1,1,-4 is 1: no subsum vanishes,
+        # yet the set has nontrivial solutions
+        A = greedy_kst_free(2, 2, 25, seed=0, ctx=F5_2)
+        rep = run_transference_pipeline(A, EquationSpec([1, 1, 1, 1, -4]), 2, 2, "1/2")
+        assert rep.passed
+        assert len(A) == 5 and rep.ledger["solutions_in_A"] == 125
+        assert [f for f in rep.flags if "equation-free" in f] == [
+            "set is not equation-free: T(F) exceeds the diagonal value"]
 
     def test_vector_pipeline(self):
         ctx = VectorCtx(FieldCtx(3, 1), 4)
@@ -993,6 +1026,7 @@ class TestPipeline:
         rep = run_transference_pipeline(A, eq, 2, 2, "1/8")
         assert rep.passed
         assert rep.ledger["solutions_in_A"] == len(A)
+        assert not any("equation-free" in f for f in rep.flags)
 
     def test_equation_free_pipeline_counts_solutions_once(self, monkeypatch):
         # the diagonal value takes the ledger's solution count, not a recount

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from addlab import sets
+from addlab.energy import verify_excess_vanishing, verify_kst_energy_bound
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import (
     SetA,
@@ -23,6 +24,7 @@ from addlab.sets import (
     rep_tuple,
     rep_tuples,
     save_set,
+    require_kst_free,
     subset_rep_aggregates,
     subspace_set,
     construct,
@@ -169,6 +171,47 @@ def test_rep_profile_follows_the_group_and_is_read_only():
     assert dict(subset_rep_aggregates(B, 2)) == {1: 2}
     assert not is_kst_free(B, 2, 2)
     assert is_kst_free(A, 2, 2)
+
+
+def test_with_ctx_shares_the_profile_on_an_equal_group():
+    A = erdos_turan_sidon(7)
+    B = A.with_ctx(CyclicCtx(A.ctx.M))
+    assert subset_rep_aggregates(B, 2) is subset_rep_aggregates(A, 2)
+    # the copy keeps its own indicator, and with it its own transform
+    assert B.indicator() is not A.indicator()
+
+
+def _record_walks(monkeypatch) -> list:
+    """The (u, floor) of every _subset_masks walk from here on."""
+    walks = []
+    walk = sets._subset_masks
+
+    def recording(A, u, floor):
+        walks.append((u, floor))
+        return walk(A, u, floor)
+
+    monkeypatch.setattr(sets, "_subset_masks", recording)
+    return walks
+
+
+def test_freeness_is_read_from_the_profile(monkeypatch):
+    # the checks of a K_{3,3}-free set share the one walk of its 3-subsets
+    greedy = greedy_kst_free(3, 3, 72, seed=5)
+    A = SetA(greedy.ctx, greedy.indices)
+    walks = _record_walks(monkeypatch)
+    for _ in range(3):
+        require_kst_free(A, 3, 3)
+    assert verify_kst_energy_bound(A, 3, 3).passed
+    assert verify_excess_vanishing(A, 3, 3).passed
+    assert walks == [(3, 2)]
+
+
+def test_violation_walks_for_the_profile_then_the_witness(monkeypatch):
+    A = SetA(CyclicCtx(30), range(8))
+    walks = _record_walks(monkeypatch)
+    w = find_kst_violation(A, 3, 3)
+    assert walks == [(3, 2), (3, 3)]
+    assert w.verify(A, 3, 3)
 
 
 class TestFreeness:
