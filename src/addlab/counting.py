@@ -929,12 +929,11 @@ def run_transference_pipeline(
     )
     report.ledger["solutions_in_A"] = exact_solutions
     report.ledger["all_distinct_solutions"] = distinct
-    vanishing = eq.vanishing_subsum(ctx)
     if exact_solutions == len(A):
         _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F,
                                              exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep
-    elif vanishing is not None:
+    elif (vanishing := eq.vanishing_subsum(ctx)) is not None:
         report.flags.append(
             f"set is not equation-free: the coefficients {list(vanishing)} sum to 0 "
             f"mod {ctx.exponent}, so every set with |A| >= 2 has a nontrivial solution")

@@ -110,10 +110,10 @@ class SetA:
 
     def with_ctx(self, ctx: GroupCtx) -> "SetA":
         """A copy with its own indicator; on an equal group it shares the rep
-        profiles and shift masks, which depend only on the indices and group."""
+        profiles, which depend only on the indices and group."""
         copy = SetA(ctx, self.indices, self.provenance, self.model_n)
         if ctx == self.ctx:
-            copy._rep_profiles, copy._shift_masks = self._rep_profiles, self._shift_masks
+            copy._rep_profiles = self._rep_profiles
         return copy
 
     def __repr__(self):
@@ -223,29 +223,31 @@ def subset_rep_aggregates(A: SetA, u: int) -> MappingProxyType:
     is the number of admissible nonzero shifts; built once per (A, u) and
     returned read-only."""
     if u not in A._rep_profiles:
-        A._rep_profiles[u] = MappingProxyType(_rep_profile(A, u))
+        _store_rep_profile(A, u)
     return A._rep_profiles[u]
 
 
-def _rep_profile(A: SetA, u: int) -> dict:
-    m = len(A)
-    if m < u:
-        return {}
-    if u == 1:
-        return {m - 1: m} if m > 1 else {}
-    if u == 2:
+def _store_rep_profile(A: SetA, u: int, stop: int | None = None):
+    """Store A's u-subset rep profile; for u >= 3 the walk instead returns the
+    first (positions, mask) keeping at least `stop` bits, storing nothing."""
+    profile = {}
+    if u == 1 and len(A) > 1:
+        profile[len(A) - 1] = len(A)
+    elif u == 2:
         # the l ordered pairs with difference d != 0 share l - 1 nonzero shifts;
         # r(d) = r(-d), and r(d) is even when d = -d, so l * count is even;
         # index 0 is d = 0
         r = rep_diff(A).values[1:]
         ls, counts = np.unique(r[r > 1], return_counts=True)
-        return {int(l) - 1: int(l * c) // 2 for l, c in zip(ls, counts)}
-    # a subset whose only admissible shift is 0 has rep 0 and is left out
-    profile: dict = {}
-    for _, mm in _subset_masks(A, u, 2):
-        rep = mm.bit_count() - 1
-        profile[rep] = profile.get(rep, 0) + 1
-    return profile
+        profile = {int(l) - 1: int(l * c) // 2 for l, c in zip(ls, counts)}
+    elif u >= 3:
+        # a subset whose only admissible shift is 0 has rep 0 and is left out
+        for hit in _subset_masks(A, u, 2):
+            bits = hit[1].bit_count()
+            if stop is not None and bits >= stop:
+                return hit
+            profile[bits - 1] = profile.get(bits - 1, 0) + 1
+    A._rep_profiles[u] = MappingProxyType(profile)
 
 
 # -- freeness ------------------------------------------------------------------------
@@ -258,12 +260,15 @@ def find_kst_violation(A: SetA, s: int, t: int) -> GridWitness | None:
     least t elements yields the witness x_i = a_i - d_1, y_j = -(d_j - d_1),
     with d_1 < ... < d_t the first t admissible shifts by residue order.
     Such a subset has rep >= t - 1, so the rep profile decides freeness.
+    Without a stored profile, its walk stops at the first violating subset
+    (the floor-t walk's first), so a non-free set raises early.
     """
     if not 2 <= s <= t:
         raise ValueError("need 2 <= s <= t")
-    if max(subset_rep_aggregates(A, s), default=0) < t - 1:
+    hit = None if s in A._rep_profiles else _store_rep_profile(A, s, stop=t)
+    if hit is None and max(A._rep_profiles[s], default=0) < t - 1:
         return None
-    chosen, mm = next(_subset_masks(A, s, t))
+    chosen, mm = hit or next(_subset_masks(A, s, t))
     shifts = []
     m = mm
     while m and len(shifts) < t:

@@ -181,14 +181,17 @@ def test_with_ctx_shares_the_profile_on_an_equal_group():
     assert B.indicator() is not A.indicator()
 
 
-def _record_walks(monkeypatch) -> list:
-    """The (u, floor) of every _subset_masks walk from here on."""
+def _record_walks(monkeypatch, cap=None) -> list:
+    """The (u, floor) of every _subset_masks walk from here on; a walk that
+    yields more than `cap` subsets fails the test."""
     walks = []
     walk = sets._subset_masks
 
     def recording(A, u, floor):
         walks.append((u, floor))
-        return walk(A, u, floor)
+        for n, hit in enumerate(walk(A, u, floor), 1):
+            assert cap is None or n <= cap, f"walk ({u}, {floor}) passed {cap} subsets"
+            yield hit
 
     monkeypatch.setattr(sets, "_subset_masks", recording)
     return walks
@@ -206,12 +209,27 @@ def test_freeness_is_read_from_the_profile(monkeypatch):
     assert walks == [(3, 2)]
 
 
-def test_violation_walks_for_the_profile_then_the_witness(monkeypatch):
+def test_a_large_non_free_set_raises_at_its_first_violation(monkeypatch):
+    # about 1.7e8 3-subsets; the profile walk stops at the first violating one
+    rng = spawn_rng(3, 3)
+    A = SetA(CyclicCtx(2000), rng.choice(2000, size=1000, replace=False))
+    walks = _record_walks(monkeypatch, cap=100)
+    with pytest.raises(FreenessError) as err:
+        require_kst_free(A, 3, 3)
+    assert walks == [(3, 2)]
+    assert 3 not in A._rep_profiles
+    assert err.value.witness.verify(A, 3, 3)
+
+
+def test_a_stored_profile_and_the_stopped_walk_give_one_witness(monkeypatch):
     A = SetA(CyclicCtx(30), range(8))
     walks = _record_walks(monkeypatch)
-    w = find_kst_violation(A, 3, 3)
-    assert walks == [(3, 2), (3, 3)]
-    assert w.verify(A, 3, 3)
+    first = find_kst_violation(A, 3, 3)
+    assert walks == [(3, 2)] and 3 not in A._rep_profiles
+    subset_rep_aggregates(A, 3)
+    assert find_kst_violation(A, 3, 3) == first
+    assert walks == [(3, 2), (3, 2), (3, 3)]
+    assert first.verify(A, 3, 3)
 
 
 class TestFreeness:
