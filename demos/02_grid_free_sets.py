@@ -46,7 +46,7 @@ for tpl in [(0, 1), (0, 3), (1, 2), (0, 1, 2)]:
 print("\ngreedy grid-free sets (random insertion order, re-verified)")
 for s, t in ((2, 2), (2, 3), (3, 3)):
     A = greedy_kst_free(s, t, 80 if s == 2 else 36, seed=1)
-    dens = len(A) / (A.model_n or A.ctx.N)
+    dens = len(A) / A.model_n
     print(f"  (s,t)=({s},{t}): |A| = {len(A)} in [0,{A.model_n}), density {dens:.2f}")
 
 # grid-freeness survives because every insertion was checked; the greedy

@@ -28,7 +28,7 @@ for p, eps in ((5, "1/4"), (7, "1/8"), (11, "1/6")):
     d = rep.quantities
     print(f"  p={p} eps={eps}: |B|={model.smoother_size} mass={d['mass']:.1f} "
           f"gap={d['fourier_gap']:.2f} sum f^s / N = "
-          f"{d['ls_norm'] / model.n_model:.2f}  -> {rep.summary()}")
+          f"{d['ls_norm'] / model.A.model_n:.2f}  -> {rep.summary()}")
 
 # ------------------------------------------------------ finite-field model
 print("\nfinite-field model in F_3^4 and F_3^5")

@@ -35,7 +35,7 @@ class SuiteConfig:
     seed: int = 42
     sizes: tuple = (64, 128, 256)
     st_pairs: tuple = ((2, 2), (2, 3), (3, 3))
-    equations: tuple = ((1, 1, 1, -1, -2),)
+    equation: tuple = (1, 1, 1, -1, -2)
     out: str | None = None
     plot_data: bool = False
 
@@ -52,13 +52,10 @@ class SuiteConfig:
         for s, t in self.st_pairs:
             if not 2 <= s <= t:
                 raise ConfigError(f"bad (s, t) pair ({s}, {t})")
-        if len(self.equations) != 1:  # the counting and pipeline suites run one
-            raise ConfigError(f"expected one equation, got {len(self.equations)}")
-        for coeffs in self.equations:
-            try:
-                EquationSpec(coeffs)
-            except ValueError as exc:
-                raise ConfigError(f"bad equation {coeffs}: {exc}") from exc
+        try:
+            EquationSpec(self.equation)
+        except ValueError as exc:
+            raise ConfigError(f"bad equation {self.equation}: {exc}") from exc
 
     def to_dict(self):
         # the fields that shape the results; the suites run serially
@@ -108,7 +105,7 @@ _VERIFY_KEYS = {
     "seed": ("seed", int),
     "sizes": ("sizes", _ints),
     "st": ("st_pairs", _parse_st),
-    "eq": ("equations", lambda text: tuple(_ints(e) for e in text.split(";"))),
+    "eq": ("equation", _ints),
     "out": ("out", str),
     # the suites run serially: threads stays a key only for callers passing 1
     "threads": (None, lambda text: _parse_bit(text, ("1",))),
@@ -335,7 +332,7 @@ def suite_counting(cfg: SuiteConfig):
 
     # equation-free sets: count equals |A| exactly
     rep = VerificationReport(lemma="equation_free_counts", inputs={})
-    eq = EquationSpec(list(cfg.equations[0]))
+    eq = EquationSpec(cfg.equation)
     A = sets.equation_free_greedy(eq, 48, seed=cfg.seed)
     rep.check("diagonal_only", counting.count_equation_solutions(eq, A), "==", len(A),
               exact=True)
@@ -377,7 +374,7 @@ def suite_counting(cfg: SuiteConfig):
 
 def suite_pipeline(cfg: SuiteConfig):
     reports = []
-    eq = EquationSpec(list(cfg.equations[0]))
+    eq = EquationSpec(cfg.equation)
     reports.append(("erdos_turan_11", counting.run_transference_pipeline(
         sets.erdos_turan_sidon(11), eq, 2, 2, "1/8")))
     ctx = VectorCtx(FieldCtx(3, 1), 5)
@@ -442,16 +439,9 @@ def _ratio_rows(out: dict):
 # -- command implementations --------------------------------------------------
 
 
-def _density(text: str) -> float:
-    density = float(text)
-    if not 0 <= density <= 1:
-        raise ValueError("density must lie in [0, 1]")
-    return density
-
-
 # construct's parameters by key; basis parses against the parsed ctx
 _CONSTRUCT_PARSERS = {"p": int, "M": int, "s": int, "t": int, "N": int,
-                      "density": _density, "eq": lambda t: EquationSpec(_ints(t)),
+                      "density": float, "eq": lambda t: EquationSpec(_ints(t)),
                       "ctx": parse_ctx}
 
 
@@ -498,6 +488,8 @@ def _cmd_construct(args) -> int:
         A = sets.construct(args.kind, params, seed=args.seed)
     except KeyError as exc:
         raise ConfigError(f"{args.kind} needs the parameter {exc.args[0]!r}") from exc
+    except ValueError as exc:  # the construction's own rule for its parameters
+        raise ConfigError(f"--params {args.params!r}: {exc}") from None
     sets.save_set(A, args.out)
     print(f"wrote {args.out}: |A| = {len(A)} in {A.ctx.describe()}")
     return 0

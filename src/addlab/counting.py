@@ -120,15 +120,13 @@ class EquationSpec:
         return ",".join(str(c) for c in self.coeffs)
 
 
-def padded_modulus(eq: EquationSpec, n_model: int, radius: int | None = None) -> int:
+def padded_modulus(eq: EquationSpec, radius: int) -> int:
     """Smallest M > (sum |a_i|) * radius with gcd(a_i, M) = 1 for every i.
 
     Coprimality keeps xi -> a_i xi bijective on Z_M (needed by the dual-side
     Hoelder chain) and lets the brute counter solve the last variable by
     modular inverse.
     """
-    if radius is None:
-        radius = n_model
     M = eq.weight() * radius + 1
     while any(math.gcd(abs(c), M) != 1 for c in eq.coeffs):
         M += 1
@@ -440,16 +438,16 @@ def _find_nontrivial_solution(eq: EquationSpec, A: SetA):
 
 
 def trivial_solution_value(
-    eq: EquationSpec, A: SetA, s: int, n_model: int | None = None,
-    scaled: Dfn | None = None, exact: int | None = None,
+    eq: EquationSpec, A: SetA, s: int, scaled: Dfn | None = None, exact: int | None = None,
 ):
-    """N^{k/s} |A| for an equation-free set; checked against the scaled count.
+    """N^{k/s} |A| for an equation-free set, N = A.model_n; checked against the
+    scaled count.
 
     A caller that holds the scaled indicator N^{1/s} 1_A already passes it
     as `scaled`, so that it is transformed once, and one that holds
     count_equation_solutions(eq, A) passes it as `exact`.
     """
-    n = n_model or A.model_n or A.ctx.N
+    n = A.model_n
     if exact is None:
         exact = count_equation_solutions(eq, A)
     if exact != len(A):
@@ -484,19 +482,14 @@ def pair_self_energy(h: Dfn) -> float:
     return float((np.abs(h.hat()) ** 4).mean())
 
 
-def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list):
+def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
     """Every link of the dual-side Hoelder chain, numerically, no hidden constants.
 
     |T| <= min_i sup|hat f_i| * prod_{j != i} ||hat f_j||_{k-1}, and for each j
     ||hat f_j||_{k-1}^{k-1} <= sup^{k-5} * ||hat f_j||_4^4 with
-    ||hat f_j||_4^4 = E_2(f_j, f_j) <= E_2(nu, nu).
+    ||hat f_j||_4^4 = E_2(f_j, f_j) <= E_2(nu, nu).  A caller that holds
+    T = count_T(eq, fs) passes it, so that it is not counted again.
     """
-    return _holder_chain(eq, nu, fs, None)
-
-
-def _holder_chain(eq: EquationSpec, nu: Dfn, fs: list, T):
-    """verify_counting_lemma, given T = count_T(eq, fs) when the caller
-    has it (None otherwise)."""
     k = eq.k
     if k < 5:
         raise ValueError("the chain needs k >= 5")
@@ -686,6 +679,8 @@ def level_set_extract(f: Dfn, delta, p, n: int | None = None):
     Asserts the Paley-Zygmund form |A_0| >= (delta/2)^{p/(p-1)} N whenever
     sum f^p <= N and the support fits in N points, and always asserts the
     support-corrected Hoelder form (exact consequence of the threshold split).
+    On a pipeline model with a one-point smoother f = N^{1/s} 1_A, so at the
+    pipeline's p = s, sum f^p = N |A| > N and only the corrected form runs.
     """
     vals = f.values.astype(np.float64)
     if np.min(vals) < -1e-12:
@@ -842,11 +837,10 @@ def run_transference_pipeline(
     eps = as_fraction(eps)
     ctx = A.ctx
     integer_mode = isinstance(ctx, CyclicCtx)
-    n_model = A.model_n or ctx.N
+    N = A.model_n
     if integer_mode:
         # re-embed into a modulus that covers the smoothed support window
-        width = int(eps * n_model)
-        M_req = padded_modulus(eq, n_model, radius=n_model + width)
+        M_req = padded_modulus(eq, N + int(eps * N))
         if ctx.M < M_req or not all(_is_invertible(ctx, a) for a in eq.coeffs):
             ctx = CyclicCtx(M_req)
             A = A.with_ctx(ctx)
@@ -859,7 +853,7 @@ def run_transference_pipeline(
             "s": s,
             "t": t,
             "eps": eps,
-            "N": n_model,
+            "N": N,
             "modulus": ctx.N,
             "|A|": len(A),
         }
@@ -877,7 +871,7 @@ def run_transference_pipeline(
     # its freeness verdict, and dropped once f is taken from it: the transform
     # of 1_A memoized on the copy serves the spectrum, the model and its
     # properties, then goes with the copy
-    model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps, n_model=n_model)
+    model = dm.build_dense_model(A.with_ctx(ctx), s, t, eps)
     report.sections["model_properties"] = dm.verify_model_properties(model)
     report.flags += report.sections["model_properties"].flags
     f, scale, smoother_size = model.f, model.scale, model.smoother_size
@@ -896,14 +890,13 @@ def run_transference_pipeline(
     del hat_A
     g = (f - F)._with_hat(f.hat() - F.hat())
     k = eq.k
-    N = n_model
 
     tele = verify_telescoping(eq, f, F, g=g)
     report.sections["telescoping"] = tele
     nu = (f + F)._with_hat(f.hat() + F.hat())
     # the chain's T(g, F, ..., F) is the telescoping's term 0; every input is
     # real, so the report holds that term with its bits
-    chain = _holder_chain(eq, nu, [g] + [F] * (k - 1), tele.quantities["terms"][0])
+    chain = verify_counting_lemma(eq, nu, [g] + [F] * (k - 1), tele.quantities["terms"][0])
     report.sections["holder_chain"] = chain
     report.sections["derived_transforms"] = _verify_transforms_at_zero(
         {"F": F, "g": g, "nu": nu}
@@ -930,8 +923,7 @@ def run_transference_pipeline(
     report.ledger["solutions_in_A"] = exact_solutions
     report.ledger["all_distinct_solutions"] = distinct
     if exact_solutions == len(A):
-        _, diag_rep = trivial_solution_value(eq, A, s, n_model=N, scaled=F,
-                                             exact=exact_solutions)
+        _, diag_rep = trivial_solution_value(eq, A, s, scaled=F, exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep
     elif (vanishing := eq.vanishing_subsum(ctx)) is not None:
         report.flags.append(

@@ -49,20 +49,13 @@ class DenseModel:
     t: int
     eps: Fraction
     A: SetA
-    n_model: int
     scale: float                    # N^{1/s}
     smoother_size: int
     integer_f: Dfn                  # 1_A * 1_smoother, exact integers
     spec: object
 
 
-def build_dense_model(
-    A: SetA,
-    s: int,
-    t: int,
-    eps,
-    n_model: int | None = None,
-) -> DenseModel:
+def build_dense_model(A: SetA, s: int, t: int, eps) -> DenseModel:
     """Smooth 1_A by the Bohr set / annihilator built from its large spectrum.
 
     The context sets the mode: a Bohr set on Z_M ('integer_model'), an
@@ -72,7 +65,7 @@ def build_dense_model(
     eps = as_fraction(eps)
     ctx = A.ctx
     mode = "integer_model" if isinstance(ctx, CyclicCtx) else "finite_field"
-    n = n_model or A.model_n or ctx.N
+    n = A.model_n
     if mode == "integer_model":
         # the smoothed support window [-eps N, (1+eps) N] must embed
         # without wraparound
@@ -102,7 +95,6 @@ def build_dense_model(
         t=t,
         eps=eps,
         A=A,
-        n_model=n,
         scale=scale,
         smoother_size=size,
         integer_f=integer_f,
@@ -121,7 +113,7 @@ def verify_model_properties(model: DenseModel):
     """
     A, s, t, eps = model.A, model.s, model.t, model.eps
     ctx = A.ctx
-    n = model.n_model
+    n = A.model_n
     m = len(A)
     size = model.smoother_size
     hat_f = model.f.hat()

@@ -80,19 +80,11 @@ def vanishing_exponent(s: int) -> Fraction:
     return Fraction(1) if s == 2 else Fraction(s - 2, s - 1)
 
 
-def _alternating_pattern(h: int, pattern: str | None):
-    if pattern is None:
-        pattern = "".join("+" if i % 2 == 0 else "-" for i in range(h))
-    if len(pattern) != h or any(c not in "+-" for c in pattern):
-        raise ValueError(f"pattern must be {h} characters of +/-")
-    return pattern
-
-
-def verify_trivial_bounds(A: SetA, h: int, s: int, pattern: str | None = None):
-    """|A|^h <= E_s(f_1..f_h) <= |A|^{sh-s+1} for f_i in {1_A, 1_-A}, exact."""
+def verify_trivial_bounds(A: SetA, h: int, s: int):
+    """|A|^h <= E_s(f_1..f_h) <= |A|^{sh-s+1} for f_i = 1_A, 1_-A, 1_A, ..., exact."""
     if h < 2 or s < 1:
         raise ValueError("need h >= 2 and s >= 1")
-    pattern = _alternating_pattern(h, pattern)
+    pattern = "+-" * (h // 2) + "+" * (h % 2)
     fs = [A.indicator() if c == "+" else A.reflected_indicator() for c in pattern]
     value = moment_energy(fs, s)
     m = len(A)
@@ -262,7 +254,7 @@ def verify_size_bound(A: SetA, s: int, t: int):
     rep.measured_ratios["size_over_bound"] = m / (
         2.0 * (t * t / float(1 - eta_eff)) ** (1 / s) * N ** (1 - 1 / s)
     )
-    if A.model_n:
+    if A.model_n != N:
         rep.measured_ratios["size_over_model_bound"] = m / (
             2.0
             * (t * t / float(1 - eta_eff)) ** (1 / s)

@@ -70,7 +70,8 @@ class SetA:
         self.member = np.zeros(ctx.N, dtype=bool)
         self.member[idx] = True
         self.provenance = dict(provenance or {})
-        self.model_n = model_n
+        # the N of the theorem's [N]: a set modelled inside a padded Z_M keeps it
+        self.model_n = ctx.N if model_n is None else model_n
         self._shift_masks = None
         self._indicator = None
         self._rep_profiles = {}
@@ -547,7 +548,7 @@ def construct(kind: str, params: dict, seed: int = 0) -> SetA:
 def save_set(A: SetA, path):
     with open(path, "w") as fh:
         fh.write(f"ctx={A.ctx.describe()}\n")
-        if A.model_n is not None:
+        if A.model_n != A.ctx.N:
             fh.write(f"# model_n={A.model_n}\n")
         for a in A.indices:
             fh.write(A.ctx.format_element(int(a)) + "\n")

@@ -106,10 +106,10 @@ def bohr_set(spec: Spectrum, eps, model_n: int) -> BohrSet:
     # dist * b and a * M can overflow, and then they run in Python ints
     overflow = max(a, b) >= (1 << 62) // M
     for chunk_start in range(0, len(freqs), 64):
-        chunk = freqs[chunk_start : chunk_start + 64]
-        if not keep.any():
-            break
         live = np.nonzero(keep)[0]
+        if len(live) == 1:  # only n = 0 is left, and it passes every test
+            break
+        chunk = freqs[chunk_start : chunk_start + 64]
         k = (cand[live, None] * chunk[None, :]) % M
         dist = np.minimum(k, M - k)
         if overflow:

@@ -282,7 +282,7 @@ def test_bad_eq_flag_is_config_error_before_any_suite(monkeypatch, capsys):
     # the suites run one equation, so a second one is refused, not ignored
     assert run_cli("verify", "--suite", "all", "--eq", "1,1,1,-1,-2;1,1,-2") == 2
     assert ran == []
-    assert "expected one equation, got 2" in capsys.readouterr().err
+    assert "eq '1,1,1,-1,-2;1,1,-2': invalid literal for int()" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, name, token", [
@@ -318,10 +318,16 @@ def _readme_commands():
 
 def test_readme_commands_run(tmp_path, monkeypatch):
     commands = _readme_commands()
-    assert len(commands) >= 6 and all(argv[0] == "addlab" for argv in commands)
+    # besides addlab commands, the block only writes config files with printf
+    assert all(argv[0] in ("addlab", "printf") for argv in commands)
+    assert sum(argv[0] == "addlab" for argv in commands) >= 6
     monkeypatch.chdir(tmp_path)
     for argv in commands:
-        assert run_cli(*argv[1:]) == 0, argv
+        if argv[0] == "printf":  # printf FORMAT > FILE
+            assert argv[2] == ">" and len(argv) == 4, argv
+            Path(argv[3]).write_text(argv[1].replace("\\n", "\n"))
+        else:
+            assert run_cli(*argv[1:]) == 0, argv
 
 
 def test_construct_bad_params(tmp_path, capsys):
@@ -329,7 +335,7 @@ def test_construct_bad_params(tmp_path, capsys):
     assert run_cli("construct", "erdos_turan_sidon", "--params", "p=11,M=459",
                    "--out", out) == 0
     assert run_cli("construct", "erdos_turan_sidon", "--params", "p=11,M=300",
-                   "--out", out) == 1
+                   "--out", out) == 2
     assert "M >= 443" in capsys.readouterr().err
     assert run_cli("construct", "greedy_kst_free", "--params", "s=2,t=2",
                    "--out", out) == 2
@@ -347,8 +353,9 @@ def test_construct_bad_params(tmp_path, capsys):
         ("subspace", "ctx=vector;p=3;n=2", "--params ctx 'vector;p=3;n=2': "),
         ("subspace", "ctx=vector;p=3;r=2;n=1;mod=1,2,1", "not irreducible"),
         ("random_subset", "N=10,density=2",
-         "--params density '2': density must lie in [0, 1]"),
-        ("random_subset", "N=10,density=-0.5", "--params density '-0.5'"),
+         "--params 'N=10,density=2': density 2.0 must lie in [0, 1]"),
+        ("random_subset", "N=10,density=-0.5", "density -0.5 must lie in [0, 1]"),
+        ("random_subset", "N=10,density=x", "--params density 'x': could not convert"),
     ]:
         assert run_cli("construct", kind, "--params", params, "--out", out) == 2, params
         err = capsys.readouterr().err

@@ -1046,3 +1046,27 @@ class TestPipeline:
         assert "diagonal_value" in rep.sections and rep.passed
         assert rep.sections["diagonal_value"].quantities["solutions"] == len(A)
         assert calls == []
+
+    def test_N_is_the_group_order_of_a_set_without_model_n(self):
+        # the pipeline pads Z_40, but the theorem's N stays 40 in every section
+        rep = run_transference_pipeline(
+            SetA(CyclicCtx(40), [0, 7]), EquationSpec([1, 1, 1, -1, -2]), 2, 2, "1/8")
+        assert rep.passed
+        assert rep.inputs["N"] == 40 and rep.inputs["modulus"] > 40
+        assert "size_over_model_bound" in rep.sections["size_bound"].measured_ratios
+
+    def test_the_chain_runs_through_verify_counting_lemma(self, monkeypatch):
+        from addlab import counting
+
+        calls = []
+        chain = counting.verify_counting_lemma
+
+        def recording_chain(*args, **kwargs):
+            calls.append(args)
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(counting, "verify_counting_lemma", recording_chain)
+        rep = run_transference_pipeline(
+            erdos_turan_sidon(7), EquationSpec([1, 1, 1, -1, -2]), 2, 2, "1/8")
+        assert len(calls) == 1
+        assert rep.sections["holder_chain"] is not None and rep.passed

@@ -54,15 +54,15 @@ class TestBuild:
         assert "flags" not in rep.quantities
 
     def test_freeness_precondition(self):
-        A = SetA(CyclicCtx(30), [0, 1, 2, 3])
+        A = SetA(CyclicCtx(30), [0, 1, 2, 3], model_n=10)
         with pytest.raises(FreenessError) as exc:
-            build_dense_model(A, 2, 2, "1/4", n_model=10)
+            build_dense_model(A, 2, 2, "1/4")
         assert exc.value.witness is not None
 
     def test_integer_model_reembeds(self):
         A = erdos_turan_sidon(5, M=55)
         model = build_dense_model(A, 2, 2, "1/4")
-        n = model.n_model
+        n = model.A.model_n
         assert model.f.ctx.M >= n + 2 * int(Fraction(1, 4) * n) + 1
 
     def test_nonnegative_and_mass(self):

@@ -140,8 +140,8 @@ class TestTrivialBounds:
 
     def test_higher_fold(self):
         A = random_subset(40, 0.25, seed=3)
-        rep = verify_trivial_bounds(A, h=3, s=2, pattern="+-+")
-        assert rep.passed
+        rep = verify_trivial_bounds(A, h=3, s=2)
+        assert rep.passed and rep.inputs["pattern"] == "+-+"
 
 
 class TestInterpolation:

@@ -442,6 +442,14 @@ def test_set_file_roundtrip(tmp_path):
         assert back.ctx == A.ctx
         assert np.array_equal(back.indices, A.indices)
         assert back.model_n == A.model_n
+        # the header line is written only for a set modelled in a padded group
+        assert ("# model_n=" in path.read_text()) == (A.model_n != A.ctx.N)
+
+
+def test_model_n_defaults_to_the_group_order_and_survives_reembedding():
+    A = SetA(CyclicCtx(200), [0])
+    assert A.model_n == 200
+    assert A.with_ctx(CyclicCtx(1000)).model_n == 200
 
 
 def test_load_set_rejects_bad_files(tmp_path):

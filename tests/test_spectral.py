@@ -84,7 +84,7 @@ class TestSpectrum:
         A = build()
         n = A.model_n
         eq = EquationSpec([1, 1, 1, -1, -2])
-        assert M == padded_modulus(eq, n, radius=n + int(Fraction(eps) * n))
+        assert M == padded_modulus(eq, n + int(Fraction(eps) * n))
         assert M >= groups._PRIME_FACTOR_FLOOR
         assert groups._prime_factor_maps(M) is not None
         split = A.with_ctx(CyclicCtx(M))
@@ -154,6 +154,27 @@ class TestBohrSet:
         assert B.signed.tolist() == expect
         assert 13 in expect and len(expect) > 1
         assert 13 not in bohr_set(sp, Fraction(1, 8), 200).signed
+
+    def test_collapse_to_zero_in_the_first_block_matches_definition(self):
+        # 100 frequencies: the first block of 64 already leaves only n = 0,
+        # so the test stops there, and must agree with the definition
+        ctx = CyclicCtx(101)
+        eps = Fraction(1, 8)
+        freqs = np.arange(1, 101)
+        sp = Spectrum(ctx=ctx, eps=eps, frequencies=freqs,
+                      values=np.ones(len(freqs), complex), set_size=1)
+        B = bohr_set(sp, eps, 101)
+
+        def torus_dist(x):
+            return min(x - math.floor(x), math.ceil(x) - x)
+
+        expect = [n for n in range(-12, 13)
+                  if all(torus_dist(Fraction(n * int(xi), 101)) < eps for xi in freqs)]
+        assert B.signed.tolist() == expect == [0]
+        first_block = [n for n in range(-12, 13)
+                       if all(torus_dist(Fraction(n * int(xi), 101)) < eps
+                              for xi in freqs[:64])]
+        assert first_block == [0]
 
     def test_monotone_in_eps(self):
         A = erdos_turan_sidon(5)
