@@ -12,7 +12,6 @@ from .functions import (
     fourier,
     inverse_fourier,
     convolve,
-    norms,
     fourier_mean_norm,
     save_dfn,
     load_dfn,

@@ -334,12 +334,11 @@ def _convolution_value_at_zero(ctx, arrays) -> int:
 
 
 def count_equation_solutions(eq: EquationSpec, A: SetA) -> int:
-    """Exact integer count of solutions in A^k via pushforward convolutions."""
-    ctx = A.ctx
-    eq.validate_for(ctx)
-    assert_z_faithful(eq, [A.indicator()] * eq.k)
-    gs = [_pushforward_counts(ctx, A.indices, a) for a in eq.coeffs]
-    return _convolution_value_at_zero(ctx, gs)
+    """Exact integer count of solutions in A^k: count_T on k copies of 1_A,
+    after checking that a cyclic model counts them over Z."""
+    hs = [A.indicator()] * eq.k
+    assert_z_faithful(eq, hs)
+    return count_T(eq, hs)
 
 
 def _pushforward_convolution(ctx, indices, key: tuple, memo: dict) -> np.ndarray:
@@ -643,8 +642,7 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
         quantities={
             "T_f": T_f,
             "T_F": T_F,
-            "terms": [complex(t).real if not isinstance(t, (int, float)) else t
-                      for t in terms],
+            "terms": terms,
             "g_hat_sup": g_sup,
         },
     )
@@ -742,8 +740,7 @@ def count_k_cycles(eq: EquationSpec, sets: list) -> int:
         raise ValueError("cycle counting runs in the vector-space model")
     if not all(_is_invertible(ctx, a) for a in eq.coeffs):
         raise ValueError("coefficients must be invertible mod p")
-    gs = [np.bincount(X.indices, minlength=ctx.N).astype(np.int64) for X in sets]
-    return dual_value_at_zero(ctx, gs)
+    return dual_value_at_zero(ctx, [X.indicator().values for X in sets])
 
 
 def verify_supersaturation(eq: EquationSpec, A0: SetA):

@@ -77,14 +77,10 @@ def build_dense_model(A: SetA, s: int, t: int, eps) -> DenseModel:
     spec = spectrum(A, eps)
     if mode == "integer_model":
         smoother = bohr_set(spec, eps, n)
-        smoother_ind = smoother.indicator()
-        size = len(smoother)
     else:
-        V = span(ctx, spec.frequencies)
-        smoother = annihilator(V)
-        smoother_ind = smoother.indicator()
-        size = smoother.size
-    integer_f = convolve(A.indicator(), smoother_ind)
+        smoother = annihilator(span(ctx, spec.frequencies))
+    size = len(smoother)
+    integer_f = convolve(A.indicator(), smoother.indicator())
     scale = float(n) ** (1.0 / s)
     f = Dfn(ctx, integer_f.values.astype(np.float64) * (scale / size))
     return DenseModel(

@@ -159,8 +159,6 @@ def verify_kst_energy_bound(A: SetA, s: int, t: int):
     + degenerate part; asserts E_s <= t|A|^s + degenerate_total exactly and
     reports degenerate_total / |A|^{s-c_s}.
     """
-    if not 2 <= s <= t:
-        raise ValueError("need 2 <= s <= t")
     require_kst_free(A, s, t)
     m = len(A)
     e_s = pair_energy(A, s)
@@ -265,8 +263,6 @@ def verify_size_bound(A: SetA, s: int, t: int):
 
 def verify_excess_vanishing(A: SetA, s: int, t: int):
     """sum over tuples of (rep - (t-1))_+: distinct part exactly 0 when free."""
-    if not 2 <= s <= t:
-        raise ValueError("need 2 <= s <= t")
     require_kst_free(A, s, t)
     m = len(A)
     distinct_excess = _tuple_sum(A, s, lambda rep: max(rep - (t - 1), 0), [s])

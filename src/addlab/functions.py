@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +27,7 @@ __all__ = [
     "convolve",
     "exact_convolve",
     "dual_value_at_zero",
-    "norms",
     "fourier_mean_norm",
-    "Norms",
     "save_dfn",
     "load_dfn",
 ]
@@ -424,29 +421,6 @@ def convolve(h1: Dfn, h2: Dfn) -> Dfn:
         return Dfn(ctx, exact_convolve(ctx, h1.values, h2.values))
     vals = ctx.ifft(h1.hat() * h2.hat())
     return Dfn(ctx, vals if "complex" in (h1.tag, h2.tag) else vals.real)
-
-
-@dataclass
-class Norms:
-    l1: float
-    l2: float
-    lp: float
-    sup: float
-    fourier_sup: float
-
-
-def norms(h: Dfn, p: float = 2.0) -> Norms:
-    """Physical-side norms as plain sums; fourier_sup = max |hat h|."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    a = np.abs(h.values.astype(np.complex128 if h.tag == "complex" else np.float64))
-    return Norms(
-        l1=float(a.sum()),
-        l2=float(np.sqrt((a**2).sum())),
-        lp=float((a**p).sum() ** (1.0 / p)),
-        sup=float(a.max()) if len(a) else 0.0,
-        fourier_sup=float(np.abs(h.hat()).max()),
-    )
 
 
 def fourier_mean_norm(h: Dfn, p: float) -> float:

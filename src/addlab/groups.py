@@ -157,9 +157,6 @@ class FieldCtx:
         for _ in range(r - 1):
             powers.append(C @ powers[-1] % p)
         self._companion_powers = np.stack(powers)
-        self._mul_table = None
-        self._inv_table = None
-        self._trace_table = None
         self._char_kernel = {}
         if r > 1:
             zero = np.argwhere(self.mul_table[1:, 1:] == 0)
@@ -203,51 +200,47 @@ class FieldCtx:
                 result = np.asarray(self.mul(result, base), dtype=np.int64)
             base = np.asarray(self.mul(base, base), dtype=np.int64)
             e >>= 1
-        return result if result.ndim else int(result)
+        return _scalar(result)
 
     def inv(self, a):
         table = self.inv_table
         a = np.asarray(a, dtype=np.int64)
         if np.any(a == 0):
             raise ZeroDivisionError("0 has no inverse")
-        out = table[a]
-        return out if out.ndim else int(out)
+        return _scalar(table[a])
 
     # -- cached tables -----------------------------------------------------------
+    # each is shared by every caller, so it is read-only
 
-    @property
+    @functools.cached_property
     def mul_table(self):
         """Row a holds a * b for every b: the digits of b times M_a."""
-        if self._mul_table is None:
-            digits = self.digits(np.arange(self.q))
-            mats = np.tensordot(digits, self._companion_powers, axes=1)
-            table = np.empty((self.q, self.q), dtype=np.int64)
-            for a in range(self.q):
-                table[a] = self.from_digits(digits @ mats[a].T)
-            self._mul_table = table
-        return self._mul_table
+        digits = self.digits(np.arange(self.q))
+        mats = np.tensordot(digits, self._companion_powers, axes=1)
+        table = np.empty((self.q, self.q), dtype=np.int64)
+        for a in range(self.q):
+            table[a] = self.from_digits(digits @ mats[a].T)
+        table.flags.writeable = False
+        return table
 
-    @property
+    @functools.cached_property
     def inv_table(self):
-        if self._inv_table is None:
-            tbl = self.mul_table
-            inv = np.zeros(self.q, dtype=np.int64)
-            rows, cols = np.nonzero(tbl == 1)
-            inv[rows] = cols
-            self._inv_table = inv
-        return self._inv_table
+        inv = np.zeros(self.q, dtype=np.int64)
+        rows, cols = np.nonzero(self.mul_table == 1)
+        inv[rows] = cols
+        inv.flags.writeable = False
+        return inv
 
-    @property
+    @functools.cached_property
     def trace_table(self):
         """Tr(a) = sum_i a_i tr(C^i) mod p, as an element of F_p."""
-        if self._trace_table is None:
-            traces = np.trace(self._companion_powers, axis1=1, axis2=2)
-            self._trace_table = self.digits(np.arange(self.q)) @ traces % self.p
-        return self._trace_table
+        traces = np.trace(self._companion_powers, axis1=1, axis2=2)
+        table = self.digits(np.arange(self.q)) @ traces % self.p
+        table.flags.writeable = False
+        return table
 
     def trace(self, a):
-        out = self.trace_table[np.asarray(a, dtype=np.int64)]
-        return out if out.ndim else int(out)
+        return _scalar(self.trace_table[np.asarray(a, dtype=np.int64)])
 
     def char_kernel(self, inverse: bool = False):
         """q x q matrix K[a, b] = exp(-+2*pi*i * Tr(ab)/p); the length-q DFT kernel."""
@@ -255,7 +248,9 @@ class FieldCtx:
         if key not in self._char_kernel:
             tr = self.trace_table[self.mul_table]
             sign = 1.0 if inverse else -1.0
-            self._char_kernel[key] = np.exp(sign * 2j * np.pi * tr / self.p)
+            kernel = np.exp(sign * 2j * np.pi * tr / self.p)
+            kernel.flags.writeable = False
+            self._char_kernel[key] = kernel
         return self._char_kernel[key]
 
     # -- misc ----------------------------------------------------------------------
@@ -391,16 +386,14 @@ class CyclicCtx(GroupCtx):
         self.exponent = M
 
     def add(self, i, j):
-        out = (np.asarray(i, dtype=np.int64) + np.asarray(j, dtype=np.int64)) % self.M
-        return out if out.ndim else int(out)
+        out = np.asarray(i, dtype=np.int64) + np.asarray(j, dtype=np.int64)
+        return _scalar(out % self.M)
 
     def neg(self, i):
-        out = (-np.asarray(i, dtype=np.int64)) % self.M
-        return out if out.ndim else int(out)
+        return _scalar((-np.asarray(i, dtype=np.int64)) % self.M)
 
     def scale_int(self, c: int, i):
-        out = (int(c) % self.M * np.asarray(i, dtype=np.int64)) % self.M
-        return out if out.ndim else int(out)
+        return _scalar((int(c) % self.M * np.asarray(i, dtype=np.int64)) % self.M)
 
     def char_phase(self, x, xi):
         num = (np.asarray(x, dtype=np.int64) * np.asarray(xi, dtype=np.int64)) % self.M

@@ -60,8 +60,6 @@ def _compare(lhs, op, rhs, tol):
         return lhs >= rhs
     if op == "==":
         return lhs == rhs
-    if op == "<":
-        return lhs < rhs
     raise ValueError(f"unsupported comparison {op!r}")
 
 

@@ -368,10 +368,12 @@ def greedy_kst_free(
     """Random-order greedy insertion keeping the set grid-free.
 
     With a plain integer n the set lives in [0, n) inside Z_{2n+1}, padded so
-    shifts and differences never wrap.  Candidates are taken in one seeded
-    order and each is kept iff A + {c} is still K_{s,t}-free, A being the set
-    kept so far; A is free at every step, so only a grid through c can
-    appear, and each admission test looks only at those:
+    shifts and differences never wrap.  With a `ctx` the candidates are all
+    ctx.N elements of the group, and n is only recorded in the provenance.
+    Candidates are taken in one seeded order and each is kept iff A + {c} is
+    still K_{s,t}-free, A being the set kept so far; A is free at every step,
+    so only a grid through c can appear, and each admission test looks only
+    at those:
 
     - s = 2 (`_greedy_differences`).  With r(d) = #{(a, a') in A^2 :
       a - a' = d}, adding c gives r' = r + [d in c - A] + [d in A - c], and

@@ -45,9 +45,6 @@ class Spectrum:
     def __len__(self):
         return len(self.frequencies)
 
-    def __contains__(self, xi):
-        return int(xi) in set(int(f) for f in self.frequencies)
-
 
 def spectrum(A: SetA, eps) -> Spectrum:
     """Exact scan of all N dual elements; threshold uses >= (ties in)."""
@@ -74,9 +71,6 @@ def spectrum(A: SetA, eps) -> Spectrum:
 @dataclass
 class BohrSet:
     ctx: CyclicCtx
-    model_n: int
-    eps: Fraction
-    spectrum_frequencies: np.ndarray
     elements: np.ndarray             # residues mod M, sorted
     signed: np.ndarray               # the same elements as signed integers
 
@@ -119,14 +113,7 @@ def bohr_set(spec: Spectrum, eps, model_n: int) -> BohrSet:
     assert 0 in members, "Bohr set must contain 0"
     assert set(members.tolist()) == set((-members).tolist()), "Bohr set not symmetric"
     residues = np.sort(members % M)
-    return BohrSet(
-        ctx=ctx,
-        model_n=model_n,
-        eps=eps,
-        spectrum_frequencies=freqs.copy(),
-        elements=residues.astype(np.int64),
-        signed=np.sort(members),
-    )
+    return BohrSet(ctx=ctx, elements=residues.astype(np.int64), signed=np.sort(members))
 
 
 # -- subspaces over F_q ---------------------------------------------------------
@@ -146,6 +133,9 @@ class Subspace:
     def size(self) -> int:
         return self.ctx.field.q ** self.dim
 
+    def __len__(self):
+        return self.size
+
     def element_indices(self) -> np.ndarray:
         if self._elements is None:
             ctx = self.ctx
@@ -161,9 +151,6 @@ class Subspace:
             self._elements = np.sort(np.unique(elems))
             assert len(self._elements) == self.size
         return self._elements
-
-    def contains(self, idx) -> bool:
-        return int(idx) in set(int(e) for e in self.element_indices())
 
     def indicator(self) -> Dfn:
         return Dfn.indicator(self.ctx, self.element_indices())
@@ -234,7 +221,7 @@ def annihilator(V: Subspace) -> Subspace:
 def uniform_measure(smoother) -> Dfn:
     """mu = indicator / size, for a BohrSet or Subspace."""
     ind = smoother.indicator()
-    return Dfn(ind.ctx, ind.values / len(ind.support()))
+    return Dfn(ind.ctx, ind.values / len(smoother))
 
 
 def verify_spectrum_span_bound(A: SetA, spec: Spectrum, V: Subspace):

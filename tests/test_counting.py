@@ -662,6 +662,18 @@ class TestTelescoping:
         assert rep.flags == ["chain bounds skipped: coefficients [-2] are not "
                              "invertible on cyclic;M=40"]
 
+    def test_complex_terms_sum_to_the_difference(self):
+        # the reported terms keep their imaginary parts, so they still add
+        # up to T_f - T_F when f and F are complex
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        ctx = CyclicCtx(67)
+        rng = spawn_rng(34, 5)
+        f, F = (Dfn(ctx, rng.normal(size=67) + 1j * rng.normal(size=67))
+                for _ in range(2))
+        q = verify_telescoping(eq, f, F).quantities
+        assert abs((q["T_f"] - q["T_F"]).imag) > 1.0
+        assert sum(q["terms"]) == pytest.approx(q["T_f"] - q["T_F"], rel=1e-9)
+
     def test_chain_runs_for_invertible_coefficients(self):
         eq = EquationSpec([1, 1, 1, -1, -2])
         rep = verify_telescoping(eq, *self._half_period_pair(41))

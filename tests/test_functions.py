@@ -13,7 +13,6 @@ from addlab.functions import (
     fourier_mean_norm,
     inverse_fourier,
     load_dfn,
-    norms,
     save_dfn,
 )
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
@@ -184,18 +183,6 @@ class TestConvolve:
 
 
 class TestNorms:
-    def test_indicator_norms(self):
-        ctx = CyclicCtx(40)
-        A = [1, 5, 17, 30]
-        h = Dfn.indicator(ctx, A)
-        n = norms(h, p=3)
-        assert n.l1 == len(A)
-        assert n.l2 == pytest.approx(len(A) ** 0.5)
-        assert n.lp == pytest.approx(len(A) ** (1 / 3))
-        assert n.sup == 1
-        # nonnegative h attains its Fourier sup at 0
-        assert n.fourier_sup == pytest.approx(len(A))
-
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2**31 - 1))
     def test_parseval(self, seed):
@@ -222,10 +209,6 @@ class TestNorms:
         assert fourier_mean_norm(h, 2.0) == pytest.approx(
             ((np.abs(fourier(h).values) ** 2).mean()) ** 0.5
         )
-
-    def test_p_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            norms(Dfn.delta(CyclicCtx(4)), p=0.5)
 
 
 def test_serialization_roundtrip(tmp_path):

@@ -95,6 +95,14 @@ class TestFieldCtx:
             assert np.array_equal(lhs, rhs)
             assert F.trace_table.any(), "trace must not vanish identically"
 
+    def test_cached_tables_are_read_only(self):
+        # every caller shares them, so a write would corrupt all field arithmetic
+        F = FieldCtx(3, 2)
+        for table in (F.mul_table, F.inv_table, F.trace_table,
+                      F.char_kernel(), F.char_kernel(inverse=True)):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0
+
     def test_trace_by_frobenius_oracle(self):
         F = FieldCtx(3, 3)
         mod = list(F.modulus)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from addlab import sets
+from addlab.counting import EquationSpec, run_transference_pipeline
+from addlab.dense_model import build_dense_model
 from addlab.energy import verify_excess_vanishing, verify_kst_energy_bound
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import (
@@ -432,6 +434,19 @@ class TestGreedyIncremental:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="2 <= s <= t"):
             greedy_kst_free(3, 2, 20, seed=0)
+
+
+@pytest.mark.parametrize("check", [
+    verify_kst_energy_bound,
+    verify_excess_vanishing,
+    lambda A, s, t: build_dense_model(A, s, t, "1/4"),
+    lambda A, s, t: run_transference_pipeline(
+        A, EquationSpec([1, 1, 1, -1, -2]), s, t, "1/4"),
+], ids=["energy_bound", "excess_vanishing", "dense_model", "pipeline"])
+def test_freeness_callers_reject_bad_st(check):
+    # find_kst_violation owns the rule 2 <= s <= t, and each caller meets it there
+    with pytest.raises(ValueError, match="2 <= s <= t"):
+        check(erdos_turan_sidon(5), 3, 2)
 
 def test_set_file_roundtrip(tmp_path):
     for A in (erdos_turan_sidon(5),

@@ -198,6 +198,11 @@ class TestSubspaces:
             "0 0", "0 1", "0 2",
         ]
 
+    def test_len_is_size(self):
+        ctx = VectorCtx(FieldCtx(3, 1), 4)
+        H = span(ctx, [ctx.parse_element("1 0 2 0"), ctx.parse_element("0 1 1 1")])
+        assert len(H) == H.size == len(H.element_indices()) == 9
+
     def test_trivial_cases(self):
         ctx = VectorCtx(FieldCtx(5, 1), 3)
         zero = span(ctx, [])
