@@ -26,8 +26,8 @@ from .energy import (
     verify_kst_energy_bound, verify_size_bound,
 )
 from .functions import (
-    _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, dual_value_at_zero,
-    fourier_mean_norm,
+    _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _dual_domain, _dual_mean,
+    _hat_magnitudes, _real_pair_convolutions, dual_value_at_zero, fourier_mean_norm,
 )
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
@@ -243,8 +243,9 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     g_i(y) = sum_{a_i x = y} h_i(x), through the exact convolution kernel;
     an entry or an entry bound of 2^63 or more raises OverflowError rather
     than return a rounded float.  Other inputs take the unrounded dual-side
-    sum (1/N) sum_xi prod_i hat(h_i)(a_i xi), a float for real inputs and
-    complex otherwise.  Whether the count is Z-faithful on a cyclic model is
+    sum (1/N) sum_xi prod_i hat(h_i)(a_i xi), a float for real inputs, read
+    off one xi of each pair {xi, -xi} (`_dual_domain`), and complex over
+    every xi otherwise.  Whether the count is Z-faithful on a cyclic model is
     `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
@@ -266,35 +267,33 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
         slots = list(zip(eq.coeffs, hs))
         pushed = {(a, h): _weighted_pushforward(ctx, ints[h], a) for a, h in set(slots)}
         return _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
-    prod = _dual_product(np.ones(ctx.N, dtype=np.complex128), zip(eq.coeffs, hs),
-                         _dilations(ctx, eq.coeffs))
-    return _dual_total(prod, all(h.tag == "real" for h in hs))
+    real = all(h.tag == "real" for h in hs)
+    dilated, size = _dilations(ctx, eq.coeffs, _dual_domain(ctx, real))
+    prod = _dual_product(np.ones(size, dtype=np.complex128), zip(eq.coeffs, hs), dilated)
+    return _dual_mean(ctx, prod, real)
 
 
-def _dilations(ctx, coeffs) -> dict:
-    """a -> the index array of xi -> a xi on the dual group, for each
-    coefficient a != 1."""
-    idx = ctx.elements()
-    return {a: np.asarray(ctx.scale_int(a, idx)) for a in set(coeffs) - {1}}
+def _dilations(ctx, coeffs, domain) -> tuple[dict, int]:
+    """(a -> where hat(h)(a xi) is read, for each coefficient a, and the
+    number of xi) for the xi of `domain`: `domain` itself for a = 1, so a
+    slice stays a view, and an index array for every other a."""
+    xi = ctx.elements()[domain]
+    dilated = {a: np.asarray(ctx.scale_int(a, xi)) for a in set(coeffs) - {1}}
+    dilated[1] = domain
+    return dilated, len(xi)
 
 
 def _dual_product(prod: np.ndarray, slots, dilated: dict) -> np.ndarray:
     """prod times hat(h)(a xi) for each slot (a, h), multiplied into prod in
-    place from the left; a slot with a = 1 reads hat(h) as it is.
+    place from the left, at the xi of the domain of `dilated`.
 
     The one product loop of the float counts: count_T's route and the
     telescoping's shared prefixes both run through it, so that equal slots
     multiplied in equal order give equal bits.
     """
     for a, h in slots:
-        prod *= h.hat() if a == 1 else h.hat()[dilated[a]]
+        prod *= h.hat()[dilated[a]]
     return prod
-
-
-def _dual_total(prod: np.ndarray, real: bool):
-    """(1/N) sum_xi prod(xi): a float when every input is real."""
-    total = prod.sum() / len(prod)
-    return float(total.real) if real else total
 
 
 def _weighted_pushforward(ctx, h: np.ndarray, coeff: int) -> np.ndarray:
@@ -325,10 +324,13 @@ def _convolution_value_at_zero(ctx, arrays) -> int:
     arrays = [np.asarray(g, dtype=np.int64) for g in arrays]
     if len(arrays) == 1:
         return int(arrays[0][0])
-    while len(arrays) > 2:
-        arrays.sort(key=np.count_nonzero)
-        arrays.append(_int_convolve(ctx, arrays.pop(0), arrays.pop(0)))
-    a, b = arrays
+    # (nonzeros, array): each array is counted once, when it is made
+    counted = [(np.count_nonzero(g), g) for g in arrays]
+    while len(counted) > 2:
+        counted.sort(key=operator.itemgetter(0))
+        conv = _int_convolve(ctx, counted.pop(0)[1], counted.pop(0)[1])
+        counted.append((np.count_nonzero(conv), conv))
+    (_, a), (_, b) = counted
     sup = np.flatnonzero(a)
     return sum(map(operator.mul, a[sup].tolist(), b[ctx.neg(sup)].tolist()))
 
@@ -469,16 +471,44 @@ def trivial_solution_value(
 
 
 def _dual_mean_norms(h: Dfn, k: int):
-    """(sup, L^{k-1} mean, L^4 mean) of hat h, from one |hat h|."""
-    mags = np.abs(h.hat())
-    m4 = float(((mags**4).mean()) ** (1.0 / 4))
-    mk = m4 if k - 1 == 4 else float(((mags ** (k - 1)).mean()) ** (1.0 / (k - 1)))
+    """(sup, L^{k-1} mean, L^4 mean) of hat h, from one |hat h| (over one xi
+    of each pair {xi, -xi} when h is real)."""
+    mags, real = _hat_magnitudes(h)
+    m4 = float(_dual_mean(h.ctx, mags**4, real) ** (1.0 / 4))
+    mk = m4 if k - 1 == 4 else float(
+        _dual_mean(h.ctx, mags ** (k - 1), real) ** (1.0 / (k - 1)))
     return float(mags.max()), mk, m4
 
 
 def pair_self_energy(h: Dfn) -> float:
     """E_2(h, h) = (1/N) sum |hat h|^4 (equals sum (h*h)^2 for real h)."""
-    return float((np.abs(h.hat()) ** 4).mean())
+    mags, real = _hat_magnitudes(h)
+    return float(_dual_mean(h.ctx, mags**4, real))
+
+
+def _pair_energies(hs: list) -> list:
+    """sum_x (h*h)(x)^2 for each h: exact through `moment_energy` for an
+    integer-valued h, and the dual mean `pair_self_energy` for a complex one.
+    Every other h is real, and its h*h is taken from the inverse transform
+    of hat(h)^2, for two such h at once by `_real_pair_convolutions` (a last
+    odd one through `moment_energy`)."""
+    energies = [None] * len(hs)
+    paired = []
+    for i, h in enumerate(hs):
+        if h.tag == "complex":
+            energies[i] = pair_self_energy(h)
+        elif h.is_integer_valued():
+            energies[i] = moment_energy([h, h], 2)
+        else:
+            paired.append(i)
+    if len(paired) % 2:
+        i = paired.pop()
+        energies[i] = moment_energy([hs[i], hs[i]], 2)
+    for i, j in zip(paired[::2], paired[1::2]):
+        convs = _real_pair_convolutions((hs[i], hs[i]), (hs[j], hs[j]))
+        for n, conv in zip((i, j), convs):
+            energies[n] = float((conv**2).sum())
+    return energies
 
 
 def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
@@ -520,6 +550,12 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
     norms_of = {key: _dual_mean_norms(f, k) for key, (_, f) in distinct.items()}
     norms = [norms_of[id(f)] for f in fs]
     e2_nu = pair_self_energy(nu)
+    # the physical side of the fourth moments: sum (h*h)^2, exact for
+    # integer-valued h; a float h*h is the inverse transform of hat(h)^2, so
+    # for float inputs both sides come from the one transform of h, and the
+    # identity checks Parseval on it
+    e2_nu_phys, *energies = _pair_energies([nu] + [f for _, f in distinct.values()])
+    energy_of = dict(zip(distinct, energies))
     rep = VerificationReport(
         lemma="counting_holder_chain",
         inputs={"eq": str(eq), "N": ctx.N, "k": k},
@@ -535,14 +571,7 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
         bounds.append(b)
         rep.check(f"T_le_bound_{i}", T_abs, "<=", b, tol=1e-9)
     rep.quantities["min_bound"] = min(bounds)
-    e2_nu_phys = moment_energy([nu, nu], 2)
     rep.quantities["E2_nu_physical"] = e2_nu_phys
-    # the fourth moment really is the pair energy: dual mean vs the
-    # physical convolution sum (real inputs), exact for integer-valued ones
-    energy_of = {
-        key: moment_energy([f, f], 2) if f.tag == "real" else pair_self_energy(f)
-        for key, (_, f) in distinct.items()
-    }
     for j, f in enumerate(fs):
         sup, mk, m4 = norms[j]
         rep.check(
@@ -567,25 +596,32 @@ def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
     the prefix products of the f slots: term i multiplies the slots g, F,
     ..., F into a copy of the product of the first i f slots, in count_T's
     left-to-right order, and T(f) is the product of all k.  T(F) is T(f)
-    when F is f.
+    when F is f.  When f, F and g are all real the products run over
+    count_T's half domain; otherwise over every xi, and a count whose slots
+    are real reads count_T's half domain off them, since a product at one xi
+    does not depend on the others.
     """
-    k, coeffs = eq.k, eq.coeffs
+    k, coeffs, ctx = eq.k, eq.coeffs, f.ctx
     # one value test per distinct function: each allocates N floats
     integer = {h: h.is_integer_valued() for h in {f, F, g}}
+    all_real = all(h.tag == "real" for h in (f, F, g))
 
     def exact(hs):
         return count_T(eq, hs) if all(map(integer.get, hs)) else None
 
     def total(prod, hs):
-        return _dual_total(prod, all(h.tag == "real" for h in hs))
+        real = all(h.tag == "real" for h in hs)
+        if real and not all_real:
+            prod = prod[_dual_domain(ctx, True)]
+        return _dual_mean(ctx, prod, real)
 
     T_f = exact([f] * k)
     T_F = T_f if F is f else exact([F] * k)
     terms = [exact([f] * i + [g] + [F] * (k - 1 - i)) for i in range(k)]
     if all(t is not None for t in [T_f, T_F, *terms]):
         return T_f, T_F, terms
-    dilated = _dilations(f.ctx, coeffs)
-    prefix = np.ones(f.ctx.N, dtype=np.complex128)
+    dilated, size = _dilations(ctx, coeffs, _dual_domain(ctx, all_real))
+    prefix = np.ones(size, dtype=np.complex128)
     for i, a in enumerate(coeffs):
         if terms[i] is None:
             slots = [(a, g)] + [(b, F) for b in coeffs[i + 1:]]
@@ -596,7 +632,7 @@ def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
         T_f = total(prefix, [f])
     if T_F is None:
         T_F = T_f if F is f else total(
-            _dual_product(np.ones(f.ctx.N, dtype=np.complex128),
+            _dual_product(np.ones(size, dtype=np.complex128),
                           [(a, F) for a in coeffs], dilated), [F])
     return T_f, T_F, terms
 

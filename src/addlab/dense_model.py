@@ -19,7 +19,7 @@ from operator import and_
 import numpy as np
 
 from .energy import power_sum, vanishing_eta
-from .functions import Dfn, convolve
+from .functions import Dfn, _real_pair_hats, convolve
 from .groups import CyclicCtx, VectorCtx
 from .report import VerificationReport
 from .sets import SetA, rep_tuples, require_kst_free
@@ -112,6 +112,9 @@ def verify_model_properties(model: DenseModel):
     n = A.model_n
     m = len(A)
     size = model.smoother_size
+    # f and the smoother are real: one complex transform gives both
+    smoother = model.smoother.indicator()
+    _real_pair_hats(model.f, smoother)
     hat_f = model.f.hat()
     hat_A = A.indicator().hat()
     gap = np.abs(hat_f - model.scale * hat_A)
@@ -168,7 +171,7 @@ def verify_model_properties(model: DenseModel):
     )
 
     # fourier factorization: hat f = scale * hat 1_A * hat mu (rel 1e-9)
-    mu_hat = model.smoother.indicator().hat() / size
+    mu_hat = smoother.hat() / size
     rep.check(
         "fourier_factorization",
         float(np.abs(hat_f - model.scale * hat_A * mu_hat).max()),

@@ -162,6 +162,129 @@ def inverse_fourier(H: Dfn) -> Dfn:
     return Dfn(H.ctx, H.ctx.ifft(H.values.astype(np.complex128)))
 
 
+# -- real functions: the Hermitian symmetry hat h(-xi) = conj hat h(xi) ----------------
+
+
+def _negated(ctx, v: np.ndarray) -> np.ndarray:
+    """v(-xi) for every xi.  -xi negates the one residue of Z_M and each
+    base-p digit of F_q^n = (Z_p)^(n r), so along each axis of that digit
+    view index 0 stays and the others reverse."""
+    shape = (ctx.N,) if ctx.kind == "cyclic" else (ctx.field.p,) * (ctx.n * ctx.field.r)
+    w = v.reshape(shape)
+    for ax in range(len(shape)):
+        head = (slice(None),) * ax
+        w = np.concatenate((w[head + (slice(0, 1),)], w[head + (slice(None, 0, -1),)]), axis=ax)
+    return w.reshape(-1)
+
+
+def _pair_scale(a: np.ndarray, b: np.ndarray):
+    """The power of two s = 2^e that brings s n(b) within a factor 2 of
+    n(a), for n(v) = sqrt(||v||_1 ||v||_2), or None when either is 0.
+    Scaling by it is exact.  ||v||_1 of a complex v is taken over its real
+    and imaginary parts, within a factor sqrt(2) of sum |v|, to save the
+    moduli.
+
+    Each half of a paired transform picks up rounding error in proportion
+    to the larger output, so the outputs' sups should match.  The sup of a
+    transform lies between its root mean square, ||v||_2 by Parseval, and
+    ||v||_1 (up to the transform's 1/N); n is the geometric mean of these
+    bounds, so a misjudged ratio costs at most N^(1/4) rounding units of a
+    half's sup.  Either bound alone can cost N^(1/2): the l1 norm for signed
+    noise beside delta_0, the l2 norm for a flat output beside a spike.
+    """
+    def n(v):
+        v = np.ascontiguousarray(v, dtype=np.result_type(v, np.float64)).view(np.float64)
+        return math.sqrt(float(np.abs(v).sum()) * math.sqrt(float(v @ v)))
+
+    na, nb = n(a), n(b)
+    if not na or not nb:
+        return None
+    return math.ldexp(1.0, math.frexp(na)[1] - math.frexp(nb)[1])
+
+
+def _real_pair_hats(h1: Dfn, h2: Dfn):
+    """Memoize the transforms of two real functions from one complex one.
+
+    With z = h1 + i s h2, hat z = hat h1 + i s hat h2, and a real h has
+    hat h(-xi) = conj hat h(xi), so hat h1 = (hat z + conj hat z(-xi)) / 2
+    and hat h2 = (hat z - conj hat z(-xi)) / (2 i s) (Sorensen, Jones,
+    Heideman and Burrus, IEEE Trans. ASSP 35, 1987).  s = `_pair_scale`
+    matches the two norms, so a small h2 keeps its relative accuracy beside
+    a large h1.  A function with a memoized transform, or with no nonzero
+    value, is transformed alone.
+    """
+    if h1.ctx != h2.ctx or "complex" in (h1.tag, h2.tag):
+        raise ValueError("paired transforms take two real functions on one group")
+    s = _pair_scale(h1.values, h2.values)
+    if s is None or h1._hat is not None or h2._hat is not None:
+        h1.hat(), h2.hat()
+        return
+    z = h1.ctx.fft(h1.values + 1j * (s * h2.values))
+    z_neg = np.conjugate(_negated(h1.ctx, z))
+    hat1 = z + z_neg
+    hat1 *= 0.5
+    z -= z_neg
+    z *= -0.5j / s
+    h1._with_hat(hat1)
+    h2._with_hat(z)
+
+
+def _real_pair_convolutions(pair1, pair2):
+    """(h1 * h2, h3 * h4) for real functions h_i on one group, from one
+    complex inverse transform.
+
+    The spectra S1 = hat h1 hat h2 and S2 = hat h3 hat h4 are Hermitian,
+    S(-xi) = conj S(xi), so both inverses are real, and the inverse of
+    S1 + i s S2 holds the first in its real part and s times the second in
+    its imaginary part (s as in `_real_pair_hats`; a zero spectrum has the
+    zero inverse).  S2 is folded into S1 in place, so one spectrum is held
+    while it is inverted, as for a single convolution.
+    """
+    (h1, h2), (h3, h4) = pair1, pair2
+    if any(h.tag == "complex" for h in (h1, h2, h3, h4)):
+        raise ValueError("paired convolutions take real functions")
+    ctx = h1.ctx
+    z = h1.hat() * h2.hat()
+    S2 = h3.hat() * h4.hat()
+    s = _pair_scale(z, S2)
+    if s is None:
+        return tuple(ctx.ifft(S).real if S.any() else np.zeros(ctx.N) for S in (z, S2))
+    S2 *= 1j * s
+    z += S2
+    del S2
+    z = ctx.ifft(z)
+    return z.real, z.imag / s
+
+
+def _dual_domain(ctx, real: bool):
+    """The xi that a dual sum reads: every xi, or, when every input is real,
+    one xi from each pair {xi, -xi}, 0 first.  On Z_M that is the slice
+    [0, M//2], which ends at the other self-conjugate xi = M/2 when M is
+    even.  On F_q^n (p odd, so only 0 is its own negative) it is 0 and the
+    xi whose leading base-p digit d, at position j, is below p/2, since -xi
+    leads with p - d at j: the ranges [p^j, (p + 1)/2 p^j)."""
+    if not real:
+        return slice(None)
+    if ctx.kind == "cyclic":
+        return slice(0, ctx.N // 2 + 1)
+    p = ctx.field.p
+    return np.concatenate([np.zeros(1, dtype=np.int64)] + [
+        np.arange(p**j, (p + 1) // 2 * p**j) for j in range(ctx.n * ctx.field.r)])
+
+
+def _dual_mean(ctx, values: np.ndarray, real: bool):
+    """(1/N) sum_xi F(xi) over the whole dual group, from F on
+    `_dual_domain(ctx, real)`.  When real, F(-xi) = conj F(xi), as for any
+    product of transforms of real functions: each pair {xi, -xi} adds
+    2 Re F(xi) and each self-conjugate xi adds F(xi) once, and the mean is a
+    float."""
+    if not real:
+        return values.sum() / ctx.N
+    v = values.real
+    once = v[0] + (v[-1] if ctx.kind == "cyclic" and ctx.N % 2 == 0 else 0.0)
+    return float((2.0 * v.sum() - once) / ctx.N)
+
+
 _INT64_LIMIT = 1 << 63
 _PACK_WIDTHS = (1, 2, 4, 8)  # bytes per packed digit
 # Z_M route choice: the pairwise products are summed when there are at most
@@ -423,12 +546,20 @@ def convolve(h1: Dfn, h2: Dfn) -> Dfn:
     return Dfn(ctx, vals if "complex" in (h1.tag, h2.tag) else vals.real)
 
 
+def _hat_magnitudes(h: Dfn) -> tuple[np.ndarray, bool]:
+    """(|hat h| on `_dual_domain`, whether h is real): one xi of each pair
+    {xi, -xi} for a real h, every xi otherwise."""
+    real = h.tag == "real"
+    return np.abs(h.hat()[_dual_domain(h.ctx, real)]), real
+
+
 def fourier_mean_norm(h: Dfn, p: float) -> float:
-    """((1/N) sum_xi |hat h(xi)|^p)^(1/p) -- the dual-group mean L^p norm."""
+    """((1/N) sum_xi |hat h(xi)|^p)^(1/p) -- the dual-group mean L^p norm,
+    over one xi of each pair {xi, -xi} when h is real."""
+    mags, real = _hat_magnitudes(h)
     if p == np.inf:
-        return float(np.abs(h.hat()).max())
-    mags = np.abs(h.hat())
-    return float(((mags**p).mean()) ** (1.0 / p))
+        return float(mags.max())
+    return float(_dual_mean(h.ctx, mags**p, real) ** (1.0 / p))
 
 
 # -- serialization -------------------------------------------------------------

@@ -461,6 +461,14 @@ class VectorCtx(GroupCtx):
         self._radix = _Radix(field.p, n * field.r)
         self._coords = _Radix(field.q, n)
 
+    def digits(self, i):
+        """Base-p digits of group indices, shape (..., n r); the group adds
+        them digit-wise mod p."""
+        return self._radix.split(i)
+
+    def from_digits(self, d):
+        return self._radix.join(d)
+
     def coords(self, i):
         """Field-element indices of the n coordinates, shape (..., n)."""
         return self._coords.split(i)

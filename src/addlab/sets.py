@@ -429,29 +429,41 @@ def greedy_kst_free(
 def _greedy_differences(ctx, candidates, t, max_size) -> np.ndarray:
     """greedy_kst_free for s = 2: r(c - a) + 1 + [2c - a in A] <= t - 1 for
     all a, tested for `_GREEDY_BLOCK` candidates at once; the scan resumes
-    after the first admissible one, since keeping it changes r and A."""
+    after the first admissible one, since keeping it changes r and A.
+
+    A is kept as digits, and c - a, 2c - a = (c - a) + c and a - c are
+    formed from them: on F_q^n the base-p digits, split once per block and
+    once per kept a, and joined once per difference; on Z_M the residue is
+    its own one digit.
+    """
+    if ctx.kind == "vector":
+        split, join = ctx.digits, ctx.from_digits
+    else:
+        split, join = np.asarray, lambda d: d % ctx.N
     r = np.zeros(ctx.N, dtype=np.int64)
     member = np.zeros(ctx.N, dtype=bool)
-    chosen = np.empty(0, dtype=np.int64)
+    chosen = split(np.empty(0, dtype=np.int64))
     lo = 0
     while lo < len(candidates) and len(chosen) < max_size:
         block = candidates[lo : lo + _GREEDY_BLOCK]
         hit = 0
         if len(chosen):
-            d = np.asarray(ctx.sub(block[:, None], chosen))
-            load = r[d] + member[np.asarray(ctx.add(block[:, None], d))]
+            c_digits = split(block)[:, None]
+            diff = c_digits - chosen
+            d = join(diff)
+            load = r[d] + member[join(diff + c_digits)]
             hits = np.flatnonzero(load.max(axis=1) < t - 1)
             if not len(hits):
                 lo += len(block)
                 continue
             hit = int(hits[0])
             r[d[hit]] += 1
-            r[np.asarray(ctx.neg(d[hit]))] += 1
-        c = int(block[hit])
+            r[join(-diff[hit])] += 1
+        c = block[hit : hit + 1]
         member[c] = True
-        chosen = np.append(chosen, c)
+        chosen = np.append(chosen, split(c), axis=0)
         lo += hit + 1
-    return chosen
+    return join(chosen)
 
 
 def _greedy_shift_masks(ctx, candidates, s, t, max_size) -> list:

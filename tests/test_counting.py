@@ -14,6 +14,7 @@ from addlab.counting import (
     _brute_total,
     _exact_ints,
     _is_invertible,
+    _pair_energies,
     _solution_counts,
     _solve_last,
     _telescoping_counts,
@@ -25,6 +26,7 @@ from addlab.counting import (
     count_k_cycles,
     level_set_extract,
     padded_modulus,
+    pair_self_energy,
     run_transference_pipeline,
     trivial_solution_value,
     verify_counting_lemma,
@@ -32,6 +34,7 @@ from addlab.counting import (
     verify_telescoping,
 )
 from addlab.dense_model import TRIVIAL_SMOOTHER_FLAG
+from addlab.energy import moment_energy
 from addlab.functions import Dfn
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import SetA, equation_free_greedy, erdos_turan_sidon, greedy_kst_free
@@ -760,6 +763,72 @@ class TestTelescopingCounts:
         self._check(eq, f, F, Dfn(ctx, rng.normal(size=ctx.N)))
 
 
+class TestHalfDomain:
+    """Dual sums of real inputs over one xi of each pair {xi, -xi}, against
+    the sum over every xi."""
+
+    CASES = {
+        "odd": (CyclicCtx(61), EquationSpec([1, 1, 1, -1, -2])),
+        "even": (CyclicCtx(64), EquationSpec([1, 1, 1, -1, -2])),
+        "F3_3": (F3_3, EquationSpec([1, 1, 1, 1, -4])),
+        "F5_2": (F5_2, EquationSpec([1, 1, 1, 1, -4])),
+    }
+
+    @staticmethod
+    def _full(ctx, eq, hs):
+        xi = ctx.elements()
+        prod = np.ones(ctx.N, dtype=np.complex128)
+        for a, h in zip(eq.coeffs, hs):
+            prod *= h.hat()[np.asarray(ctx.scale_int(a, xi))]
+        return prod.sum() / ctx.N
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_count_T_matches_the_full_sum(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(38, 4)
+        for _ in range(4):
+            hs = [Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(eq.k)]
+            got, full = count_T(eq, hs), self._full(ctx, eq, hs)
+            assert type(got) is float
+            assert abs(got - full.real) <= 1e-13 * abs(full)
+            # a complex input keeps the sum over every xi, bit for bit
+            hs[0] = Dfn(ctx, hs[0].values + 1j * rng.normal(size=ctx.N))
+            assert count_T(eq, hs) == self._full(ctx, eq, hs)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_real_counts_beside_a_complex_f_keep_count_T_bits(self, case):
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(38, 5)
+        f = Dfn(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
+        F, g = (Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(2))
+        T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
+        assert_same_bits(T_F, count_T(eq, [F] * eq.k))
+        assert_same_bits(terms[0], count_T(eq, [g] + [F] * (eq.k - 1)))
+        assert_same_bits(T_f, count_T(eq, [f] * eq.k))
+        assert isinstance(terms[1], complex) and terms[1].imag
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_pair_energies(self, case):
+        # sum (h*h)^2 for two, three or four inputs, against one
+        # moment_energy each and against the dual mean
+        ctx, _ = self.CASES[case]
+        rng = spawn_rng(38, 6)
+        reals = [Dfn(ctx, rng.normal(size=ctx.N) * 2.0**e) for e in (0, 30, -30)]
+        ints = Dfn(ctx, rng.integers(0, 3, size=ctx.N))
+        cplx = Dfn(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
+        for hs in (reals[:2], reals, [ints, *reals, cplx]):
+            got = _pair_energies(hs)
+            for h, e in zip(hs, got):
+                if h is ints:
+                    assert e == moment_energy([h, h], 2) and type(e) is int
+                    continue
+                want = moment_energy([h, h], 2) if h is not cplx else pair_self_energy(h)
+                assert e == pytest.approx(want, rel=1e-12)
+                dual = (np.abs(h.hat()) ** 4).mean()
+                assert pair_self_energy(h) == pytest.approx(dual, rel=1e-13)
+                assert e == pytest.approx(dual, rel=1e-12)
+
+
 class TestLevelSet:
     def test_constant_one(self):
         ctx = CyclicCtx(50)
@@ -924,11 +993,14 @@ class TestPipeline:
         assert rep.passed and seen
         assert len(set(seen)) == len(seen)
 
-    @pytest.mark.parametrize("eps, transforms", [("1/8", 5), ("1/2", 6)],
+    @pytest.mark.parametrize("eps, transforms", [("1/8", 3), ("1/2", 4)],
                              ids=["one_point_smoother", "wide_bohr_set"])
     def test_transform_count(self, monkeypatch, eps, transforms):
-        # 1_A, f and the smoother are transformed, F, g and nu are not; the
-        # rest are the inverse transforms of the physical pair energies
+        # 1_A is transformed, then f and the smoother as one pair; F, g and
+        # nu are not.  The rest are the inverse transforms of the physical
+        # pair energies of the float inputs, two per transform: nu and F
+        # (g = 0 counts exactly) under a one-point smoother, else nu and g,
+        # then F alone
         calls = []
         for name in ("fft", "ifft"):
             method = getattr(CyclicCtx, name)
@@ -957,8 +1029,9 @@ class TestPipeline:
         rep = run_transference_pipeline(erdos_turan_sidon(31),
                                         EquationSpec([1, 1, 1, -1, -2]), 2, 2, eps)
         assert rep.passed
-        # F, g and nu; F is f itself under a one-point smoother
-        assert len(attached) == (2 if rep.ledger["smoother_size"] == 1 else 3)
+        # f and the smoother from their paired transform, then F, g and nu;
+        # F is f itself under a one-point smoother
+        assert len(attached) == (4 if rep.ledger["smoother_size"] == 1 else 5)
         for h in attached:
             direct = h.ctx.fft(h.values.astype(np.complex128))
             scale = max(1.0, float(np.abs(direct).max()))

@@ -1,5 +1,7 @@
 """Transforms, convolution, and norms against definitional oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,10 @@ from hypothesis import strategies as st
 
 from addlab.functions import (
     Dfn,
+    _dual_domain,
+    _dual_mean,
+    _real_pair_convolutions,
+    _real_pair_hats,
     character_matrix,
     convolve,
     fourier,
@@ -16,6 +22,7 @@ from addlab.functions import (
     save_dfn,
 )
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
+from addlab.util import spawn_rng
 
 CTXS = [
     CyclicCtx(12),
@@ -209,6 +216,129 @@ class TestNorms:
         assert fourier_mean_norm(h, 2.0) == pytest.approx(
             ((np.abs(fourier(h).values) ** 2).mean()) ** 0.5
         )
+
+
+PAIR_CTXS = [
+    CyclicCtx(16759),               # prime: pocketfft runs Bluestein
+    CyclicCtx(12565),               # 5 * 7 * 359: the Good-Thomas split
+    CyclicCtx(1000),                # even, so M/2 is its own negative
+    VectorCtx(FieldCtx(3, 1), 4),
+    VectorCtx(FieldCtx(5, 1), 2),
+]
+
+
+def real_inputs(ctx, seed):
+    """delta_0, a symmetric interval, a sparse set, signed and nonnegative
+    noise: real functions of l1 norm 1."""
+    rng = spawn_rng(seed, 0)
+    near = ctx.elements()[: min(ctx.N // 5, 40) + 1]
+    interval = np.zeros(ctx.N)
+    interval[near] = interval[np.asarray(ctx.neg(near))] = 1.0
+    sparse = np.zeros(ctx.N)
+    sparse[rng.choice(ctx.N, 12, replace=False)] = 1.0
+    out = [Dfn.delta(ctx).values, interval, sparse,
+           rng.normal(size=ctx.N), rng.uniform(0, 1, size=ctx.N)]
+    return [v / np.abs(v).sum() for v in out]
+
+
+def assert_sup_close(got, want, rel):
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+class TestRealPairs:
+    """Two real functions per complex transform, and dual sums over one xi
+    of each pair {xi, -xi}."""
+
+    @pytest.mark.parametrize("ctx", PAIR_CTXS, ids=repr)
+    def test_paired_transforms_match_direct(self, ctx):
+        # every ordered pair of distinct inputs, with l1 norms 2^40 apart
+        # either way: each half within 1e-14 of its own transform's sup.
+        # Scaling by a power of two commutes with a transform bit for bit,
+        # so each direct transform is taken once, at norm 1.  The inverse
+        # pairs invert hat(u) hat(delta_0), whose inverse is u again
+        inputs = real_inputs(ctx, 38)
+        delta = Dfn.delta(ctx)
+        hats = [ctx.fft(u.astype(np.complex128)) for u in inputs]
+        backs = [ctx.ifft(U * delta.hat()).real for U in hats]
+        for (u, U, bu), (v, V, bv) in itertools.permutations(zip(inputs, hats, backs), 2):
+            for e in (40, -40):
+                h1, h2 = Dfn(ctx, u * 2.0**e), Dfn(ctx, v)
+                _real_pair_hats(h1, h2)
+                assert_sup_close(h1.hat(), U * 2.0**e, 1e-14)
+                assert_sup_close(h2.hat(), V, 1e-14)
+                got_u, got_v = _real_pair_convolutions(
+                    (Dfn(ctx, u * 2.0**e)._with_hat(U * 2.0**e), delta),
+                    (Dfn(ctx, v)._with_hat(V), delta))
+                assert got_u.dtype == got_v.dtype == np.float64
+                assert_sup_close(got_u, bu * 2.0**e, 1e-14)
+                assert_sup_close(got_v, bv, 1e-14)
+
+    @pytest.mark.parametrize("ctx", PAIR_CTXS, ids=repr)
+    def test_paired_self_convolutions_match_direct(self, ctx):
+        # u * u beside v * v, the pair energies' use; a flat convolution
+        # (uniform noise) beside a spike (delta_0) is the hard case
+        inputs = real_inputs(ctx, 38)
+        hats = [ctx.fft(u.astype(np.complex128)) for u in inputs]
+        backs = [ctx.ifft(U * U).real for U in hats]
+        for (u, U, bu), (v, V, bv) in itertools.permutations(zip(inputs, hats, backs), 2):
+            for e in (40, -40):
+                hu = Dfn(ctx, u * 2.0**e)._with_hat(U * 2.0**e)
+                hv = Dfn(ctx, v)._with_hat(V)
+                got_u, got_v = _real_pair_convolutions((hu, Dfn(ctx, u)._with_hat(U)),
+                                                       (hv, hv))
+                assert_sup_close(got_u, bu * 2.0**e, 1e-14)
+                assert_sup_close(got_v, bv, 1e-14)
+
+    def test_pairs_with_zero_or_memoized_halves(self):
+        ctx = CyclicCtx(31)
+        x = spawn_rng(38, 1).normal(size=31)
+        for other in (Dfn.zeros(ctx), Dfn(ctx, np.ones(31))._with_hat(ctx.fft(np.ones(31)))):
+            memo, h = other._hat, Dfn(ctx, x)
+            _real_pair_hats(h, other)
+            assert_sup_close(h.hat(), ctx.fft(x.astype(np.complex128)), 1e-14)
+            # a memoized transform is kept as it is; a zero one is exactly 0
+            assert other.hat() is memo if memo is not None else not other.hat().any()
+        h, delta = Dfn(ctx, x), Dfn.delta(ctx)
+        back, zero = _real_pair_convolutions((h, delta), (Dfn.zeros(ctx), h))
+        assert_sup_close(back, x, 1e-14)
+        assert zero.dtype == np.float64 and not zero.any()
+        with pytest.raises(ValueError, match="two real functions"):
+            _real_pair_hats(Dfn(ctx, x), Dfn(ctx, x + 1j))
+        with pytest.raises(ValueError, match="real functions"):
+            _real_pair_convolutions((h, h), (h, Dfn(ctx, x + 1j)))
+
+    @pytest.mark.parametrize("ctx", [CyclicCtx(1000), CyclicCtx(999), CyclicCtx(2),
+                                     CyclicCtx(1), *PAIR_CTXS[3:],
+                                     VectorCtx(FieldCtx(3, 2), 2)], ids=repr)
+    def test_half_domain_mean_matches_full(self, ctx):
+        # a product of dilated transforms of real functions, summed over one
+        # xi of each pair {xi, -xi}, against the sum over every xi
+        rng = spawn_rng(38, 2)
+        xi = ctx.elements()
+        half = _dual_domain(ctx, True)
+        assert _dual_domain(ctx, False) == slice(None)
+        assert len(xi[half]) == ctx.N // 2 + 1
+        assert set(xi[half].tolist()) | set(np.asarray(ctx.neg(xi[half])).tolist()) \
+            == set(xi.tolist())
+        for _ in range(3):
+            prod = np.ones(ctx.N, dtype=np.complex128)
+            for a in (1, 1, -2, 3):
+                h = Dfn(ctx, rng.normal(size=ctx.N))
+                prod *= h.hat()[np.asarray(ctx.scale_int(a, xi))]
+            full = prod.sum() / ctx.N
+            got = _dual_mean(ctx, prod[half], True)
+            assert type(got) is float
+            assert abs(got - full.real) <= 1e-13 * max(abs(full), 1e-300)
+            assert _dual_mean(ctx, prod, False) == full
+
+    @pytest.mark.parametrize("ctx", PAIR_CTXS[2:], ids=repr)
+    def test_fourier_mean_norm_over_half_the_group(self, ctx):
+        h = Dfn(ctx, spawn_rng(38, 3).normal(size=ctx.N))
+        mags = np.abs(h.hat())
+        assert fourier_mean_norm(h, np.inf) == pytest.approx(mags.max(), rel=1e-15)
+        for p in (2, 3, 4):
+            want = (mags**p).mean() ** (1 / p)
+            assert fourier_mean_norm(h, p) == pytest.approx(want, rel=1e-13)
 
 
 def test_serialization_roundtrip(tmp_path):
