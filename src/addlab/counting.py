@@ -254,8 +254,8 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     if any(h.ctx != ctx for h in hs):
         raise ValueError("group context mismatch")
     eq.validate_for(ctx)
-    # one value test, conversion and pushforward per distinct function and coefficient
-    integer = all(h.is_integer_valued() for h in set(hs))
+    # one conversion and pushforward per distinct function and coefficient
+    integer = all(h.is_integer_valued() for h in hs)
     ints = {h: _as_int64(h.values) for h in set(hs)} if integer else None
     if method == "brute":
         if not integer:
@@ -268,32 +268,16 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
         pushed = {(a, h): _weighted_pushforward(ctx, ints[h], a) for a, h in set(slots)}
         return _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
     real = all(h.tag == "real" for h in hs)
-    dilated, size = _dilations(ctx, eq.coeffs, _dual_domain(ctx, real))
-    prod = _dual_product(np.ones(size, dtype=np.complex128), zip(eq.coeffs, hs), dilated)
-    return _dual_mean(ctx, prod, real)
-
-
-def _dilations(ctx, coeffs, domain) -> tuple[dict, int]:
-    """(a -> where hat(h)(a xi) is read, for each coefficient a, and the
-    number of xi) for the xi of `domain`: `domain` itself for a = 1, so a
-    slice stays a view, and an index array for every other a."""
+    domain = _dual_domain(ctx, real)
     xi = ctx.elements()[domain]
-    dilated = {a: np.asarray(ctx.scale_int(a, xi)) for a in set(coeffs) - {1}}
-    dilated[1] = domain
-    return dilated, len(xi)
-
-
-def _dual_product(prod: np.ndarray, slots, dilated: dict) -> np.ndarray:
-    """prod times hat(h)(a xi) for each slot (a, h), multiplied into prod in
-    place from the left, at the xi of the domain of `dilated`.
-
-    The one product loop of the float counts: count_T's route and the
-    telescoping's shared prefixes both run through it, so that equal slots
-    multiplied in equal order give equal bits.
-    """
-    for a, h in slots:
-        prod *= h.hat()[dilated[a]]
-    return prod
+    # where hat(h)(a xi) is read: the domain itself for a = 1, so a slice
+    # stays a view, and an index array for every other coefficient
+    at = {a: domain if a == 1 else np.asarray(ctx.scale_int(a, xi))
+          for a in set(eq.coeffs)}
+    prod = np.ones(len(xi), dtype=np.complex128)
+    for a, h in zip(eq.coeffs, hs):
+        prod *= h.hat()[at[a]]
+    return _dual_mean(ctx, prod, real)
 
 
 def _weighted_pushforward(ctx, h: np.ndarray, coeff: int) -> np.ndarray:
@@ -587,56 +571,6 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
     return rep
 
 
-def _telescoping_counts(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn):
-    """T(f, ..., f), T(F, ..., F) and the terms T(f..f, g, F..F), g in slot
-    i, each with the bits of count_T(..., "fourier").
-
-    A count whose slots are all integer-valued takes count_T's exact route,
-    before any float buffer exists.  The others share one dilation map and
-    the prefix products of the f slots: term i multiplies the slots g, F,
-    ..., F into a copy of the product of the first i f slots, in count_T's
-    left-to-right order, and T(f) is the product of all k.  T(F) is T(f)
-    when F is f.  When f, F and g are all real the products run over
-    count_T's half domain; otherwise over every xi, and a count whose slots
-    are real reads count_T's half domain off them, since a product at one xi
-    does not depend on the others.
-    """
-    k, coeffs, ctx = eq.k, eq.coeffs, f.ctx
-    # one value test per distinct function: each allocates N floats
-    integer = {h: h.is_integer_valued() for h in {f, F, g}}
-    all_real = all(h.tag == "real" for h in (f, F, g))
-
-    def exact(hs):
-        return count_T(eq, hs) if all(map(integer.get, hs)) else None
-
-    def total(prod, hs):
-        real = all(h.tag == "real" for h in hs)
-        if real and not all_real:
-            prod = prod[_dual_domain(ctx, True)]
-        return _dual_mean(ctx, prod, real)
-
-    T_f = exact([f] * k)
-    T_F = T_f if F is f else exact([F] * k)
-    terms = [exact([f] * i + [g] + [F] * (k - 1 - i)) for i in range(k)]
-    if all(t is not None for t in [T_f, T_F, *terms]):
-        return T_f, T_F, terms
-    dilated, size = _dilations(ctx, coeffs, _dual_domain(ctx, all_real))
-    prefix = np.ones(size, dtype=np.complex128)
-    for i, a in enumerate(coeffs):
-        if terms[i] is None:
-            slots = [(a, g)] + [(b, F) for b in coeffs[i + 1:]]
-            term = _dual_product(prefix.copy(), slots, dilated)
-            terms[i] = total(term, [f] * (i > 0) + [g] + [F] * (i < k - 1))
-        _dual_product(prefix, [(a, f)], dilated)
-    if T_f is None:
-        T_f = total(prefix, [f])
-    if T_F is None:
-        T_F = T_f if F is f else total(
-            _dual_product(np.ones(size, dtype=np.complex128),
-                          [(a, F) for a in coeffs], dilated), [F])
-    return T_f, T_F, terms
-
-
 def _verify_transforms_at_zero(named: dict) -> VerificationReport:
     """hat(h)(0) = sum_x h(x) for each named function: an O(N) tie between a
     transform derived by linearity and the values it stands for."""
@@ -651,15 +585,14 @@ def _verify_transforms_at_zero(named: dict) -> VerificationReport:
 def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     """T(f) - T(F) = sum_i T(f..f, g, F..F) with g = f - F, then the chain bounds.
 
-    Each of the k + 2 counts has the bits of count_T(..., "fourier")
-    (`_telescoping_counts`): an exact int when its slots are all
-    integer-valued, else a float from one shared dilation map xi -> a xi per
-    coefficient and shared prefix products of the f slots.  The chain bounds
-    need k >= 5 and coefficients invertible in the scalar ring, so that every
-    dual dilation is a bijection; otherwise they are skipped and the report
-    says why.  A caller that holds g = f - F passes it, so that g is built
-    and transformed once; the pipeline passes a g whose transform it derived
-    by linearity.
+    Its k + 2 counts are count_T calls: T(f), T(F) (which is T(f) when F is
+    f) and the k terms, each an exact int when its slots are all
+    integer-valued and otherwise a float, or complex beside a complex slot.
+    The chain bounds need k >= 5 and coefficients invertible in the scalar
+    ring, so that every dual dilation is a bijection; otherwise they are
+    skipped and the report says why.  A caller that holds g = f - F passes
+    it, so that g is built and transformed once; the pipeline passes a g
+    whose transform it derived by linearity.
     """
     if f.ctx != F.ctx:
         raise ValueError("group context mismatch")
@@ -667,7 +600,9 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     k = eq.k
     if g is None:
         g = f - F
-    T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
+    T_f = count_T(eq, [f] * k)
+    T_F = T_f if F is f else count_T(eq, [F] * k)
+    terms = [count_T(eq, [f] * i + [g] + [F] * (k - 1 - i)) for i in range(k)]
     lhs = T_f - T_F
     rhs = sum(terms)
     scale = max(1.0, abs(T_f), abs(T_F))

@@ -38,12 +38,13 @@ _DIRECT_LIMIT = 4096  # largest N for O(N^2) reference paths
 class Dfn:
     """A finitely supported function on a group, stored as a dense array.
 
-    The transform is cached on first use, so the values must not change
-    after ``hat()``; a shared indicator such as ``SetA.indicator()`` has
-    read-only values for that reason.
+    The transform and the answer of ``is_integer_valued()`` are cached on
+    first use, so the values must not change after either is asked; a shared
+    indicator such as ``SetA.indicator()`` has read-only values for that
+    reason.  A Dfn built from others (``f - F``, say) asks afresh.
     """
 
-    __slots__ = ("ctx", "values", "_hat")
+    __slots__ = ("ctx", "values", "_hat", "_integer")
 
     def __init__(self, ctx: GroupCtx, values):
         values = np.asarray(values)
@@ -52,6 +53,7 @@ class Dfn:
         self.ctx = ctx
         self.values = values
         self._hat = None
+        self._integer = None
 
     @property
     def tag(self) -> str:
@@ -82,11 +84,13 @@ class Dfn:
 
     # basic queries -------------------------------------------------------------
     def is_integer_valued(self) -> bool:
-        if np.issubdtype(self.values.dtype, np.integer):
-            return True
-        if self.tag == "complex":
-            return False
-        return bool(np.all(self.values == np.round(self.values)))
+        """Whether every value is an integer, whatever the dtype (bool
+        included); the O(N) test of float values runs once."""
+        if self._integer is None:
+            kind = self.values.dtype.kind
+            self._integer = kind in "biu" or (
+                kind != "c" and bool(np.all(self.values == np.round(self.values))))
+        return self._integer
 
     def support(self) -> np.ndarray:
         return np.nonzero(self.values)[0]
@@ -296,10 +300,11 @@ _PAIR_BLOCK = 1 << 16  # pairwise products per scatter-add, to bound temporaries
 
 def _as_int64(v) -> np.ndarray:
     """Integer values as int64.  Raises OverflowError naming 2^63 when an
-    entry of any other dtype reaches it in magnitude, where numpy's cast would
-    wrap it."""
+    entry of a dtype that int64 does not hold (uint64, float, object) reaches
+    it in magnitude, where numpy's cast would wrap it."""
     v = np.asarray(v)
-    if v.dtype.kind != "i" and v.size and np.abs(v).max() >= _INT64_LIMIT:
+    if (not np.can_cast(v.dtype, np.int64) and v.size
+            and np.abs(v).max() >= _INT64_LIMIT):
         raise OverflowError(f"entry {np.abs(v).max()} is not below 2^63 in magnitude")
     return v.astype(np.int64, copy=False)
 

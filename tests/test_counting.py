@@ -17,7 +17,6 @@ from addlab.counting import (
     _pair_energies,
     _solution_counts,
     _solve_last,
-    _telescoping_counts,
     _verify_transforms_at_zero,
     assert_z_faithful,
     count_T,
@@ -154,6 +153,20 @@ class TestCountT:
         one = Dfn.delta(CyclicCtx(7))
         with pytest.raises(OverflowError, match="2\\^63"):
             count_T(eq, [big] + [one] * 4, method)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint64, np.float32])
+    def test_other_integer_dtypes_count_as_int64(self, dtype):
+        # a set's bool membership array is an integer-valued input
+        A = erdos_turan_sidon(7)
+        cases = [(A.ctx, A.member, EquationSpec([1, 1, 1, -1, -2])),
+                 (F3_3, np.arange(27) % 2, EquationSpec([1, 1, 1, 1, -4]))]
+        for ctx, v, eq in cases:
+            h, ref = Dfn(ctx, v.astype(dtype)), Dfn(ctx, v.astype(np.int64))
+            for method in ("brute", "fourier"):
+                count = count_T(eq, [h] * eq.k, method)
+                assert count == count_T(eq, [ref] * eq.k, method) and type(count) is int
+            energy = moment_energy([h, h], 2)
+            assert energy == moment_energy([ref, ref], 2) and type(energy) is int
 
     def test_fourier_integer_count_raises_past_entry_bound(self):
         # the 3-fold partial convolution of a point mass 2^22 would reach 2^66
@@ -690,8 +703,14 @@ def assert_same_bits(got, want):
     assert type(got) is type(want) and repr(got) == repr(want), (got, want)
 
 
+def _reported_counts(eq, f, F, g):
+    """(T_f, T_F, terms) as verify_telescoping reports them."""
+    q = verify_telescoping(eq, f, F, g).quantities
+    return q["T_f"], q["T_F"], q["terms"]
+
+
 class TestTelescopingCounts:
-    """The shared-prefix counts against one count_T per slot list, bit for bit."""
+    """verify_telescoping's counts against one count_T per slot list, bit for bit."""
 
     CASES = {
         "cyclic": (CyclicCtx(61), EquationSpec([1, 1, 1, -1, -2])),
@@ -707,7 +726,7 @@ class TestTelescopingCounts:
         return T_f, T_F, rest
 
     def _check(self, eq, f, F, g):
-        T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
+        T_f, T_F, terms = _reported_counts(eq, f, F, g)
         want_f, want_F, want_terms = self._per_slot(eq, f, F, g)
         assert_same_bits(T_f, want_f)
         assert_same_bits(T_F, want_F)
@@ -737,10 +756,10 @@ class TestTelescopingCounts:
         rng = spawn_rng(35, 2)
         f, F = (Dfn(ctx, rng.integers(0, 3, size=ctx.N).astype(float)) for _ in range(2))
         self._check(eq, f, F, f - F)
-        T_f, T_F, terms = _telescoping_counts(eq, f, F, f - F)
+        T_f, T_F, terms = _reported_counts(eq, f, F, f - F)
         assert all(type(t) is int for t in [T_f, T_F, *terms])
         as_ints = [Dfn(ctx, h.values.astype(np.int64)) for h in (f, F, f - F)]
-        assert (T_f, T_F, terms) == _telescoping_counts(eq, *as_ints)
+        assert (T_f, T_F, terms) == _reported_counts(eq, *as_ints)
 
     @pytest.mark.parametrize("case", CASES)
     def test_integer_valued_F_counts_exactly_beside_float_f(self, case):
@@ -749,7 +768,7 @@ class TestTelescopingCounts:
         f = Dfn(ctx, rng.uniform(0, 1, size=ctx.N))
         F = Dfn(ctx, 8.0 * rng.integers(0, 2, size=ctx.N))
         self._check(eq, f, F, f - F)
-        T_f, T_F, terms = _telescoping_counts(eq, f, F, f - F)
+        T_f, T_F, terms = _reported_counts(eq, f, F, f - F)
         exact = count_T(eq, [Dfn(ctx, F.values.astype(np.int64))] * eq.k)
         assert type(T_F) is int and T_F == exact
         assert all(type(t) is float for t in [T_f, *terms])
@@ -801,7 +820,7 @@ class TestHalfDomain:
         rng = spawn_rng(38, 5)
         f = Dfn(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
         F, g = (Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(2))
-        T_f, T_F, terms = _telescoping_counts(eq, f, F, g)
+        T_f, T_F, terms = _reported_counts(eq, f, F, g)
         assert_same_bits(T_F, count_T(eq, [F] * eq.k))
         assert_same_bits(terms[0], count_T(eq, [g] + [F] * (eq.k - 1)))
         assert_same_bits(T_f, count_T(eq, [f] * eq.k))

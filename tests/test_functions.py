@@ -166,11 +166,13 @@ class TestConvolve:
         assert np.array_equal(exact.values, definitional_convolve(a, b))
 
     def test_float_entry_past_int64_raises(self):
-        # an integer-valued float of 2^63 would wrap to -2^63 in the cast
+        # an integer-valued float of 2^63 would wrap to -2^63 in the cast,
+        # and so would a uint64 one; -2^63 is refused by the same bound
         ctx = CyclicCtx(5)
-        big = Dfn(ctx, np.array([2.0**63, 0, 0, 0, 0]))
-        with pytest.raises(OverflowError, match="2\\^63"):
-            convolve(big, Dfn.delta(ctx))
+        for top in (np.float64(2.0**63), np.float64(-(2.0**63)), np.uint64(1 << 63)):
+            big = Dfn(ctx, np.array([top, 0, 0, 0, 0], dtype=top.dtype))
+            with pytest.raises(OverflowError, match="2\\^63"):
+                convolve(big, Dfn.delta(ctx))
 
     def test_ctx_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -358,6 +360,42 @@ def test_serialization_roundtrip(tmp_path):
     back = load_dfn(path)
     assert back.values.dtype == np.int64
     assert np.array_equal(back.values, ind.values)
+
+
+class TestIntegerValued:
+    def test_value_test_runs_once(self, monkeypatch):
+        rounds = []
+        real_round = np.round
+
+        def counted(*args, **kwargs):
+            rounds.append(1)
+            return real_round(*args, **kwargs)
+
+        monkeypatch.setattr(np, "round", counted)
+        ctx = CyclicCtx(12)
+        f = Dfn(ctx, np.arange(12.0))
+        F = Dfn(ctx, np.full(12, 0.5))
+        assert all(f.is_integer_valued() for _ in range(3))
+        assert len(rounds) == 1
+        assert not any(F.is_integer_valued() for _ in range(3))
+        assert len(rounds) == 2
+        # a Dfn made by f - F gets its own answer, not f's
+        assert not (f - F).is_integer_valued() and len(rounds) == 3
+        assert (f - f).is_integer_valued() and len(rounds) == 4
+        # integer dtypes and complex values need no value test
+        for v in (np.arange(12), np.ones(12, dtype=bool), np.ones(12) + 0j):
+            Dfn(ctx, v).is_integer_valued()
+        assert len(rounds) == 4
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.uint64, np.float32])
+    def test_other_integer_dtypes_convolve_as_int64(self, dtype):
+        rng = spawn_rng(36, 0)
+        for ctx in (CyclicCtx(37), VectorCtx(FieldCtx(3, 1), 4)):
+            v = rng.integers(0, 2, size=ctx.N)
+            h, ref = Dfn(ctx, v.astype(dtype)), Dfn(ctx, v)
+            assert h.is_integer_valued()
+            out, want = convolve(h, h).values, convolve(ref, ref).values
+            assert out.dtype == np.int64 and np.array_equal(out, want)
 
 
 def test_tag_follows_dtype():
