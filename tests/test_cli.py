@@ -285,6 +285,16 @@ def test_bad_eq_flag_is_config_error_before_any_suite(monkeypatch, capsys):
     assert "eq '1,1,1,-1,-2;1,1,-2': invalid literal for int()" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eq", ["1,1,-2", "1,-1,1,-1"])
+def test_verify_all_runs_equations_in_fewer_than_five_variables(tmp_path, eq):
+    # the pipeline skips the Hoelder chain with a flag below k = 5
+    assert run_cli("verify", "--suite", "all", "--eq", eq, "--threads", "1",
+                   "--out", str(tmp_path / "v")) == 0
+    report = json.loads((tmp_path / "v" / "report.json").read_text())
+    flags = [f for case in report["suites"]["pipeline"] for f in case["report"]["flags"]]
+    assert f"holder chain skipped: it needs k >= 5, here k = {eq.count(',') + 1}" in flags
+
+
 @pytest.mark.parametrize("command, name, token", [
     ("count --eq 1,1,x --input {set}", "--eq", "1,1,x"),
     ("count --eq 1,1,1 --input {set}", "--eq", "1,1,1"),  # sums to 3, not 0

@@ -247,8 +247,16 @@ class TestCountT:
         ctx = CyclicCtx(20)
         A = SetA(ctx, [0, 9])  # radius 9, weight 4 -> need M > 36
         with pytest.raises(PaddingError) as exc:
-            assert_z_faithful(eq, [A.indicator()] * 3)
+            assert_z_faithful(eq, A)
         assert exc.value.minimal_modulus == 37
+        # a set that wraps past 0 is measured by signed residues: {-3, 2}
+        # has radius 3, so M = 20 needs weight 4 * 3 = 12 < 20 and passes,
+        # while M = 12 fails with the same radius
+        assert_z_faithful(eq, SetA(ctx, [17, 2]))
+        with pytest.raises(PaddingError) as exc:
+            assert_z_faithful(eq, SetA(CyclicCtx(12), [9, 2]))
+        assert exc.value.minimal_modulus == 13
+        assert_z_faithful(eq, SetA(ctx, []))
 
     def test_exact_convolution_route_matches_brute(self):
         rng = spawn_rng(32, 2)
@@ -384,7 +392,7 @@ class TestTrivialSolutionValue:
         A = SetA(ctx, [0, 5, 10], model_n=30)  # 0 + 10 = 2*5
         with pytest.raises(ValueError, match="nontrivial") as exc:
             trivial_solution_value(eq, A, s=2)
-        assert "(" in str(exc.value)
+        assert "5 solutions in A^3, of which 3 are trivial" in str(exc.value)
 
     def test_all_distinct_reporting(self):
         eq = EquationSpec([1, 1, -2])
@@ -940,6 +948,26 @@ class TestSupersaturation:
                 rep = verify_supersaturation(eq, A0)
                 assert rep.passed, [a.name for a in rep.failing()]
 
+    def test_merged_dilation_fails_the_report(self, monkeypatch):
+        # a dilation that maps two elements of A_0 to one point must fail
+        # diagonal_coordinates_distinct in the report, not raise
+        ctx = VectorCtx(FieldCtx(3, 1), 3)
+        eq = EquationSpec([1, 1, 1, 1, -4])
+        A0 = greedy_kst_free(2, 2, ctx.N, seed=1, ctx=ctx)
+        scale_int = VectorCtx.scale_int
+
+        def merging_scale_int(self, c, x):
+            out = scale_int(self, c, x)
+            if c == -4 and np.ndim(out) and len(out) == len(A0):
+                out = np.array(out)
+                out[1] = out[0]
+            return out
+
+        assert verify_supersaturation(eq, A0).passed
+        monkeypatch.setattr(VectorCtx, "scale_int", merging_scale_int)
+        rep = verify_supersaturation(eq, A0)
+        assert "diagonal_coordinates_distinct" in [a.name for a in rep.failing()]
+
     def test_zero_coefficient_eq_rejected(self):
         eq = EquationSpec([1, 2, -3])
         A0 = SetA(VectorCtx(FieldCtx(3, 1), 2), [0, 1])
@@ -970,6 +998,16 @@ class TestPipeline:
         assert (f"set is not equation-free: the coefficients [1, -1] sum to 0 mod {M}, "
                 "so every set with |A| >= 2 has a nontrivial solution") in rep.flags
 
+    @pytest.mark.parametrize("coeffs", [(1, 1, -2), (1, -1, 1, -1)])
+    def test_fewer_than_five_variables_skip_the_chain(self, coeffs):
+        rep = run_transference_pipeline(erdos_turan_sidon(11), EquationSpec(coeffs),
+                                        2, 2, "1/8")
+        assert rep.passed
+        assert "holder_chain" not in rep.sections
+        assert "E2_nu_over_N3" not in rep.ledger
+        assert (f"holder chain skipped: it needs k >= 5, here k = {len(coeffs)}"
+                in rep.flags)
+
     def test_no_vanishing_subsum_keeps_the_generic_flag(self):
         # over F_5 every coefficient of 1,1,1,1,-4 is 1: no subsum vanishes,
         # yet the set has nontrivial solutions
@@ -993,7 +1031,7 @@ class TestPipeline:
     @pytest.mark.parametrize("build, s, t, eps", [
         (lambda: erdos_turan_sidon(31), 2, 2, "1/8"),         # one-point smoother
         (lambda: greedy_kst_free(2, 3, 1024, seed=0), 2, 3, "1/2"),  # wide Bohr set
-        # equation-free: the diagonal value counts the scaled indicator too
+        # equation-free: the diagonal value section runs too
         (lambda: equation_free_greedy(EquationSpec([1, 1, 1, -1, -2]), 40, seed=6),
          2, 2, "1/8"),
     ], ids=["erdos_turan_31", "kst23_free_1024", "equation_free_40"])
