@@ -263,7 +263,7 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
         return _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
     real = all(h.tag == "real" for h in hs)
     domain = _dual_domain(ctx, real)
-    xi = ctx.elements()[domain]
+    xi = np.arange(*domain.indices(ctx.N)) if isinstance(domain, slice) else domain
     # where hat(h)(a xi) is read: the domain itself for a = 1, so a slice
     # stays a view, and an index array for every other coefficient
     at = {a: domain if a == 1 else np.asarray(ctx.scale_int(a, xi))

@@ -12,9 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import product
-from operator import and_
 
 import numpy as np
 
@@ -22,9 +19,9 @@ from .energy import power_sum, vanishing_eta
 from .functions import Dfn, _real_pair_hats, convolve
 from .groups import CyclicCtx, VectorCtx
 from .report import VerificationReport
-from .sets import SetA, rep_tuples, require_kst_free
+from .sets import _TUPLE_BLOCK, SetA, rep_tuples, require_kst_free
 from .spectral import Subspace, annihilator, bohr_set, span, spectrum
-from .util import as_fraction, indices_to_mask, spawn_rng
+from .util import as_fraction, spawn_rng
 
 TRIVIAL_SMOOTHER_FLAG = "trivial smoother (|B|=1): g = 0"
 # the tuple identity is checked on at most this many tuples with |S_h| > 0
@@ -230,10 +227,13 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     Asserts the aggregate chain S <= t|H|^s + (eta/t)|A|^s|H| exactly and the
     tuple identity r_A(a(x)) = |S_h| - 1 against an independently computed
     r_A (exhaustively when the tuple count is small, on a seeded sample
-    otherwise; the sampling is flagged).  The tuple loop only collects the
+    otherwise; the sampling is flagged).  The tuples are taken in
+    itertools.product order (or sample order), `_TUPLE_BLOCK` at a time: each
+    S_h is the AND of s rows of a boolean (|H|, N) matrix of translates of A,
+    its size a count and its lowest x an argmax.  The pass only collects the
     checked tuples; r_A of all of them is one batched evaluation of the
     rep_tuple definition (`sets.rep_tuples`, in blocks of rows), computed
-    from A alone and not from the masks it checks.
+    from A alone and not from the translates it checks.
     """
     ctx = A.ctx
     if not isinstance(ctx, VectorCtx):
@@ -262,40 +262,55 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     tuple_count = size**s
     exhaustive = tuple_count <= _TUPLE_BUDGET
     if exhaustive:
-        rows = product(range(size), repeat=s)
+        row_count = tuple_count
+        # row r of itertools.product(range(|H|), repeat=s): the base-|H|
+        # digits of r, most significant first
+        place = size ** np.arange(s - 1, -1, -1, dtype=np.int64)
     else:
-        rows = spawn_rng(0, 0x5DEC).integers(0, size, size=(5000, s))
+        sample = spawn_rng(0, 0x5DEC).integers(0, size, size=(5000, s))
+        row_count = len(sample)
         rep.flags.append(
             f"|H|^s = {tuple_count} tuples: identity verified on a seeded sample"
         )
-    # bit x of the h-th mask is set iff x - h lies in A
-    translate_masks = [
-        indices_to_mask(np.asarray(ctx.add(A.indices, int(h))), ctx.N) for h in h_elems
-    ]
+    # row j holds the x with x - h_j in A, i.e. A + h_j
+    translates = np.zeros((size, ctx.N), dtype=bool)
+    translates[np.arange(size)[:, None], ctx.add(h_elems[:, None], A.indices)] = True
 
-    # x, the tuple row (flattened) and |S_h| of each tuple whose identity is checked
+    # x, the tuple row and |S_h| of each tuple whose identity is checked
     xs, checked_rows, sizes = [], [], []
+    checked = 0
     recon_S = 0
     excess_lhs = 0   # sum over tuples of (|S_h| - t)_+
     excess_rhs = 0   # sum over tuples of |S_h| (|S_h| - t)_+
-    for row in rows:
-        mask = reduce(and_, [translate_masks[j] for j in row])
-        sz = mask.bit_count()
+    for lo in range(0, row_count, _TUPLE_BLOCK):
         if exhaustive:
-            recon_S += sz
-            if sz > t:
-                excess_lhs += sz - t
-                excess_rhs += sz * (sz - t)
-        if sz and len(sizes) < _IDENTITY_CHECKS:
-            xs.append((mask & -mask).bit_length() - 1)
-            checked_rows.extend(row)
-            sizes.append(sz)
-    checked = len(sizes)
-    tuples = ctx.sub(
-        np.array(xs, dtype=np.int64)[:, None],
-        h_elems[np.array(checked_rows, dtype=np.int64).reshape(checked, s)],
+            flat = np.arange(lo, min(lo + _TUPLE_BLOCK, row_count), dtype=np.int64)
+            rows = flat[:, None] // place % size
+        else:
+            rows = sample[lo : lo + _TUPLE_BLOCK]
+        # S_h of each row: the AND of its s translates
+        common = translates[rows[:, 0]]
+        for col in rows[:, 1:].T:
+            common &= translates[col]
+        sz = np.count_nonzero(common, axis=1)
+        if exhaustive:
+            recon_S += int(sz.sum())
+            over = sz[sz > t]
+            excess_lhs += int((over - t).sum())
+            excess_rhs += int((over * (over - t)).sum())
+        hits = np.flatnonzero(sz)[: _IDENTITY_CHECKS - checked]
+        if len(hits):
+            # the lowest x of each S_h
+            xs.append(common[hits].argmax(axis=1))
+            checked_rows.append(rows[hits])
+            sizes.append(sz[hits])
+            checked += len(hits)
+    # with no tuple to check the identity holds vacuously
+    identity_ok = not checked or np.array_equal(
+        rep_tuples(A, ctx.sub(np.concatenate(xs)[:, None],
+                              h_elems[np.concatenate(checked_rows)])),
+        np.concatenate(sizes) - 1,
     )
-    identity_ok = np.array_equal(rep_tuples(A, tuples), np.array(sizes) - 1)
     rep.quantities["identity_checks"] = checked
     rep.check("tuple_identity", identity_ok, "==", True, exact=True)
     if exhaustive:

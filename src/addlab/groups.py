@@ -393,7 +393,10 @@ class CyclicCtx(GroupCtx):
         return _scalar((-np.asarray(i, dtype=np.int64)) % self.M)
 
     def scale_int(self, c: int, i):
-        return _scalar((int(c) % self.M * np.asarray(i, dtype=np.int64)) % self.M)
+        # y - (y // M) * M is y % M: numpy's floor division by a constant is
+        # faster than its remainder
+        y = int(c) % self.M * np.asarray(i, dtype=np.int64)
+        return _scalar(y - y // self.M * self.M)
 
     def char_phase(self, x, xi):
         num = (np.asarray(x, dtype=np.int64) * np.asarray(xi, dtype=np.int64)) % self.M

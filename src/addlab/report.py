@@ -16,10 +16,10 @@ their ".0" and exact integers stay bare; non-finite floats become the strings
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -97,9 +97,14 @@ class VerificationReport:
 
 # -- serialization ------------------------------------------------------------
 
+# leaves that serialize as they are: most of a report, kept off the slower checks
+_PLAIN = frozenset({str, int, bool, type(None)})
+
 
 def to_jsonable(obj):
     """Normalize values for the documented schema."""
+    if type(obj) in _PLAIN:
+        return obj
     if hasattr(obj, "as_report_dict"):
         return to_jsonable(obj.as_report_dict())
     if isinstance(obj, VerificationReport):
@@ -143,9 +148,65 @@ def to_jsonable(obj):
 
 
 def dumps_report(obj) -> str:
-    """Serialize to indented JSON text; floats in shortest round-trip form."""
-    return json.dumps(to_jsonable(obj), indent=2, ensure_ascii=False,
-                      allow_nan=False, default=str) + "\n"
+    """Serialize to indented JSON text; floats in shortest round-trip form.
+
+    One recursive pass over `to_jsonable(obj)` writes the bytes of
+    json.dumps(..., indent=2, ensure_ascii=False, allow_nan=False,
+    default=str), whose indented form runs the pure-Python encoder: strings
+    through `encode_basestring`, ints and floats by their repr, `{}` and `[]`
+    for empty containers, a ValueError on a non-finite float, and any other
+    value as the string str(value).
+    """
+    parts = []
+    write = parts.append
+    encode = encode_basestring
+    int_repr = int.__repr__
+    float_repr = float.__repr__
+
+    def emit(o, pad):
+        if isinstance(o, str):
+            write(encode(o))
+        elif o is None:
+            write("null")
+        elif o is True:
+            write("true")
+        elif o is False:
+            write("false")
+        elif isinstance(o, int):
+            write(int_repr(o))
+        elif isinstance(o, float):
+            if not math.isfinite(o):
+                raise ValueError(
+                    f"Out of range float values are not JSON compliant: {o!r}")
+            write(float_repr(o))
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                write("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for v in o:
+                write(sep)
+                sep = "," + inner
+                emit(v, inner)
+            write(pad + "]")
+        elif isinstance(o, dict):
+            if not o:
+                write("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, v in o.items():
+                write(sep + encode(k) + ": ")
+                sep = "," + inner
+                emit(v, inner)
+            write(pad + "}")
+        else:
+            write(encode(str(o)))
+
+    emit(to_jsonable(obj), "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def write_csv(path, header: list, rows: list):

@@ -16,7 +16,7 @@ from .functions import Dfn
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
 from .sets import SetA
-from .util import as_fraction
+from .util import as_fraction, sorted_unique
 
 __all__ = [
     "Spectrum",
@@ -148,7 +148,7 @@ class Subspace:
                 elems = np.concatenate(
                     [np.asarray(ctx.add(elems, sv)) for sv in scaled]
                 )
-            self._elements = np.sort(np.unique(elems))
+            self._elements = sorted_unique(elems)
             assert len(self._elements) == self.size
         return self._elements
 

@@ -1,4 +1,5 @@
-"""Small shared helpers: seeded RNG spawning, bit masks, rationals, signed residues."""
+"""Small shared helpers: seeded RNG spawning, bit masks, rationals, signed
+residues, sorted distinct integers."""
 
 from __future__ import annotations
 
@@ -37,6 +38,21 @@ def indices_to_mask(indices, size: int) -> int:
     if len(indices):
         arr[np.asarray(indices, dtype=np.int64)] = True
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def sorted_unique(values) -> np.ndarray:
+    """The distinct entries of an integer array, flattened, as sorted int64:
+    a sort, then every entry that differs from its predecessor.
+
+    np.unique gives the same array, but without return_counts it imports
+    numpy.ma on its first call and takes a hash path that is slower than the
+    sort on the sizes used here.
+    """
+    a = np.sort(np.asarray(values, dtype=np.int64), axis=None)
+    keep = np.empty(len(a), dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 def signed_residue(x, modulus: int):

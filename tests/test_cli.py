@@ -22,6 +22,12 @@ def run_cli(*args):
     return main(list(args))
 
 
+@pytest.fixture(scope="module")
+def seed_42_suites():
+    """run_suite's (code, result, first failure) for every suite at seed 42."""
+    return run_suite(SuiteConfig(suites=cli.SUITE_NAMES, seed=42))
+
+
 class TestReportSerialization:
     def test_round_trip_through_schema(self):
         rep = VerificationReport(
@@ -72,6 +78,38 @@ class TestReportSerialization:
         text = dumps_report(VerificationReport(lemma="empty"))
         back = json.loads(text)
         assert back["assertions"] == [] and back["pass"] is True
+
+    @staticmethod
+    def _json_dumps(obj):
+        return json.dumps(to_jsonable(obj), indent=2, ensure_ascii=False,
+                          allow_nan=False, default=str) + "\n"
+
+    def test_matches_json_dumps_on_the_seed_42_suites(self, seed_42_suites):
+        _, out, _ = seed_42_suites
+        assert dumps_report(out) == self._json_dumps(out)
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], {"a": {}, "b": [], "c": [[], [{}]], "d": [[1, [2, []]], {"e": {"f": None}}]},
+        {"é": "ünïcödé ∑ 𝔽_q", "quote\"back\\slash": "tab\tnew\nline\u0001"},
+        [Fraction(-3, 4), Fraction(5), complex(1.5, -0.0), 1j, True, False, None],
+        ["inf", "-inf", "nan", float("inf"), np.float64("nan")],
+        [2**200, -(2**70), 0, np.int64(-7), np.bool_(False), -0.0, 1e-300, 1e22],
+        {"set": frozenset({1}), "path": Path("/x"), "ndarray": np.arange(3)},
+        VerificationReport(lemma="λ", inputs={"eps": Fraction(1, 8)}),
+    ], ids=["empty-dict", "empty-list", "nested", "text", "exact", "non-finite",
+            "numbers", "other", "report"])
+    def test_matches_json_dumps(self, obj):
+        assert dumps_report(obj) == self._json_dumps(obj)
+
+    def test_non_finite_float_raises(self, monkeypatch):
+        # to_jsonable turns non-finite floats into strings; without it the
+        # writer refuses them, as json.dumps does with allow_nan=False
+        from addlab import report
+
+        monkeypatch.setattr(report, "to_jsonable", lambda obj: obj)
+        for x in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="Out of range float"):
+                dumps_report({"x": [1.0, x]})
 
     def test_assertion_slack(self):
         a = Assertion(name="x", lhs=3, op="<=", rhs=5, passed=True)
@@ -398,3 +436,29 @@ def test_construct_subspace_with_ctx_params(tmp_path):
                    "ctx=vector;p=3;r=2;n=2;mod=1,0,1,basis=1,0 0,1",
                    "--out", str(out9)) == 0
     assert len(load_set(out9)) == 9
+
+
+def _equation_free_reports(out):
+    counting = {e["label"]: e["report"] for e in out["suites"]["counting"]}
+    return counting["equation_free_counts"], counting["diagonal_count_value"]
+
+
+@pytest.mark.parametrize("equation, subsum", [
+    (None, [1, -1]), ((1, -1, 1, -1), [1, -1]), ((1, 1, 1, 1, -4), None)])
+def test_vacuous_equation_free_checks_are_flagged(seed_42_suites, equation, subsum):
+    # a vanishing coefficient subsum leaves the greedy set one point, so its
+    # diagonal checks cannot fail; the counting suite says so
+    if equation is None:
+        out = seed_42_suites[1]
+    else:
+        out = run_suite(SuiteConfig(suites=("counting",), seed=42, equation=equation))[1]
+    free, diagonal = _equation_free_reports(out)
+    assert free.passed and diagonal.passed
+    vacuous = [f for f in free.flags if f.startswith("vacuous")]
+    if subsum is None:
+        assert vacuous == [] and diagonal.quantities["solutions"] > 1
+    else:
+        assert diagonal.quantities["solutions"] == 1
+        (flag,) = vacuous
+        assert f"the coefficients {subsum} sum to 0" in flag
+        assert "diagonal_only and diagonal_count_value hold trivially" in flag

@@ -1,6 +1,9 @@
 """Dense model construction and its exactly-checked properties."""
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from operator import and_
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from addlab.sets import (
     subspace_set,
 )
 from addlab.spectral import annihilator, span, spectrum
+from addlab.util import indices_to_mask, spawn_rng
 
 
 CTX34 = VectorCtx(FieldCtx(3, 1), 4)
@@ -218,3 +222,80 @@ class TestBatchedIdentity:
         rep = verify_smoothing_decomposition(A, 2, 2, H)
         (identity,) = [a for a in rep.assertions if a.name == "tuple_identity"]
         assert not identity.passed and not rep.passed
+
+
+def tuple_loop_oracle(A, s, t, H):
+    """The tuple pass one tuple at a time, on Python-int bitsets of the
+    translates A + h: (sum of |S_h|, sum of (|S_h| - t)_+, sum of
+    |S_h| (|S_h| - t)_+, the checked tuples x - h, their |S_h|)."""
+    ctx = A.ctx
+    h = H.element_indices()
+    if len(h) ** s <= dense_model._TUPLE_BUDGET:
+        rows = product(range(len(h)), repeat=s)
+    else:
+        rows = spawn_rng(0, 0x5DEC).integers(0, len(h), size=(5000, s))
+    masks = [indices_to_mask(np.asarray(ctx.add(A.indices, int(x))), ctx.N) for x in h]
+    recon = lhs = rhs = 0
+    tuples, sizes = [], []
+    for row in rows:
+        mask = reduce(and_, [masks[j] for j in row])
+        sz = mask.bit_count()
+        recon += sz
+        if sz > t:
+            lhs += sz - t
+            rhs += sz * (sz - t)
+        if sz and len(sizes) < dense_model._IDENTITY_CHECKS:
+            x = (mask & -mask).bit_length() - 1
+            tuples.append([int(ctx.sub(x, int(h[j]))) for j in row])
+            sizes.append(sz)
+    return recon, lhs, rhs, tuples, sizes
+
+
+class TestTuplePass:
+    """The block pass over the boolean translate matrix against the per-tuple
+    loop: the same sums and the same checked tuples in the same order."""
+
+    def _compare(self, monkeypatch, A, s, t, H):
+        seen = []
+
+        def spy(A, tuples):
+            seen.append(np.asarray(tuples).tolist())
+            return sets.rep_tuples(A, tuples)
+
+        monkeypatch.setattr(dense_model, "rep_tuples", spy)
+        rep = verify_smoothing_decomposition(A, s, t, H)
+        recon, lhs, rhs, tuples, sizes = tuple_loop_oracle(A, s, t, H)
+        assert rep.passed
+        assert rep.quantities["identity_checks"] == len(sizes) > 0
+        assert seen == [tuples]
+        checks = {a.name: a for a in rep.assertions}
+        if "tuple_sum_matches_S" in checks:
+            assert checks["tuple_sum_matches_S"].lhs == recon
+            assert checks["excess_linearization"].lhs == t * lhs
+            assert checks["excess_linearization"].rhs == rhs
+        return rep
+
+    @pytest.mark.parametrize("s,t,dim", [(2, 2, 2), (2, 3, 3), (3, 3, 3)])
+    def test_exhaustive(self, monkeypatch, s, t, dim):
+        A = greedy_kst_free(s, t, CTX34.N, seed=5 + s + t, ctx=CTX34)
+        H = span(CTX34, [3**j for j in range(dim)])
+        rep = self._compare(monkeypatch, A, s, t, H)
+        assert "tuple_sum_matches_S" in {a.name for a in rep.assertions}
+
+    def test_sampled(self, monkeypatch):
+        monkeypatch.setattr(dense_model, "_TUPLE_BUDGET", 100)
+        A = greedy_kst_free(2, 2, CTX34.N, seed=7, ctx=CTX34)
+        H = span(CTX34, [1, 3, 9])  # |H|^2 = 729 tuples, 5000 sampled rows
+        rep = self._compare(monkeypatch, A, 2, 2, H)
+        assert any("sample" in f for f in rep.flags)
+
+    @pytest.mark.parametrize("budget", [None, 100])
+    def test_identity_cap(self, monkeypatch, budget):
+        # a cap that falls inside the second block of rows
+        monkeypatch.setattr(dense_model, "_IDENTITY_CHECKS", sets._TUPLE_BLOCK + 44)
+        if budget:
+            monkeypatch.setattr(dense_model, "_TUPLE_BUDGET", budget)
+        A = greedy_kst_free(2, 3, CTX34.N, seed=2, ctx=CTX34)
+        H = span(CTX34, [1, 3, 9])
+        rep = self._compare(monkeypatch, A, 2, 3, H)
+        assert rep.quantities["identity_checks"] == sets._TUPLE_BLOCK + 44

@@ -436,6 +436,89 @@ class TestGreedyIncremental:
             greedy_kst_free(3, 2, 20, seed=0)
 
 
+def equation_free_recount_oracle(eq, n, seed):
+    """The equation-free greedy with the admission test spelled out: every
+    solution of A + {c} recounted, mod the padded modulus, for each c."""
+    from addlab.counting import count_equation_solutions, padded_modulus
+
+    ctx = CyclicCtx(padded_modulus(eq, n))
+    chosen = []
+    for c in spawn_rng(seed, 0xEBF3).permutation(n):
+        trial = chosen + [int(c)]
+        if count_equation_solutions(eq, SetA(ctx, trial)) == len(trial):
+            chosen = trial
+    return sorted(chosen)
+
+
+class TestEquationFreeGreedy:
+    @pytest.mark.parametrize("coeffs", [
+        (1, 1, -2), (1, 2, -3), (1, 1, 1, -3), (2, 3, -1, -4), (1, 1, 1, 1, -4),
+        (1, -1, 1, -1), (1, 1, 1, -1, -2),
+    ])
+    @pytest.mark.parametrize("n", [48, 256])
+    def test_matches_recount_oracle(self, coeffs, n):
+        eq = EquationSpec(coeffs)
+        for seed in range(3):
+            A = equation_free_greedy(eq, n, seed=seed)
+            assert A.indices.tolist() == equation_free_recount_oracle(eq, n, seed), seed
+            # a vanishing coefficient subsum leaves no room for a second point
+            if eq.vanishing_subsum(A.ctx) is not None:
+                assert len(A) == 1
+
+    def test_empty_range(self):
+        assert len(equation_free_greedy(EquationSpec((1, 1, -2)), 0, seed=0)) == 0
+
+
+class TestSetStorage:
+    def test_sorted_distinct_indices(self):
+        A = SetA(CyclicCtx(10), [7, 3, 9, 3, 0, 7, 7])
+        assert A.indices.tolist() == [0, 3, 7, 9] and A.indices.dtype == np.int64
+        assert A.member.tolist() == [i in (0, 3, 7, 9) for i in range(10)]
+        assert SetA(CyclicCtx(10), np.array([[4, 1], [1, 4]])).indices.tolist() == [1, 4]
+
+    def test_sorted_unique_matches_np_unique(self):
+        from addlab.util import sorted_unique
+
+        rng = spawn_rng(3, 1)
+        for shape in ((0,), (1,), (50,), (7, 9)):
+            a = rng.integers(-20, 20, size=shape)
+            got = sorted_unique(a)
+            assert got.dtype == np.int64 and got.tolist() == np.unique(a).tolist()
+
+    def test_empty_input(self):
+        for empty in ([], np.empty(0, dtype=np.int64), ()):
+            A = SetA(CyclicCtx(5), empty)
+            assert len(A) == 0 and A.indices.dtype == np.int64
+            assert not A.member.any()
+
+    @pytest.mark.parametrize("indices", [[3, -1, 2], [0, 10], [10, 10]])
+    def test_out_of_range(self, indices):
+        with pytest.raises(ValueError, match="out of range"):
+            SetA(CyclicCtx(10), indices)
+
+    def test_building_sets_leaves_numpy_ma_unimported(self):
+        # np.unique without return_counts imports numpy.ma on its first call
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = Path(sets.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from addlab.groups import CyclicCtx, FieldCtx, VectorCtx\n"
+            "from addlab.sets import SetA, subspace_set\n"
+            "SetA(CyclicCtx(10), [3, 1, 3])\n"
+            "ctx = VectorCtx(FieldCtx(3, 1), 3)\n"
+            "subspace_set(ctx, [1, 3])\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(src)})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("check", [
     verify_kst_energy_bound,
     verify_excess_vanishing,
