@@ -1,6 +1,10 @@
 """Freeness detection vs the exhaustive grid oracle, plus constructions."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -498,11 +502,6 @@ class TestSetStorage:
 
     def test_building_sets_leaves_numpy_ma_unimported(self):
         # np.unique without return_counts imports numpy.ma on its first call
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
         src = Path(sets.__file__).resolve().parents[1]
         code = (
             "import sys\n"
