@@ -19,7 +19,7 @@ from .energy import power_sum, vanishing_eta
 from .functions import Dfn, _real_pair_hats, convolve
 from .groups import CyclicCtx, VectorCtx
 from .report import VerificationReport
-from .sets import _TUPLE_BLOCK, SetA, rep_tuples, require_kst_free
+from .sets import SetA, rep_tuples, require_kst_free
 from .spectral import Subspace, annihilator, bohr_set, span, spectrum
 from .util import as_fraction, spawn_rng
 
@@ -28,6 +28,9 @@ TRIVIAL_SMOOTHER_FLAG = "trivial smoother (|B|=1): g = 0"
 _IDENTITY_CHECKS = 20_000
 # every tuple is enumerated when |H|^s is at most this, a seeded sample otherwise
 _TUPLE_BUDGET = 250_000
+# tuples per block of the smoothing decomposition's tuple pass, to bound its
+# (rows, N) boolean temporaries
+_TUPLE_ROWS = 256
 
 __all__ = [
     "DenseModel",
@@ -228,7 +231,7 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     tuple identity r_A(a(x)) = |S_h| - 1 against an independently computed
     r_A (exhaustively when the tuple count is small, on a seeded sample
     otherwise; the sampling is flagged).  The tuples are taken in
-    itertools.product order (or sample order), `_TUPLE_BLOCK` at a time: each
+    itertools.product order (or sample order), `_TUPLE_ROWS` at a time: each
     S_h is the AND of s rows of a boolean (|H|, N) matrix of translates of A,
     its size a count and its lowest x an argmax.  The pass only collects the
     checked tuples; r_A of all of them is one batched evaluation of the
@@ -282,12 +285,12 @@ def verify_smoothing_decomposition(A: SetA, s: int, t: int, H: Subspace):
     recon_S = 0
     excess_lhs = 0   # sum over tuples of (|S_h| - t)_+
     excess_rhs = 0   # sum over tuples of |S_h| (|S_h| - t)_+
-    for lo in range(0, row_count, _TUPLE_BLOCK):
+    for lo in range(0, row_count, _TUPLE_ROWS):
         if exhaustive:
-            flat = np.arange(lo, min(lo + _TUPLE_BLOCK, row_count), dtype=np.int64)
+            flat = np.arange(lo, min(lo + _TUPLE_ROWS, row_count), dtype=np.int64)
             rows = flat[:, None] // place % size
         else:
-            rows = sample[lo : lo + _TUPLE_BLOCK]
+            rows = sample[lo : lo + _TUPLE_ROWS]
         # S_h of each row: the AND of its s translates
         common = translates[rows[:, 0]]
         for col in rows[:, 1:].T:

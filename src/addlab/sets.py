@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 _MAX_BITSET_ORDER = 1 << 24
-# rows per batched evaluation in rep_tuples and in the smoothing decomposition's
-# tuple pass, to bound the (rows, |A|) and (rows, N) temporaries
+# rows per batched evaluation in rep_tuples, to bound the (rows, |A|) temporaries
 _TUPLE_BLOCK = 256
 # candidates per batched admission test in the s = 2 greedy
 _GREEDY_BLOCK = 64
@@ -513,38 +512,21 @@ def equation_free_greedy(eq, n: int, seed: int) -> SetA:
     """Greedy set in [0, n) with only diagonal solutions to the equation.
 
     Candidates are taken in one seeded order and each is kept iff A + {c}
-    still has only the diagonal solutions, A being the set kept so far.  A
-    is free at every step, so a new solution holds c in a nonempty proper
-    set S of slots (c in every slot is the diagonal) and elements of A in
-    the others: sum_{i not in S} a_i x_i = -c sigma, sigma = sum_{i in S} a_i.
-    The padded modulus exceeds every |sum_i a_i x_i| with x_i in [0, n), so
-    solving over Z is solving mod M.  The test depends only on sigma and the
-    multiset of the other coefficients, and each such pair is tested once:
-
-    - sigma = 0, a vanishing subsum: x_i = a on the other slots solves it
-      for every a in A, so no candidate after the first is kept.
-    - otherwise `_greedy_free_of_equation` meets in the middle.
-
-    A candidate with a solution keeps it in every larger set, so the set is
-    the one that recounting every solution of A + {c} for each candidate
-    would pick, index for index.  Its exact solution count is checked once
-    more.
+    still has only the diagonal solutions.  Under a vanishing coefficient
+    subsum no two points do (`EquationSpec.vanishing_subsum`), so only the
+    first candidate is tried.
     """
     from .counting import count_equation_solutions, padded_modulus
 
     ctx = CyclicCtx(padded_modulus(eq, n))
     candidates = spawn_rng(seed, 0xEBF3).permutation(n)
-    k = eq.k
-    pairs = dict.fromkeys(
-        (sum(eq.coeffs[i] for i in S),
-         tuple(sorted(eq.coeffs[i] for i in range(k) if i not in S)))
-        for size in range(1, k)
-        for S in combinations(range(k), size)
-    )
-    # one point has only the diagonal solution
-    chosen = candidates[:1]
-    if len(candidates) > 1 and all(sigma for sigma, _ in pairs):
-        chosen = _greedy_free_of_equation(list(pairs), candidates, chosen)
+    if eq.vanishing_subsum(ctx) is not None:
+        candidates = candidates[:1]
+    chosen: list[int] = []
+    for c in candidates:
+        trial = chosen + [int(c)]
+        if count_equation_solutions(eq, SetA(ctx, trial)) == len(trial):
+            chosen = trial
     A = SetA(
         ctx,
         chosen,
@@ -558,56 +540,6 @@ def equation_free_greedy(eq, n: int, seed: int) -> SetA:
     )
     assert count_equation_solutions(eq, A) == len(A)
     return A
-
-
-def _slot_sums(A: np.ndarray, coeffs) -> np.ndarray:
-    """sum_j coeffs[j] x_j over every x in A^len(coeffs); [0] for no slots."""
-    sums = np.zeros(1, dtype=np.int64)
-    for b in coeffs:
-        sums = (sums[:, None] + b * A).ravel()
-    return sums
-
-
-def _greedy_free_of_equation(pairs, candidates, chosen) -> np.ndarray:
-    """equation_free_greedy for pairs (sigma, rest) with sigma != 0: c is
-    kept iff no x in A^len(rest) has sum_j rest_j x_j = -c sigma.
-
-    Meet in the middle: the sums over the first half of `rest`, looked up in
-    a boolean membership array of the second half's sums, both rebuilt when
-    A grows.  Candidates are tested `_GREEDY_BLOCK` at a time; the ones the
-    block leaves free are kept in order, each retested against the A that
-    the ones before it grew, and the others are dropped for good.
-    """
-
-    def build(A):
-        halves = {}
-        for rest in dict.fromkeys(rest for _, rest in pairs):
-            half = len(rest) // 2
-            right = _slot_sums(A, rest[half:])
-            low = int(right.min())
-            member = np.zeros(int(right.max()) - low + 1, dtype=bool)
-            member[right - low] = True
-            # -c sigma = l + r for a left sum l and a right sum r iff
-            # member[-c sigma - (l + low)], so the left sums carry low
-            halves[rest] = sorted_unique(_slot_sums(A, rest[:half])) + low, member
-        return [(sigma, *halves[rest]) for sigma, rest in pairs]
-
-    def free(block):
-        ok = np.ones(len(block), dtype=bool)
-        for sigma, left, member in tests:
-            at = (-sigma * block)[:, None] - left
-            inside = (at >= 0) & (at < len(member))
-            ok &= ~(member[np.where(inside, at, 0)] & inside).any(axis=1)
-        return block[ok]
-
-    tests = build(chosen)
-    for lo in range(len(chosen), len(candidates), _GREEDY_BLOCK):
-        queue = free(candidates[lo : lo + _GREEDY_BLOCK])
-        while len(queue):
-            chosen = np.append(chosen, queue[0])
-            tests = build(chosen)
-            queue = free(queue[1:])
-    return chosen
 
 
 def construct(kind: str, params: dict, seed: int = 0) -> SetA:

@@ -292,10 +292,10 @@ class TestTuplePass:
     @pytest.mark.parametrize("budget", [None, 100])
     def test_identity_cap(self, monkeypatch, budget):
         # a cap that falls inside the second block of rows
-        monkeypatch.setattr(dense_model, "_IDENTITY_CHECKS", sets._TUPLE_BLOCK + 44)
+        monkeypatch.setattr(dense_model, "_IDENTITY_CHECKS", dense_model._TUPLE_ROWS + 44)
         if budget:
             monkeypatch.setattr(dense_model, "_TUPLE_BUDGET", budget)
         A = greedy_kst_free(2, 3, CTX34.N, seed=2, ctx=CTX34)
         H = span(CTX34, [1, 3, 9])
         rep = self._compare(monkeypatch, A, 2, 3, H)
-        assert rep.quantities["identity_checks"] == sets._TUPLE_BLOCK + 44
+        assert rep.quantities["identity_checks"] == dense_model._TUPLE_ROWS + 44
