@@ -668,7 +668,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", default=None)
     c.add_argument("--sizes", default=None)
     c.add_argument("--st", default=None, help="e.g. 2:2,2:3")
-    c.add_argument("--eq", default=None, help="one equation's coefficients")
+    c.add_argument("--eq", default=None, help="one equation's coefficients, for the "
+                   "cases on Z; ffield_3_5 and most counting cases run fixed ones")
     c.add_argument("--out", default=None)
     c.add_argument("--threads", default=None, help="only 1: the suites run serially")
     c.add_argument("--config", default=None)

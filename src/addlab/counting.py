@@ -27,8 +27,11 @@ from .energy import (
 )
 from .functions import (
     _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _dual_domain, _dual_mean,
-    _hat_magnitudes, _real_pair_convolutions, dual_value_at_zero, fourier_mean_norm,
+    _exact_product, _hat_magnitudes, _real_pair_convolutions, dual_value_at_zero,
+    fourier_mean_norm,
 )
+# bound under this name for perfbench's tracer, which wraps it; the exact
+# counts multiply sorted pairs through `_exact_product` instead
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -274,9 +277,11 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     return _dual_mean(ctx, prod, real)
 
 
-def _pushforward(ctx, indices, coeff: int, weights=1) -> np.ndarray:
+def _pushforward(ctx, indices, coeff: int, weights=1) -> tuple:
     """g(y) = sum of the int64 weights of the x in `indices` with coeff * x = y,
-    exactly; unit weights count those x.
+    exactly, as the sorted pair (points, values) of its nonzero values; unit
+    weights count those x.  Points that coeff merges (gcd(coeff, M) > 1, say)
+    are summed.
 
     Raises OverflowError when sum |weights| is 2^63 or more, since an entry
     of g could then wrap in int64.
@@ -285,27 +290,34 @@ def _pushforward(ctx, indices, coeff: int, weights=1) -> np.ndarray:
     bound = _abs_sum_max(weights)[0]
     if bound >= _INT64_LIMIT:
         raise OverflowError(f"pushforward entry bound {bound} is not below 2^63")
-    g = np.zeros(ctx.N, dtype=np.int64)
-    np.add.at(g, np.asarray(ctx.scale_int(coeff, indices)), weights)
-    return g
+    y = np.asarray(ctx.scale_int(coeff, indices), dtype=np.int64)
+    order = np.argsort(y)
+    y, weights = y[order], weights[order]
+    starts = np.flatnonzero(np.diff(y, prepend=-1))  # the first of each run
+    sums = np.add.reduceat(weights, starts)
+    keep = sums != 0
+    return y[starts][keep], sums[keep]
 
 
-def _convolution_value_at_zero(ctx, arrays) -> int:
-    """(g_1 * ... * g_m)(0), exact integers; pairs the sparsest arrays first
-    and finishes with an inner product in Python ints instead of a last
-    convolution, so a total past 2^63 stays exact."""
-    arrays = [np.asarray(g, dtype=np.int64) for g in arrays]
-    if len(arrays) == 1:
-        return int(arrays[0][0])
-    # (nonzeros, array): each array is counted once, when it is made
-    counted = [(np.count_nonzero(g), g) for g in arrays]
-    while len(counted) > 2:
-        counted.sort(key=operator.itemgetter(0))
-        conv = _int_convolve(ctx, counted.pop(0)[1], counted.pop(0)[1])
-        counted.append((np.count_nonzero(conv), conv))
-    (_, a), (_, b) = counted
-    sup = np.flatnonzero(a)
-    return sum(map(operator.mul, a[sup].tolist(), b[ctx.neg(sup)].tolist()))
+def _convolution_value_at_zero(ctx, pairs) -> int:
+    """(g_1 * ... * g_m)(0) for functions given as sorted pairs (points,
+    int64 values), exact integers; multiplies the pairs with the fewest
+    points first and finishes with an inner product in Python ints, each
+    point y of one meeting -y among the sorted points of the other, instead
+    of a last convolution, so a total past 2^63 stays exact."""
+    pairs = list(pairs)
+    if len(pairs) == 1:
+        (pts, vals), = pairs
+        return int(vals[0]) if len(pts) and pts[0] == 0 else 0
+    while len(pairs) > 2:
+        pairs.sort(key=lambda pair: len(pair[0]))
+        pairs.append(_exact_product(ctx, pairs.pop(0), pairs.pop(0)))
+    (pa, va), (pb, vb) = pairs
+    neg = np.asarray(ctx.neg(pa))
+    at = np.searchsorted(pb, neg)
+    hit = at < len(pb)
+    hit[hit] = pb[at[hit]] == neg[hit]
+    return sum(map(operator.mul, va[hit].tolist(), vb[at[hit]].tolist()))
 
 
 def count_equation_solutions(eq: EquationSpec, A: SetA) -> int:
@@ -315,15 +327,16 @@ def count_equation_solutions(eq: EquationSpec, A: SetA) -> int:
     return count_T(eq, [A.indicator()] * eq.k)
 
 
-def _pushforward_convolution(ctx, indices, key: tuple, memo: dict) -> np.ndarray:
+def _pushforward_convolution(ctx, indices, key: tuple, memo: dict) -> tuple:
     """Convolution of the pushforward counts of `indices` under each
-    coefficient in `key`, built from the halves of `key` and memoized so that
-    keys share partial sums; single pushforwards are cheaper to recompute."""
+    coefficient in `key`, as a sorted pair, built from the halves of `key`
+    and memoized so that keys share partial sums; single pushforwards are
+    cheaper to recompute."""
     if len(key) == 1:
         return _pushforward(ctx, indices, key[0])
     if key not in memo:
         h = len(key) // 2
-        memo[key] = _int_convolve(
+        memo[key] = _exact_product(
             ctx,
             _pushforward_convolution(ctx, indices, key[:h], memo),
             _pushforward_convolution(ctx, indices, key[h:], memo),

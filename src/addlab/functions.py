@@ -198,7 +198,7 @@ def _pair_scale(a: np.ndarray, b: np.ndarray):
     """
     def n(v):
         v = np.ascontiguousarray(v, dtype=np.result_type(v, np.float64)).view(np.float64)
-        return math.sqrt(float(np.abs(v).sum()) * math.sqrt(float(v @ v)))
+        return math.sqrt(float(np.abs(v).sum()) * math.sqrt(float(np.square(v).sum())))
 
     na, nb = n(a), n(b)
     if not na or not nb:
@@ -290,11 +290,6 @@ def _dual_mean(ctx, values: np.ndarray, real: bool):
 
 
 _INT64_LIMIT = 1 << 63
-_PACK_WIDTHS = (1, 2, 4, 8)  # bytes per packed digit
-# Z_M route choice: the pairwise products are summed when there are at most
-# this many per byte of the packed product, whose multiplication costs more
-# than linear time in its bytes
-_PAIRS_PER_BYTE = 8
 _PAIR_BLOCK = 1 << 16  # pairwise products per scatter-add, to bound temporaries
 
 
@@ -317,27 +312,6 @@ def _abs_sum_max(v: np.ndarray) -> tuple[int, int]:
     if mx * len(v) < _INT64_LIMIT:
         return int(np.abs(v).sum()), mx
     return sum(map(abs, v.tolist())), mx
-
-
-def _support_arc(v: np.ndarray) -> tuple[int, np.ndarray]:
-    """(start, arc) with arc[j] = v[(start + j) mod M]: the shortest cyclic
-    arc holding the support of v, so a support that wraps past 0 stays short."""
-    sup = np.flatnonzero(v)
-    if len(sup) < 2:
-        return (int(sup[0]) if len(sup) else 0), v[sup]
-    gaps = np.diff(sup)
-    i = int(gaps.argmax())
-    if gaps[i] <= len(v) - sup[-1] + sup[0]:  # the widest gap is the one across 0
-        return int(sup[0]), v[sup[0] : sup[-1] + 1]
-    start = int(sup[i + 1])
-    return start, np.concatenate((v[start:], v[: sup[i] + 1]))
-
-
-def _pack(arc: np.ndarray, udt: np.dtype) -> int:
-    """sum_j arc[j] * 2^(8 * udt.itemsize * j) as a Python int."""
-    if arc.min() >= 0:
-        return int.from_bytes(arc.astype(udt).tobytes(), "little")
-    return _pack(np.maximum(arc, 0), udt) - _pack(np.maximum(-arc, 0), udt)
 
 
 @functools.cache
@@ -455,49 +429,60 @@ def dual_value_at_zero(ctx: GroupCtx, arrays) -> int:
     return sum(int(v[0]) * w for v, w in zip(digits, weights))
 
 
-def _pair_sums(arc1: np.ndarray, arc2: np.ndarray, n: int) -> np.ndarray:
-    """Linear product of two arcs as an int64 scatter-add of the pairwise
-    products, a block of rows of the sparser arc at a time."""
-    nz1, nz2 = np.flatnonzero(arc1), np.flatnonzero(arc2)
-    if len(nz1) > len(nz2):
-        arc1, arc2, nz1, nz2 = arc2, arc1, nz2, nz1
-    v1, v2 = arc1[nz1], arc2[nz2]
-    linear = np.zeros(n, dtype=np.int64)
-    rows = max(1, _PAIR_BLOCK // len(nz2))
-    for i in range(0, len(nz1), rows):
-        pos = nz1[i : i + rows, None] + nz2
-        np.add.at(linear, pos.ravel(), (v1[i : i + rows, None] * v2).ravel())
-    return linear
+def _nonzeros(v: np.ndarray) -> tuple:
+    """The sorted pair (points, values) of the nonzero entries of v."""
+    pts = np.flatnonzero(v)
+    return pts, v[pts]
 
 
-def _kronecker(arc1: np.ndarray, arc2: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Linear product of two arcs by one multiplication of Python ints packed
-    with `width` bytes per digit."""
-    # signed inputs add 2^(8w-1) to each digit before unpacking
-    udt = np.dtype(f"<u{width}")
-    product = _pack(arc1, udt) * _pack(arc2, udt)
-    signed = arc1.min() < 0 or arc2.min() < 0
-    top = 1 << (8 * width - 1)
-    if signed:
-        product += int.from_bytes(np.full(n, top, dtype=udt).tobytes(), "little")
-    digits = np.frombuffer(product.to_bytes(n * width, "little"), dtype=udt)
-    if signed:
-        digits = digits ^ udt.type(top)
-    return digits.view(f"<i{width}")
+def _dense(ctx: GroupCtx, pair: tuple) -> np.ndarray:
+    """The int64 array of length N that holds the values of a sorted pair."""
+    out = np.zeros(ctx.N, dtype=np.int64)
+    out[pair[0]] = pair[1]
+    return out
+
+
+def _pair_sums(M: int, a: tuple, b: tuple) -> tuple:
+    """Product on Z_M of two sorted pairs: the pairwise sums of their points,
+    each with the product of its two values, scatter-added into one int64
+    accumulator, a block of rows of the shorter pair at a time, and folded
+    mod M."""
+    (p1, v1), (p2, v2) = sorted((a, b), key=lambda pair: len(pair[0]))
+    acc = np.zeros(2 * M, dtype=np.int64)  # two points below M sum below 2M
+    rows = max(1, _PAIR_BLOCK // len(p2))
+    for i in range(0, len(p1), rows):
+        np.add.at(acc, (p1[i : i + rows, None] + p2).ravel(),
+                  (v1[i : i + rows, None] * v2).ravel())
+    return _nonzeros(acc[:M] + acc[M:])
+
+
+def _exact_product(ctx: GroupCtx, a: tuple, b: tuple) -> tuple:
+    """The convolution of two functions given as sorted pairs (points, int64
+    values), as the sorted pair of its nonzero values, by `exact_convolve`'s
+    routes.  Raises OverflowError, before any work, when the entry bound
+    min(sum|a| max|b|, sum|b| max|a|) is 2^63 or more.
+    """
+    sum1, max1 = _abs_sum_max(a[1])
+    sum2, max2 = _abs_sum_max(b[1])
+    bound = min(sum1 * max2, sum2 * max1)
+    if bound >= _INT64_LIMIT:
+        raise OverflowError(f"exact convolution entry bound {bound} is not below 2^63")
+    if bound == 0:
+        return _nonzeros(np.zeros(0, dtype=np.int64))
+    if ctx.kind == "cyclic":
+        return _pair_sums(ctx.N, a, b)
+    return _nonzeros(_ntt_convolve(ctx, _dense(ctx, a), _dense(ctx, b), bound))
 
 
 def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     """(g1 * g2)(x) = sum_y g1(y) g2(x - y) in exact int64 arithmetic.
 
-    Z_M: each input is trimmed to the shortest cyclic arc holding its
-    support, and the linear product of the two arcs is folded mod M, so
-    neither route pays for M.  Packed at w bytes per slot, w the width that
-    holds the entry bound, the linear product takes B = w (L1 + L2 - 1)
-    bytes.  When nnz(g1) nnz(g2) <= 8 B the pairwise products are summed by
-    an int64 scatter-add, at a cost that follows the nonzero entries;
-    otherwise both arcs are packed into Python ints and multiplied once
-    (Kronecker substitution, Harvey, J. Symb. Comput. 2009), at a cost that
-    follows the arc lengths however sparse they are.
+    Z_M: one route for every input.  The pairwise sums of the two supports,
+    each with the product of its two values, are scatter-added into one
+    int64 accumulator and folded mod M, so the cost follows nnz(g1) nnz(g2),
+    plus O(M) to clear and read the accumulator, and not the arcs the
+    supports span.  Two dense inputs at large M cost about M^2 products that
+    way; no caller multiplies such a pair.
     F_q^n: a number-theoretic transform (Pollard, Math. Comp. 1971)
     on the base-p digit view (Z_p)^(n r), axis by axis with a p x p kernel,
     modulo primes P = 1 (mod p) with p P^2 < 2^63, as many as make their
@@ -507,33 +492,8 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     Raises OverflowError, before any work, when an entry or the entry bound
     min(sum|g1| max|g2|, sum|g2| max|g1|) is 2^63 or more.
     """
-    g1, g2 = _as_int64(g1), _as_int64(g2)
-    cyclic = ctx.kind == "cyclic"
-    if cyclic:
-        (s1, g1), (s2, g2) = _support_arc(g1), _support_arc(g2)
-    sum1, max1 = _abs_sum_max(g1)
-    sum2, max2 = _abs_sum_max(g2)
-    bound = min(sum1 * max2, sum2 * max1)
-    if bound >= _INT64_LIMIT:
-        raise OverflowError(f"exact convolution entry bound {bound} is not below 2^63")
-    if bound == 0:
-        return np.zeros(ctx.N, dtype=np.int64)
-    if not cyclic:
-        return _ntt_convolve(ctx, g1, g2, bound)
-    n = len(g1) + len(g2) - 1
-    # digits of 8w - 1 bits hold every linear coefficient |c| <= bound
-    width = next(w for w in _PACK_WIDTHS if bound.bit_length() < 8 * w)
-    if np.count_nonzero(g1) * np.count_nonzero(g2) <= _PAIRS_PER_BYTE * n * width:
-        linear = _pair_sums(g1, g2, n)
-    else:
-        linear = _kronecker(g1, g2, n, width)
-    out = np.zeros(ctx.N, dtype=np.int64)
-    pos, k = (s1 + s2) % ctx.N, 0
-    while k < n:
-        take = min(ctx.N - pos, n - k)
-        out[pos : pos + take] += linear[k : k + take]
-        pos, k = 0, k + take
-    return out
+    a, b = _nonzeros(_as_int64(g1)), _nonzeros(_as_int64(g2))
+    return _dense(ctx, _exact_product(ctx, a, b))
 
 
 def convolve(h1: Dfn, h2: Dfn) -> Dfn:

@@ -385,18 +385,19 @@ class CyclicCtx(GroupCtx):
         self.N = M
         self.exponent = M
 
-    def add(self, i, j):
-        out = np.asarray(i, dtype=np.int64) + np.asarray(j, dtype=np.int64)
-        return _scalar(out % self.M)
-
-    def neg(self, i):
-        return _scalar((-np.asarray(i, dtype=np.int64)) % self.M)
-
-    def scale_int(self, c: int, i):
+    def _reduce(self, y):
         # y - (y // M) * M is y % M: numpy's floor division by a constant is
         # faster than its remainder
-        y = int(c) % self.M * np.asarray(i, dtype=np.int64)
         return _scalar(y - y // self.M * self.M)
+
+    def add(self, i, j):
+        return self._reduce(np.asarray(i, dtype=np.int64) + np.asarray(j, dtype=np.int64))
+
+    def neg(self, i):
+        return self._reduce(-np.asarray(i, dtype=np.int64))
+
+    def scale_int(self, c: int, i):
+        return self._reduce(int(c) % self.M * np.asarray(i, dtype=np.int64))
 
     def char_phase(self, x, xi):
         num = (np.asarray(x, dtype=np.int64) * np.asarray(xi, dtype=np.int64)) % self.M

@@ -540,6 +540,19 @@ class TestAllDistinct:
         eq = EquationSpec([1, 1, -1, -1])
         assert _solution_counts(eq, A) == (2 * m * m - m, 0)
 
+    @pytest.mark.parametrize("p, M, total, distinct", [
+        (101, 136_363, 247_495, 210_498),
+        (211, 598_195, 2_245_657, 2_073_108),
+    ])
+    def test_erdos_turan_literal_counts(self, p, M, total, distinct):
+        # the pipeline's padded modulus at eps 1/8, where the exact counts run
+        # on supports of a few hundred points in a group of M points
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        A = erdos_turan_sidon(p)
+        ctx = CyclicCtx(padded_modulus(eq, A.model_n + A.model_n // 8))
+        assert ctx.M == M
+        assert _solution_counts(eq, A.with_ctx(ctx)) == (total, distinct)
+
     def test_empty_and_single_point(self):
         eq = EquationSpec([1, 1, 1, -1, -2])
         for ctx in (CyclicCtx(1), CyclicCtx(37), F3_2):

@@ -9,9 +9,10 @@ from addlab import functions
 from addlab.counting import (
     EquationSpec,
     _convolution_value_at_zero,
+    _pushforward,
     count_T,
 )
-from addlab.functions import _ntt_primes, _support_arc, dual_value_at_zero, exact_convolve
+from addlab.functions import _ntt_primes, dual_value_at_zero, exact_convolve
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx, is_prime
 from addlab.sets import SetA
 from addlab.util import spawn_rng
@@ -85,19 +86,18 @@ class TestExactConvolve:
         else:
             assert dual_value_at_zero(ctx, [v1, v2]) == out[0]
 
-    def test_wrapping_support_stays_short(self):
+    def test_wrapping_support(self):
         ctx = CyclicCtx(1000)
         v = np.zeros(ctx.N, dtype=np.int64)
         v[[998, 999, 0, 1]] = [1, -2, 3, 4]
-        start, arc = _support_arc(v)
-        assert start == 998 and arc.tolist() == [1, -2, 3, 4]
         w = np.zeros(ctx.N, dtype=np.int64)
         w[[500, 997]] = [5, 7]
         out = exact_convolve(ctx, v, w)
         assert np.array_equal(out, dense_fold_oracle(ctx.N, v, w))
 
-    def test_all_pack_widths(self):
-        # entry bounds that need 1, 2, 4 and 8 bytes per packed digit
+    def test_entry_bounds_up_to_2_28(self):
+        # dense signed inputs with entries up to 3, 2^10, 2^20 and 2^28; the
+        # last has an entry bound near 2^62
         ctx = CyclicCtx(97)
         rng = np.random.default_rng(5)
         for scale in (3, 2**10, 2**20, 2**28):
@@ -146,19 +146,8 @@ class TestExactConvolve:
 
 
 class TestZMRoutes:
-    """The pair-sum and Kronecker routes of exact_convolve on Z_M."""
-
-    @staticmethod
-    def spied(monkeypatch):
-        """The names of the routes that the calls from now on take, in order."""
-        taken = []
-        for name in ("_pair_sums", "_kronecker"):
-            def spy(*args, _route=getattr(functions, name), _name=name):
-                taken.append(_name)
-                return _route(*args)
-
-            monkeypatch.setattr(functions, name, spy)
-        return taken
+    """The one Z_M route of exact_convolve, the pairwise sums of the two
+    supports, against the dense oracle."""
 
     @staticmethod
     def dilated(M, points, coeff, values):
@@ -170,10 +159,9 @@ class TestZMRoutes:
     # 400 points make 80,000 pairs, more than one scatter-add block
     @pytest.mark.parametrize("size", [25, 400])
     @pytest.mark.parametrize("c1, c2", [(1, 2), (2, 3), (3, 3), (1, -2)])
-    def test_dilated_signed_wrapping_supports(self, monkeypatch, c1, c2, size):
+    def test_dilated_signed_wrapping_supports(self, c1, c2, size):
         # sparse sets spread over long arcs by the dilation, some wrapping
         # past 0 after a shift, with values of both signs
-        taken = self.spied(monkeypatch)
         rng = np.random.default_rng(11)
         M = 6007
         for shift in (0, M - 40):
@@ -183,13 +171,10 @@ class TestZMRoutes:
             v2 = self.dilated(M, pts[::2], c2, vals[::2] ** 2)
             out = exact_convolve(CyclicCtx(M), v1, v2)
             assert np.array_equal(out, dense_fold_oracle(M, v1, v2))
-        assert taken == ["_pair_sums"] * 2
 
-    def test_both_sides_of_the_route_threshold(self, monkeypatch):
-        # a fixed arc length with more and more points: sparse inputs sum
-        # their pairs, dense ones take the packed product, and both agree
-        # with the oracle, signed and unsigned
-        taken = self.spied(monkeypatch)
+    def test_one_to_1500_points_on_one_arc(self):
+        # a fixed arc length with more and more points, from a single point
+        # to nearly every slot, signed and unsigned
         rng = np.random.default_rng(4)
         M = 2003
         for count in (1, 8, 60, 400, 1500):
@@ -202,14 +187,13 @@ class TestZMRoutes:
                     1, 6, size=count)
                 out = exact_convolve(CyclicCtx(M), v1, v2)
                 assert np.array_equal(out, dense_fold_oracle(M, v1, v2))
-        assert taken == ["_pair_sums"] * 6 + ["_kronecker"] * 4
 
     def test_overflow_raised_before_either_route(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("a route ran before the bound was checked")
 
         monkeypatch.setattr(functions, "_pair_sums", no_work)
-        monkeypatch.setattr(functions, "_kronecker", no_work)
+        monkeypatch.setattr(functions, "_ntt_convolve", no_work)
         ctx = CyclicCtx(10**5)
         v1 = np.zeros(ctx.N, dtype=np.int64)
         v2 = np.zeros(ctx.N, dtype=np.int64)
@@ -223,11 +207,31 @@ class TestExactCounts:
     def test_value_at_zero_past_int64(self):
         # one product 2^80 plus one 2^70: wraps int64, exact in Python ints
         ctx = CyclicCtx(5)
-        a = np.zeros(5, dtype=np.int64)
-        b = np.zeros(5, dtype=np.int64)
-        a[[1, 2]] = [2**40, 2**35]
-        b[[4, 3]] = [2**40, 2**35]
+        a = (np.array([1, 2]), np.array([2**40, 2**35]))
+        b = (np.array([3, 4]), np.array([2**35, 2**40]))
         assert _convolution_value_at_zero(ctx, [a, b]) == 2**80 + 2**70
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_pushforward_matches_dense(self, data):
+        # signed weights that cancel once merged, coefficients with
+        # gcd(c, M) > 1 (c = M sends every point to 0), empty and one-point
+        # sets: the sorted pair holds exactly the nonzeros of the dense array
+        ctx = data.draw(st.sampled_from(
+            [CyclicCtx(1), CyclicCtx(12), CyclicCtx(30), CyclicCtx(97),
+             VectorCtx(FieldCtx(3, 1), 3)]))
+        pts = np.array(sorted(data.draw(st.sets(
+            st.integers(0, ctx.N - 1), max_size=min(ctx.N, 20)))), dtype=np.int64)
+        coeff = data.draw(st.sampled_from([1, -1, 2, 3, 6, -10, 15, ctx.N]))
+        weights = np.array(data.draw(st.lists(
+            st.integers(-3, 3), min_size=len(pts), max_size=len(pts))), dtype=np.int64)
+        dilated = np.asarray(ctx.scale_int(coeff, pts), dtype=np.int64)
+        for w in (weights, 1):
+            dense = np.zeros(ctx.N, dtype=np.int64)
+            np.add.at(dense, dilated, w)
+            points, values = _pushforward(ctx, pts, coeff, w)
+            assert np.array_equal(points, np.flatnonzero(dense))
+            assert np.array_equal(values, dense[points])
 
     def test_dual_value_at_zero_past_int64(self):
         # 2^93 needs four primes; a mixed-sign term checks the centring

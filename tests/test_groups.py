@@ -220,6 +220,18 @@ class TestGroupCtx:
         assert Z5.add(3, 4) == 2
         assert Z5.neg(2) == 3
         assert Z5.scale_int(-1, 2) == 3
+        # add and neg reduce any int64 input as Python's % does: negative
+        # inputs, inputs at or past M, M = 1 and the largest M
+        for M in (1, 5, 2**31 - 1):
+            Z = CyclicCtx(M)
+            xs = [-(2**40), -M - 1, -M, -1, 0, 1, M - 1, M, M + 1, 2 * M + 3, 2**40]
+            arr = np.array(xs)
+            assert Z.neg(arr).tolist() == [-x % M for x in xs]
+            assert Z.add(arr[:, None], arr).tolist() == [[(x + y) % M for y in xs]
+                                                         for x in xs]
+            for x in xs:
+                assert Z.neg(x) == -x % M and type(Z.neg(x)) is int
+                assert Z.add(x, -7) == (x - 7) % M and type(Z.add(x, -7)) is int
 
     def test_vector_ops(self):
         ctx = VectorCtx(FieldCtx(3, 1), 2)
