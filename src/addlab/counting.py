@@ -27,8 +27,7 @@ from .energy import (
 )
 from .functions import (
     _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _dual_domain, _dual_mean,
-    _exact_product, _hat_magnitudes, _real_pair_convolutions, dual_value_at_zero,
-    fourier_mean_norm,
+    _exact_product, _real_pair_convolutions, dual_value_at_zero, fourier_mean_norm,
 )
 # bound under this name for perfbench's tracer, which wraps it; the exact
 # counts multiply sorted pairs through `_exact_product` instead
@@ -425,25 +424,9 @@ def trivial_solution_value(
 # -- the Hoelder chain and telescoping ------------------------------------------------
 
 
-def _dual_mean_norms(h: Dfn, k: int):
-    """(sup, L^{k-1} mean, L^4 mean) of hat h, from one |hat h| (over one xi
-    of each pair {xi, -xi} when h is real)."""
-    mags, real = _hat_magnitudes(h)
-    m4 = float(_dual_mean(h.ctx, mags**4, real) ** (1.0 / 4))
-    mk = m4 if k - 1 == 4 else float(
-        _dual_mean(h.ctx, mags ** (k - 1), real) ** (1.0 / (k - 1)))
-    return float(mags.max()), mk, m4
-
-
-def pair_self_energy(h: Dfn) -> float:
-    """E_2(h, h) = (1/N) sum |hat h|^4 (equals sum (h*h)^2 for real h)."""
-    mags, real = _hat_magnitudes(h)
-    return float(_dual_mean(h.ctx, mags**4, real))
-
-
 def _pair_energies(hs: list) -> list:
     """sum_x (h*h)(x)^2 for each h: exact through `moment_energy` for an
-    integer-valued h, and the dual mean `pair_self_energy` for a complex one.
+    integer-valued h, and the dual mean (1/N) sum |hat h|^4 for a complex one.
     Every other h is real, and its h*h is taken from the inverse transform
     of hat(h)^2, for two such h at once by `_real_pair_convolutions` (a last
     odd one through `moment_energy`)."""
@@ -451,7 +434,7 @@ def _pair_energies(hs: list) -> list:
     paired = []
     for i, h in enumerate(hs):
         if h.tag == "complex":
-            energies[i] = pair_self_energy(h)
+            energies[i] = h.dual_moment(4)
         elif h.is_integer_valued():
             energies[i] = moment_energy([h, h], 2)
         else:
@@ -502,9 +485,10 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
     if T is None:
         T = count_T(eq, fs, method="fourier")
     T_abs = abs(T)
-    norms_of = {key: _dual_mean_norms(f, k) for key, (_, f) in distinct.items()}
-    norms = [norms_of[id(f)] for f in fs]
-    e2_nu = pair_self_energy(nu)
+    # (sup, L^{k-1} mean, L^4 mean) per slot and E_2(nu) = (1/N) sum |hat nu|^4,
+    # each taken once per function and p, by the telescoping or here
+    norms = [tuple(fourier_mean_norm(f, p) for p in (np.inf, k - 1, 4)) for f in fs]
+    e2_nu = nu.dual_moment(4)
     # the physical side of the fourth moments: sum (h*h)^2, exact for
     # integer-valued h; a float h*h is the inverse transform of hat(h)^2, so
     # for float inputs both sides come from the one transform of h, and the

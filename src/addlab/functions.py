@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -38,13 +39,15 @@ _DIRECT_LIMIT = 4096  # largest N for O(N^2) reference paths
 class Dfn:
     """A finitely supported function on a group, stored as a dense array.
 
-    The transform and the answer of ``is_integer_valued()`` are cached on
-    first use, so the values must not change after either is asked; a shared
-    indicator such as ``SetA.indicator()`` has read-only values for that
-    reason.  A Dfn built from others (``f - F``, say) asks afresh.
+    The transform, its dual moments (``dual_moment(p)``) and the answer of
+    ``is_integer_valued()`` are cached on first use, so the values must not
+    change after any of them is asked; a shared indicator such as
+    ``SetA.indicator()`` has read-only values for that reason.  A Dfn built
+    from others (``f - F``, say) asks afresh, and one given its transform by
+    ``_with_hat`` starts with no moments.
     """
 
-    __slots__ = ("ctx", "values", "_hat", "_integer")
+    __slots__ = ("ctx", "values", "_hat", "_moments", "_integer")
 
     def __init__(self, ctx: GroupCtx, values):
         values = np.asarray(values)
@@ -53,6 +56,7 @@ class Dfn:
         self.ctx = ctx
         self.values = values
         self._hat = None
+        self._moments = {}
         self._integer = None
 
     @property
@@ -66,10 +70,8 @@ class Dfn:
         return cls(ctx, np.zeros(ctx.N))
 
     @classmethod
-    def delta(cls, ctx, at: int = 0):
-        v = np.zeros(ctx.N, dtype=np.int64)
-        v[at % ctx.N] = 1
-        return cls(ctx, v)
+    def delta(cls, ctx):
+        return cls.indicator(ctx, [0])
 
     @classmethod
     def constant(cls, ctx, c=1.0):
@@ -111,7 +113,21 @@ class Dfn:
         that ``hat()`` returns it without transforming; read-only likewise."""
         hat.flags.writeable = False
         self._hat = hat
+        self._moments = {}
         return self
+
+    def dual_moment(self, p: float) -> float:
+        """max |hat h| for p = inf, and otherwise (1/N) sum_xi |hat h(xi)|^p
+        over the whole dual group, read off one xi of each pair {xi, -xi}
+        when the values are real.  Memoized per p beside the transform; only
+        the scalar is kept, so each new p takes |hat h| afresh."""
+        m = self._moments.get(p)
+        if m is None:
+            real = self.tag == "real"
+            mags = np.abs(self.hat()[_dual_domain(self.ctx, real)])
+            m = float(mags.max() if p == np.inf else _dual_mean(self.ctx, mags**p, real))
+            self._moments[p] = m
+        return m
 
     # arithmetic (pointwise) ------------------------------------------------------
     def _coerce(self, other):
@@ -511,20 +527,12 @@ def convolve(h1: Dfn, h2: Dfn) -> Dfn:
     return Dfn(ctx, vals if "complex" in (h1.tag, h2.tag) else vals.real)
 
 
-def _hat_magnitudes(h: Dfn) -> tuple[np.ndarray, bool]:
-    """(|hat h| on `_dual_domain`, whether h is real): one xi of each pair
-    {xi, -xi} for a real h, every xi otherwise."""
-    real = h.tag == "real"
-    return np.abs(h.hat()[_dual_domain(h.ctx, real)]), real
-
-
 def fourier_mean_norm(h: Dfn, p: float) -> float:
-    """((1/N) sum_xi |hat h(xi)|^p)^(1/p) -- the dual-group mean L^p norm,
-    over one xi of each pair {xi, -xi} when h is real."""
-    mags, real = _hat_magnitudes(h)
-    if p == np.inf:
-        return float(mags.max())
-    return float(_dual_mean(h.ctx, mags**p, real) ** (1.0 / p))
+    """((1/N) sum_xi |hat h(xi)|^p)^(1/p), the dual-group mean L^p norm, and
+    sup |hat h| for p = inf: the p-th root of ``h.dual_moment(p)``, so it is
+    taken once per function and p."""
+    m = h.dual_moment(p)
+    return m if p == np.inf else float(m ** (1.0 / p))
 
 
 # -- serialization -------------------------------------------------------------
@@ -555,7 +563,7 @@ def load_dfn(path) -> Dfn:
         vals = np.array([complex(float(a), float(b)) for a, b in rows])
     else:
         raw = [r[0] for r in rows]
-        if all(("." not in s and "e" not in s and "E" not in s) for s in raw):
+        if all(re.fullmatch(r"[+-]?[0-9]+", s) for s in raw):
             vals = np.array([int(s) for s in raw], dtype=np.int64)
         else:
             vals = np.array([float(s) for s in raw])

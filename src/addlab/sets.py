@@ -9,6 +9,7 @@ a violating grid, so the decision procedure flags |shifts| >= t counting 0.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from types import MappingProxyType
@@ -363,7 +364,6 @@ def greedy_kst_free(
     n: int,
     seed: int,
     ctx: GroupCtx | None = None,
-    max_size: int | None = None,
 ) -> SetA:
     """Random-order greedy insertion keeping the set grid-free.
 
@@ -403,11 +403,10 @@ def greedy_kst_free(
     else:
         candidates = rng.permutation(ctx.N)
         model_n = None
-    limit = max_size or len(candidates)
     if s == 2:
-        chosen = _greedy_differences(ctx, candidates, t, limit)
+        chosen = _greedy_differences(ctx, candidates, t)
     else:
-        chosen = _greedy_shift_masks(ctx, candidates, s, t, limit)
+        chosen = _greedy_shift_masks(ctx, candidates, s, t)
     A = SetA(
         ctx,
         chosen,
@@ -426,7 +425,7 @@ def greedy_kst_free(
     return A
 
 
-def _greedy_differences(ctx, candidates, t, max_size) -> np.ndarray:
+def _greedy_differences(ctx, candidates, t) -> np.ndarray:
     """greedy_kst_free for s = 2: r(c - a) + 1 + [2c - a in A] <= t - 1 for
     all a, tested for `_GREEDY_BLOCK` candidates at once; the scan resumes
     after the first admissible one, since keeping it changes r and A.
@@ -444,7 +443,7 @@ def _greedy_differences(ctx, candidates, t, max_size) -> np.ndarray:
     member = np.zeros(ctx.N, dtype=bool)
     chosen = split(np.empty(0, dtype=np.int64))
     lo = 0
-    while lo < len(candidates) and len(chosen) < max_size:
+    while lo < len(candidates):
         block = candidates[lo : lo + _GREEDY_BLOCK]
         hit = 0
         if len(chosen):
@@ -466,7 +465,7 @@ def _greedy_differences(ctx, candidates, t, max_size) -> np.ndarray:
     return join(chosen)
 
 
-def _greedy_shift_masks(ctx, candidates, s, t, max_size) -> list:
+def _greedy_shift_masks(ctx, candidates, s, t) -> list:
     """greedy_kst_free for s >= 3: no (s - 1)-subset of A whose shift masks,
     each with the bit a - c added, keep t bits of c - (A + {c})."""
     masks: list[int] = []
@@ -479,15 +478,13 @@ def _greedy_shift_masks(ctx, candidates, s, t, max_size) -> list:
         if next(_mask_walk(grown, s - 1, t, mask_c), None) is None:
             masks = grown + [mask_c]
             chosen.append(c)
-            if len(chosen) >= max_size:
-                break
     return chosen
 
 
 def random_subset(ctx_or_n, density: float, seed: int) -> SetA:
     if not 0 <= density <= 1:
         raise ValueError(f"density {density} must lie in [0, 1]")
-    ctx = CyclicCtx(ctx_or_n) if isinstance(ctx_or_n, int) else ctx_or_n
+    ctx = CyclicCtx(ctx_or_n) if isinstance(ctx_or_n, numbers.Integral) else ctx_or_n
     rng = spawn_rng(seed, 0x52A2)
     picks = np.nonzero(rng.random(ctx.N) < density)[0]
     return SetA(

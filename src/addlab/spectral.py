@@ -184,13 +184,9 @@ def _rref(ctx: VectorCtx, rows: np.ndarray) -> np.ndarray:
     return mat[nonzero]
 
 
-def span(ctx: VectorCtx, vectors) -> Subspace:
-    """F_q-linear span; vectors are element indices or coordinate rows."""
-    if len(vectors) == 0:
-        return Subspace(ctx, np.zeros((0, ctx.n), dtype=np.int64))
-    vecs = np.asarray(vectors, dtype=np.int64)
-    coords = ctx.coords(vecs) if vecs.ndim == 1 else vecs
-    return Subspace(ctx, _rref(ctx, coords))
+def span(ctx: VectorCtx, indices) -> Subspace:
+    """F_q-linear span of the elements with these indices."""
+    return Subspace(ctx, _rref(ctx, ctx.coords(np.asarray(indices, dtype=np.int64))))
 
 
 def annihilator(V: Subspace) -> Subspace:

@@ -292,6 +292,36 @@ def test_cli_entrypoint_subprocess(tmp_path):
     assert "spectral" in res.stdout
 
 
+def test_report_diff_tool(tmp_path):
+    # tools/report_diff.py ignores the run keys and names every path whose
+    # value or type moved, an int against an equal float included
+    tool = Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+    old = {"generated_at": "t0", "elapsed_seconds": 1.5,
+           "suites": {"s": [{"v": 1, "w": [1.5, 2], "x": "a"}]}}
+    new = {"generated_at": "t1", "elapsed_seconds": 2.5,
+           "suites": {"s": [{"v": 1.0, "w": [1.5, 3, 4], "y": None}]}}
+    paths = []
+    for name, report in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(report))
+
+    def run(a, b):
+        return subprocess.run([sys.executable, str(tool), str(a), str(b)],
+                              capture_output=True, text=True)
+
+    same = run(paths[0], paths[0])
+    assert same.returncode == 0 and same.stdout == ""
+    moved = run(*paths)
+    assert moved.returncode == 1
+    assert moved.stdout.splitlines() == [
+        "$.suites.s[0].v: int 1 -> float 1.0",
+        "$.suites.s[0].w[1]: 2 -> 3",
+        "$.suites.s[0].w: length 2 -> 3",
+        "$.suites.s[0].x: only in OLD",
+        "$.suites.s[0].y: only in NEW",
+    ]
+
+
 def test_package_runs_as_module():
     # the source tree alone, as in a checkout that was never installed
     src = Path(addlab.__file__).resolve().parents[1]

@@ -25,7 +25,6 @@ from addlab.counting import (
     count_k_cycles,
     level_set_extract,
     padded_modulus,
-    pair_self_energy,
     run_transference_pipeline,
     trivial_solution_value,
     verify_counting_lemma,
@@ -862,10 +861,10 @@ class TestHalfDomain:
                 if h is ints:
                     assert e == moment_energy([h, h], 2) and type(e) is int
                     continue
-                want = moment_energy([h, h], 2) if h is not cplx else pair_self_energy(h)
+                want = moment_energy([h, h], 2) if h is not cplx else h.dual_moment(4)
                 assert e == pytest.approx(want, rel=1e-12)
                 dual = (np.abs(h.hat()) ** 4).mean()
-                assert pair_self_energy(h) == pytest.approx(dual, rel=1e-13)
+                assert h.dual_moment(4) == pytest.approx(dual, rel=1e-13)
                 assert e == pytest.approx(dual, rel=1e-12)
 
 
@@ -1030,6 +1029,33 @@ class TestPipeline:
         assert len(A) == 5 and rep.ledger["solutions_in_A"] == 125
         assert [f for f in rep.flags if "equation-free" in f] == [
             "set is not equation-free: T(F) exceeds the diagonal value"]
+
+    @pytest.mark.parametrize("build,s,t,eps,smoother,passes", [
+        (lambda: erdos_turan_sidon(31), 2, 2, "1/8", 1, 5),
+        (lambda: greedy_kst_free(2, 3, 1024, seed=3), 2, 3, "1/2", 1025, 6),
+    ], ids=["point_smoother", "wide_smoother"])
+    def test_each_dual_moment_taken_once(self, monkeypatch, build, s, t, eps, smoother,
+                                         passes):
+        # every |hat h| pass runs through functions._dual_domain (counting's
+        # count_T binds its own name): g, f and nu at p = inf or 4, and F
+        # beside them unless it is f, each once per (function, p)
+        from addlab import functions
+
+        domain, moment = functions._dual_domain, Dfn.dual_moment
+        domains, taken = [], []
+        monkeypatch.setattr(functions, "_dual_domain",
+                            lambda ctx, real: domains.append(real) or domain(ctx, real))
+
+        def counted(h, p):
+            if p not in h._moments:
+                taken.append((h, p))
+            return moment(h, p)
+
+        monkeypatch.setattr(Dfn, "dual_moment", counted)
+        rep = run_transference_pipeline(build(), EquationSpec([1, 1, 1, -1, -2]), s, t, eps)
+        assert rep.passed and rep.ledger["smoother_size"] == smoother
+        assert len(domains) == passes and all(domains)
+        assert len({(id(h), p) for h, p in taken}) == len(taken) == passes
 
     def test_vector_pipeline(self):
         ctx = VectorCtx(FieldCtx(3, 1), 4)

@@ -343,6 +343,45 @@ class TestRealPairs:
             assert fourier_mean_norm(h, p) == pytest.approx(want, rel=1e-13)
 
 
+class TestDualMoments:
+    @pytest.mark.parametrize("ctx", [CyclicCtx(1000), CyclicCtx(999),
+                                     VectorCtx(FieldCtx(3, 1), 3),
+                                     VectorCtx(FieldCtx(3, 2), 2)], ids=repr)
+    @pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+    def test_memo_matches_fresh(self, ctx, complex_, monkeypatch):
+        # the memoized moment, and the norm read from it, against |hat h|
+        # spelled out on a transform taken afresh, bit for bit
+        h = rand_dfn(ctx, spawn_rng(38, 7), complex_=complex_)
+        real = not complex_
+        mags = np.abs(ctx.fft(h.values.astype(np.complex128))[_dual_domain(ctx, real)])
+        for p in (np.inf, 2, 4):
+            want = float(mags.max()) if p == np.inf else _dual_mean(ctx, mags**p, real)
+            got = h.dual_moment(p)
+            assert type(got) is float and got == want
+            norm = want if p == np.inf else float(want ** (1.0 / p))
+            assert fourier_mean_norm(h, p) == norm
+        # a second ask reads the memo: |hat h| is not taken again
+        monkeypatch.setattr("addlab.functions._dual_domain", None)
+        assert [h.dual_moment(p) for p in (np.inf, 2, 4)] == [float(mags.max())] + [
+            _dual_mean(ctx, mags**p, real) for p in (2, 4)]
+
+    def test_arithmetic_and_with_hat_start_empty(self):
+        ctx = CyclicCtx(64)
+        rng = spawn_rng(38, 8)
+        f, F = rand_dfn(ctx, rng, complex_=False), rand_dfn(ctx, rng, complex_=False)
+        before = [(h.dual_moment(np.inf), h.dual_moment(4)) for h in (f, F)]
+        g = f - F
+        assert g._moments == {}
+        fresh = Dfn(ctx, f.values - F.values)
+        assert (g.dual_moment(np.inf), g.dual_moment(4)) == (
+            fresh.dual_moment(np.inf), fresh.dual_moment(4))
+        # a transform attached afterwards drops the moments of the old one
+        g._with_hat(2.0 * g.hat())
+        assert g._moments == {}
+        assert g.dual_moment(np.inf) == float(np.abs(g.hat()[:33]).max())
+        assert [(h.dual_moment(np.inf), h.dual_moment(4)) for h in (f, F)] == before
+
+
 def test_serialization_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     for ctx in (CyclicCtx(20), VectorCtx(FieldCtx(3, 2), 1)):
@@ -360,6 +399,20 @@ def test_serialization_roundtrip(tmp_path):
     back = load_dfn(path)
     assert back.values.dtype == np.int64
     assert np.array_equal(back.values, ind.values)
+
+
+@pytest.mark.parametrize("values", [
+    [np.inf, np.nan, -np.inf], [1.5, np.inf, 0.0], np.array([3, 4, 5], dtype=np.int64),
+    [1e16, 2.0, 3.0]], ids=["non_finite", "mixed", "int64", "large_float"])
+def test_serialization_keeps_dtype(tmp_path, values):
+    # a file is read as int64 only when every value is a decimal integer,
+    # so inf, nan and a float printed without a point stay float64
+    h = Dfn(CyclicCtx(3), np.asarray(values))
+    path = tmp_path / "h.dfn"
+    save_dfn(h, path)
+    back = load_dfn(path)
+    assert back.values.dtype == h.values.dtype
+    assert np.array_equal(back.values, h.values, equal_nan=True)
 
 
 class TestIntegerValued:

@@ -274,10 +274,8 @@ class TestFreeness:
                 ctx = CyclicCtx(int(rng.integers(12, 40)))
                 A = SetA(ctx, np.nonzero(rng.random(ctx.N) < rng.uniform(0.15, 0.5))[0])
             elif kind == 1:
-                A = greedy_kst_free(
-                    s, t, int(rng.integers(16, 40)),
-                    seed=int(rng.integers(1 << 30)), max_size=14
-                )
+                A = greedy_kst_free(s, t, int(rng.integers(16, 40)),
+                                    seed=int(rng.integers(1 << 30)))
             else:
                 ctx = VectorCtx(FieldCtx(3, 1), 3)
                 A = SetA(ctx, np.nonzero(rng.random(ctx.N) < 0.3)[0])
@@ -365,6 +363,9 @@ class TestConstructions:
     def test_random_subset_density(self):
         A = random_subset(400, 0.25, seed=8)
         assert 40 <= len(A) <= 160
+        # any integral size names Z_n, numpy's included
+        B = random_subset(np.int64(400), 0.25, seed=8)
+        assert B.ctx == A.ctx and np.array_equal(B.indices, A.indices)
 
     def test_random_subset_density_range(self):
         assert len(random_subset(10, 0, seed=0)) == 0
@@ -395,37 +396,46 @@ def _greedy_order(n, seed, ctx):
         ctx, rng.permutation(ctx.N))
 
 
-def greedy_rebuild_oracle(s, t, n, seed, ctx=None, max_size=None):
+def greedy_rebuild_oracle(s, t, n, seed, ctx=None, prefix=None):
     """The greedy with the admission test spelled out: a new SetA and a full
-    find_kst_violation for each candidate."""
+    find_kst_violation for each candidate, stopped after `prefix` admissions
+    when one is given."""
     ctx, order = _greedy_order(n, seed, ctx)
     chosen = []
     for c in order:
         if find_kst_violation(SetA(ctx, chosen + [int(c)]), s, t) is None:
             chosen.append(int(c))
-            if max_size and len(chosen) >= max_size:
+            if prefix and len(chosen) >= prefix:
                 break
     return sorted(chosen)
 
 
+def first_admitted(A, n, seed, ctx=None, prefix=None):
+    """The first `prefix` elements of a greedy set in its candidate order,
+    which are its first admissions, sorted; all of A for None."""
+    member = set(A.indices.tolist())
+    admitted = [int(c) for c in _greedy_order(n, seed, ctx)[1] if int(c) in member]
+    return sorted(admitted[:prefix])
+
+
 class TestGreedyIncremental:
     @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
-    @pytest.mark.parametrize("max_size", [None, 9])
-    def test_matches_rebuild_oracle_on_z(self, s, t, max_size):
+    @pytest.mark.parametrize("prefix", [None, 9])
+    def test_matches_rebuild_oracle_on_z(self, s, t, prefix):
         n = 400 if s == 2 else 60
         for seed in range(4):
-            A = greedy_kst_free(s, t, n, seed=seed, max_size=max_size)
-            assert A.indices.tolist() == greedy_rebuild_oracle(
-                s, t, n, seed, max_size=max_size), (s, t, seed)
+            A = greedy_kst_free(s, t, n, seed=seed)
+            assert first_admitted(A, n, seed, prefix=prefix) == greedy_rebuild_oracle(
+                s, t, n, seed, prefix=prefix), (s, t, seed)
 
     @pytest.mark.parametrize("p,r,n", [(3, 1, 4), (3, 1, 5), (5, 1, 3), (3, 2, 2)])
     @pytest.mark.parametrize("s,t", [(2, 2), (2, 3), (3, 3)])
     def test_matches_rebuild_oracle_on_fqn(self, p, r, n, s, t):
         ctx = VectorCtx(FieldCtx(p, r), n)
-        for seed, max_size in ((0, None), (1, None), (2, 6)):
-            A = greedy_kst_free(s, t, ctx.N, seed=seed, ctx=ctx, max_size=max_size)
-            assert A.indices.tolist() == greedy_rebuild_oracle(
-                s, t, ctx.N, seed, ctx=ctx, max_size=max_size), (s, t, seed)
+        for seed, prefix in ((0, None), (1, None), (2, 6)):
+            A = greedy_kst_free(s, t, ctx.N, seed=seed, ctx=ctx)
+            assert first_admitted(A, ctx.N, seed, ctx, prefix) == greedy_rebuild_oracle(
+                s, t, ctx.N, seed, ctx=ctx, prefix=prefix), (s, t, seed)
 
     def test_midpoint_candidate_rejected(self):
         # with {0, 2} kept, c = 1 has r(c - a) = 0 for both a, and only the
