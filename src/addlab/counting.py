@@ -2,17 +2,18 @@
 
 T(h_1, ..., h_k) sums prod h_i(x_i) over solutions of a_1 x_1 + ... + a_k x_k = 0.
 Two independent evaluation routes are kept throughout: nested enumeration over
-supports ("brute") and "fourier", which for integer-valued functions is the
-exact integer convolution of their pushforwards under x -> a_j x, and for any
-other ones the dual-side evaluation (1/N) sum_xi prod hat(h_j)(a_j xi).  One
-rule picks the arithmetic of every count: when all its inputs are
-integer-valued (`Dfn.is_integer_valued`, whatever their dtype) both routes
-count in exact Python ints, and otherwise in unrounded floats.
+supports ("brute") and "fourier", the dual-side evaluation
+(1/N) sum_xi prod hat(h_j)(a_j xi).  For integer-valued functions "fourier"
+is exact: on Z_M the product of their pushforwards under x -> a_j x, on
+F_q^n that dual sum modulo primes (`functions.dual_values_at_zero`); for any
+other ones it is the float dual sum.  One rule picks the arithmetic of every
+count: when all its inputs are integer-valued (`Dfn.is_integer_valued`,
+whatever their dtype) both routes count in exact Python ints, and otherwise
+in unrounded floats.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -27,10 +28,11 @@ from .energy import (
 )
 from .functions import (
     _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _dual_domain, _dual_mean,
-    _exact_product, _real_pair_convolutions, dual_value_at_zero, fourier_mean_norm,
+    _exact_product, _real_pair_convolutions, dual_values_at_zero, fourier_mean_norm,
 )
 # bound under this name for perfbench's tracer, which wraps it; the exact
-# counts multiply sorted pairs through `_exact_product` instead
+# counts multiply sorted pairs through `_exact_product` on Z_M and take dual
+# sums on F_q^n instead
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -234,13 +236,15 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     For integer-valued inputs, of any dtype, the count is an exact Python
     int on both routes.  There the fourier route is
     (g_1 * ... * g_k)(0) over the weighted pushforwards
-    g_i(y) = sum_{a_i x = y} h_i(x), through the exact convolution kernel;
-    an entry or an entry bound of 2^63 or more raises OverflowError rather
-    than return a rounded float.  Other inputs take the unrounded dual-side
-    sum (1/N) sum_xi prod_i hat(h_i)(a_i xi), a float for real inputs, read
-    off one xi of each pair {xi, -xi} (`_dual_domain`), and complex over
-    every xi otherwise.  Whether the count is Z-faithful on a cyclic model is
-    `assert_z_faithful`'s question, not this one's.
+    g_i(y) = sum_{a_i x = y} h_i(x).  On Z_M they are multiplied as sorted
+    pairs, and an entry or an entry bound of 2^63 or more raises
+    OverflowError rather than return a rounded float.  On F_q^n the value is
+    the dual sum (1/N) sum_xi prod_i hat(h_i)(a_i xi) modulo as many primes
+    as it needs, so OverflowError comes only from an entry that int64 cannot
+    hold.  Other inputs take the unrounded dual-side sum, a float for real
+    inputs, read off one xi of each pair {xi, -xi} (`_dual_domain`), and
+    complex over every xi otherwise.  Whether the count is Z-faithful on a
+    cyclic model is `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
         raise ValueError(f"expected {eq.k} functions, got {len(hs)}")
@@ -257,6 +261,10 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
         return int(_brute_total(ctx, eq.coeffs, _exact_ints([ints[h] for h in hs])))
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
+    if integer and isinstance(ctx, VectorCtx):
+        index = {h: i for i, h in enumerate(ints)}
+        product = [(index[h], a) for a, h in zip(eq.coeffs, hs)]
+        return dual_values_at_zero(ctx, list(ints.values()), [product])[0]
     if integer:
         slots = list(zip(eq.coeffs, hs))
         sup = {h: np.flatnonzero(v) for h, v in ints.items()}
@@ -364,13 +372,18 @@ def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
         weights[key] = weights.get(key, 0) + mu * m ** (len(blocks) - len(key))
         if len(blocks) == eq.k:
             finest, scale = key, m ** (eq.k - len(key))
-    memo: dict = {}
-    values = {(): 1}
-    for key in weights.keys() - values.keys():
-        h = len(key) // 2
-        halves = (key[:h], key[h:]) if h else (key,)
-        values[key] = _convolution_value_at_zero(
-            ctx, [_pushforward_convolution(ctx, A.indices, x, memo) for x in halves])
+    if isinstance(ctx, VectorCtx):
+        counts = dual_values_at_zero(ctx, [A.indicator().values],
+                                     [[(0, c) for c in key] for key in weights])
+        values = dict(zip(weights, counts))
+    else:
+        memo: dict = {}
+        values = {(): 1}
+        for key in weights.keys() - values.keys():
+            h = len(key) // 2
+            halves = (key[:h], key[h:]) if h else (key,)
+            values[key] = _convolution_value_at_zero(
+                ctx, [_pushforward_convolution(ctx, A.indices, x, memo) for x in halves])
     return values[finest] * scale, sum(w * values[key] for key, w in weights.items())
 
 
@@ -656,8 +669,8 @@ def count_k_cycles(eq: EquationSpec, sets: list) -> int:
     """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers.
 
     Evaluated on the dual side, N^-1 sum_xi prod_i hat(1_{X_i})(xi) modulo
-    primes, so it shares no partial convolution with the physical-side
-    `count_equation_solutions`.
+    primes, with one transform per distinct set: a set passed in several
+    slots is transformed once.
     """
     if len(sets) != eq.k:
         raise ValueError(f"expected {eq.k} sets")
@@ -666,7 +679,9 @@ def count_k_cycles(eq: EquationSpec, sets: list) -> int:
         raise ValueError("cycle counting runs in the vector-space model")
     if not all(_is_invertible(ctx, a) for a in eq.coeffs):
         raise ValueError("coefficients must be invertible mod p")
-    return dual_value_at_zero(ctx, [X.indicator().values for X in sets])
+    distinct = list(dict.fromkeys(sets))
+    product = [(distinct.index(X), 1) for X in sets]
+    return dual_values_at_zero(ctx, [X.indicator().values for X in distinct], [product])[0]
 
 
 def verify_supersaturation(eq: EquationSpec, A0: SetA):
@@ -675,29 +690,34 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     X_i = a_i A_0; the |A_0| diagonal cycles (a_1 x, ..., a_k x) are pairwise
     distinct in every coordinate, so the cycle count is at least |A_0|; and
     y_i = a_i x_i identifies cycles with solutions of the equation in A_0^k.
-    The cycles are counted on the dual side and the solutions by physical
-    pushforward convolutions, so the bijection check compares two routes.
-    The cycle count over N^{k-1} is reported, never asserted.
+    Both are counted on the dual side, the cycles from the transforms of the
+    physically dilated sets (one set per distinct coefficient) and the
+    solutions from the transform of 1_{A_0} read at a_i xi, so the
+    bijection check compares hat(1_{a A_0})(xi) with hat(1_{A_0})(a xi): the
+    Fourier form of y_i = a_i x_i.  The cycle count over N^{k-1} is
+    reported, never asserted.
     """
     ctx = A0.ctx
     if not isinstance(ctx, VectorCtx):
         raise ValueError("supersaturation runs in the vector-space model")
     eq.validate_for(ctx)
-    images = [np.asarray(ctx.scale_int(a, A0.indices)) for a in eq.coeffs]
-    dilated = [SetA(ctx, idx, provenance={"construction": "dilation", "a": a})
-               for a, idx in zip(eq.coeffs, images)]
+    image = {a: np.asarray(ctx.scale_int(a, A0.indices)) for a in set(eq.coeffs)}
+    dilated = {a: SetA(ctx, idx, provenance={"construction": "dilation", "a": a})
+               for a, idx in image.items()}
     rep = VerificationReport(
         lemma="diagonal_cycle_supersaturation",
         inputs={"eq": str(eq), "N": ctx.N, "|A0|": len(A0)},
     )
     # (a) the diagonal family: one cycle per x, distinct in every coordinate,
     # since each dilation by a unit is injective and keeps |A_0| elements
-    per_coord_ok = all(len(X) == len(A0) for X in dilated)
+    per_coord_ok = all(len(X) == len(A0) for X in dilated.values())
     rep.check("diagonal_coordinates_distinct", per_coord_ok, "==", True, exact=True)
-    acc = functools.reduce(ctx.add, images)
+    # sum_i a_i x, digit-wise: each distinct image times its multiplicity
+    acc = ctx.from_digits(sum(eq.coeffs.count(a) * ctx.digits(idx)
+                              for a, idx in image.items()))
     sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
-    cycles = count_k_cycles(eq, dilated)
+    cycles = count_k_cycles(eq, [dilated[a] for a in eq.coeffs])
     rep.quantities["cycle_count"] = cycles
     rep.check("cycles_ge_diagonal", cycles, ">=", len(A0), exact=True)
     # (b) bijection with equation solutions inside A_0^k
@@ -844,6 +864,14 @@ def run_transference_pipeline(
         report.ledger["E2_nu_over_N3"] = chain.quantities["E2_nu"] / N**3
     report.ledger.update(smoother_size=smoother_size, solutions_in_A=exact_solutions,
                          all_distinct_solutions=distinct)
+    # F = N^{1/s} 1_A, so T(F) counts the solutions in A^k times N^{k/s}: the
+    # exact count meets a count of the telescoping's own route
+    scaled = float(N) ** (k / s) * exact_solutions
+    sol_rep = VerificationReport(lemma="scaled_solution_count",
+                                 quantities={"solutions": exact_solutions, "scaled": scaled})
+    sol_rep.check("T_F_is_scaled_solutions", abs(T_F - scaled), "<=",
+                  1e-9 * max(1.0, abs(T_F)))
+    report.sections["solution_count"] = sol_rep
     if exact_solutions == len(A):
         _, diag_rep = trivial_solution_value(eq, A, s, measured=T_F, exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep

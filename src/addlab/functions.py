@@ -27,7 +27,7 @@ __all__ = [
     "inverse_fourier",
     "convolve",
     "exact_convolve",
-    "dual_value_at_zero",
+    "dual_values_at_zero",
     "fourier_mean_norm",
     "save_dfn",
     "load_dfn",
@@ -419,30 +419,43 @@ def _ntt_convolve(ctx, g1: np.ndarray, g2: np.ndarray, bound: int) -> np.ndarray
     return out.view(np.int64)
 
 
-def dual_value_at_zero(ctx: GroupCtx, arrays) -> int:
-    """(g_1 * ... * g_k)(0) = N^-1 sum_xi prod_i hat(g_i)(xi) on F_q^n, exactly.
+def dual_values_at_zero(ctx: GroupCtx, arrays, products) -> list:
+    """Exact values at zero on F_q^n, one Python int per product.
 
-    The dual side of the value at zero, with no partial convolution and no
-    inverse transform: the forward transforms of `exact_convolve` modulo as
-    many primes as the bound prod_i sum|g_i| needs, recombined by Garner's
-    CRT into a Python int, so the value may pass 2^63.
+    A product is a list of slots (i, c), and its value is
+    (g_1 * ... * g_m)(0) over the pushforwards g(y) = sum_{c x = y} arrays[i](x),
+    that is N^-1 sum_xi prod hat(arrays[i])(c xi): the pushforward under
+    x -> c x has the transform xi -> hat g(c xi).  So each array is
+    transformed once per prime, with no partial convolution and no inverse
+    transform, and a slot only gathers that transform at c xi.  The primes
+    are as many as the largest bound prod sum|arrays[i]| over the products
+    needs, and Garner's CRT recombines the residues into Python ints, so a
+    value may pass 2^63.
     """
     p, axes = _vector_axes(ctx)
-    arrays = [np.asarray(g, dtype=np.int64) for g in arrays]
-    bound = math.prod(_abs_sum_max(g)[0] for g in arrays)
-    if bound == 0:
-        return 0
+    arrays = [_as_int64(g) for g in arrays]
+    norms = [_abs_sum_max(g)[0] for g in arrays]
+    bound = max((math.prod(norms[i] for i, _ in prod) for prod in products), default=0)
     primes = _ntt_primes(p, bound)
+    products = [[(i, c % p) for i, c in prod] for prod in products]
+    slots = {slot for prod in products for slot in prod}
+    xi = np.arange(ctx.N)
+    at = {c: np.asarray(ctx.scale_int(c, xi)) for c in {c for _, c in slots} - {1}}
     residues = []
     for P in primes:
-        prod = np.int64(1)
-        for g in arrays:
-            prod = prod * _ntt(g % P, p, axes, P) % P
-        while len(prod) > 1:  # the sum mod P, p terms at a time
-            prod = prod.reshape(-1, p).sum(axis=1) % P
-        residues.append(prod * pow(ctx.N, -1, P) % P)
+        hats = [_ntt(g % P, p, axes, P) for g in arrays]
+        dilated = {(i, c): hats[i] if c == 1 else hats[i][at[c]] for i, c in slots}
+        total = np.ones((len(products), ctx.N), dtype=np.int64)
+        for row, prod in zip(total, products):
+            for slot in prod:
+                row *= dilated[slot]
+                row %= P
+        while total.shape[1] * P >= _INT64_LIMIT:  # fold p terms at a time
+            total = total.reshape(len(products), -1, p).sum(axis=2) % P
+        residues.append(total.sum(axis=1) % P * pow(ctx.N, -1, P) % P)
     digits, weights = _garner(residues, primes)
-    return sum(int(v[0]) * w for v, w in zip(digits, weights))
+    return [sum(int(v[j]) * w for v, w in zip(digits, weights))
+            for j in range(len(products))]
 
 
 def _nonzeros(v: np.ndarray) -> tuple:

@@ -101,6 +101,23 @@ def test_units_are_the_bijective_dilations(ctx):
             np.testing.assert_array_equal(ctx.scale_int(c, solved), elements)
 
 
+def test_signed_residue_scalar_and_array_paths_agree():
+    # a Python int takes the pure-int path; numpy scalars and arrays the
+    # array path; both give Python ints for scalars, in (-M/2, M/2]
+    from addlab.util import signed_residue
+
+    for M in (1, 2, 3, 7, 10):
+        xs = range(-3 * M, 3 * M + 1)
+        ref = signed_residue(np.array(xs), M)
+        assert ref.dtype.kind == "i"
+        for x, r in zip(xs, ref.tolist()):
+            for value in (x, np.int64(x)):
+                got = signed_residue(value, M)
+                assert got == r and type(got) is int
+            assert -M / 2 < r <= M / 2 and (x - r) % M == 0
+    assert signed_residue(True, 3) == 1 and signed_residue(10**30 + 3, 5) == -2
+
+
 class TestCountT:
     def test_full_group_f5(self):
         eq = EquationSpec([1, 1, 1, 1, 1], char=5)
@@ -176,6 +193,40 @@ class TestCountT:
         big = Dfn(CyclicCtx(7), np.array([1 << 62, 1 << 62, 0, 0, 0, 0, 0]))
         with pytest.raises(OverflowError, match="2\\^63"):
             count_T(eq, [big] + [h] * 4, "fourier")
+
+    @pytest.mark.parametrize("ctx", [
+        F3_3, F5_2, VectorCtx(FieldCtx(7, 1), 2), VectorCtx(FieldCtx(3, 2), 2),
+        VectorCtx(FieldCtx(3, 3), 1),
+    ], ids=["F3_3", "F5_2", "F7_2", "F9_2", "F27_1"])
+    def test_dual_route_matches_brute_on_signed_inputs(self, ctx):
+        # random unit coefficients summing to 0 mod p, and signed int64
+        # functions drawn from a pool of two, so slots repeat and differ
+        rng = spawn_rng(38, ctx.N, ctx.field.r)
+        p = ctx.field.p
+        for _ in range(7):
+            k = int(rng.integers(3, 6))
+            while True:
+                coeffs = [int(c) for c in rng.integers(1, p, size=k - 1)]
+                last = -sum(coeffs) % p
+                if last:
+                    break
+            eq = EquationSpec(coeffs + [last - p], char=p)
+            pool = [Dfn(ctx, rng.integers(-3, 4, size=ctx.N) * (rng.random(ctx.N) < 0.4))
+                    for _ in range(2)]
+            hs = [pool[i] for i in rng.integers(0, 2, size=k)]
+            count = count_T(eq, hs)
+            assert count == count_T(eq, hs, "brute") and type(count) is int
+
+    def test_dual_route_passes_2_63(self):
+        # (2^25 + 1)^5 passes 2^63: the convolution route of the partial
+        # products raised OverflowError here
+        v = np.zeros(F3_3.N, dtype=np.int64)
+        v[[0, 1]] = [1 << 25, 1]
+        eq = EquationSpec([1, 1, 1, 1, -4])
+        hs = [Dfn(F3_3, v)] * 5
+        count = count_T(eq, hs)
+        assert count == count_T(eq, hs, "brute") and type(count) is int
+        assert count > 1 << 125
 
     def test_singleton_diagonal(self):
         eq = EquationSpec([1, 1, 1, 1, 1], char=5)
@@ -980,6 +1031,56 @@ class TestSupersaturation:
         rep = verify_supersaturation(eq, A0)
         assert "diagonal_coordinates_distinct" in [a.name for a in rep.failing()]
 
+    def test_identity_xi_dilation_fails_the_bijection(self, monkeypatch):
+        # the cycles read the transforms of the dilated sets at xi, the
+        # solutions read the transform of 1_{A_0} at a xi: a dual side that
+        # forgets the dilation counts x_1 + ... + x_5 = 0 instead
+        rng = spawn_rng(37, 1)
+        A0 = SetA(F3_4, rng.choice(F3_4.N, size=20, replace=False))
+        eq = EquationSpec([1, 1, 1, 1, -4])
+        assert verify_supersaturation(eq, A0).passed
+        scale_int = VectorCtx.scale_int
+
+        def identity_on_the_dual(self, c, x):
+            return x if np.size(x) == self.N else scale_int(self, c, x)
+
+        monkeypatch.setattr(VectorCtx, "scale_int", identity_on_the_dual)
+        rep = verify_supersaturation(eq, A0)
+        assert [a.name for a in rep.failing()] == ["cycles_equal_solutions"]
+
+    def test_dual_counts_transform_each_array_once_per_prime(self, monkeypatch):
+        # on F_q^n every exact count is a dual sum: no _ntt_convolve, no
+        # inverse transform, and one forward _ntt per distinct array and prime
+        from collections import Counter
+
+        from addlab import functions
+
+        ctx = VectorCtx(FieldCtx(3, 1), 5)
+        A = greedy_kst_free(2, 2, ctx.N, seed=0, ctx=ctx)
+        eq = EquationSpec([1, 1, 1, 1, -4])
+        calls = []
+        ntt = functions._ntt
+
+        def spy_ntt(v, p, axes, P, inverse=False):
+            calls.append((P, inverse))
+            return ntt(v, p, axes, P, inverse)
+
+        def no_convolve(*args):
+            raise AssertionError("_ntt_convolve ran")
+
+        monkeypatch.setattr(functions, "_ntt", spy_ntt)
+        monkeypatch.setattr(functions, "_ntt_convolve", no_convolve)
+        primes = functions._ntt_primes(3, len(A) ** eq.k)
+        # one array: 1_A
+        for count in (_solution_counts, count_equation_solutions):
+            calls.clear()
+            count(eq, A)
+            assert calls == [(P, False) for P in primes]
+        # the cycles transform 1_A and 1_{-4 A}, the solutions 1_A
+        calls.clear()
+        assert verify_supersaturation(eq, A).passed
+        assert Counter(calls) == {(P, False): 3 for P in primes}
+
     def test_zero_coefficient_eq_rejected(self):
         eq = EquationSpec([1, 2, -3])
         A0 = SetA(VectorCtx(FieldCtx(3, 1), 2), [0, 1])
@@ -1181,6 +1282,29 @@ class TestPipeline:
         T_F, solutions = rep.ledger["T_F"], rep.ledger["solutions_in_A"]
         assert type(T_F) is int and type(solutions) is int
         assert T_F == round(N ** (1 / 2)) ** eq.k * solutions
+
+    @pytest.mark.parametrize("build, coeffs, t, eps", [
+        (lambda: erdos_turan_sidon(11), [1, 1, 1, -1, -2], 2, "1/8"),
+        (lambda: greedy_kst_free(2, 3, 256, seed=1), [1, 1, 1, -1, -2], 3, "1/2"),
+        (lambda: greedy_kst_free(2, 2, 243, seed=1, ctx=VectorCtx(FieldCtx(3, 1), 5)),
+         [1, 1, 1, 1, -4], 2, "1/2"),
+    ], ids=["erdos_turan_11", "kst23_free_256", "sidon_f3_5"])
+    def test_solution_count_check_catches_a_wrong_total(self, monkeypatch, build,
+                                                        coeffs, t, eps):
+        from addlab import counting
+
+        eq, A = EquationSpec(coeffs), build()
+        assert run_transference_pipeline(A, eq, 2, t, eps).passed
+        solution_counts = counting._solution_counts
+
+        def one_too_many(eq, A):
+            total, distinct = solution_counts(eq, A)
+            return total + 1, distinct
+
+        monkeypatch.setattr(counting, "_solution_counts", one_too_many)
+        rep = run_transference_pipeline(A, eq, 2, t, eps)
+        assert [a.name for a in rep.sections["solution_count"].failing()] == [
+            "T_F_is_scaled_solutions"]
 
     def test_nonfree_input_raises_with_witness(self):
         from addlab.sets import FreenessError

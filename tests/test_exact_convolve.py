@@ -12,7 +12,7 @@ from addlab.counting import (
     _pushforward,
     count_T,
 )
-from addlab.functions import _ntt_primes, dual_value_at_zero, exact_convolve
+from addlab.functions import _ntt_primes, dual_values_at_zero, exact_convolve
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx, is_prime
 from addlab.sets import SetA
 from addlab.util import spawn_rng
@@ -84,7 +84,7 @@ class TestExactConvolve:
         if ctx.kind == "cyclic":
             assert np.array_equal(out, dense_fold_oracle(ctx.N, v1, v2))
         else:
-            assert dual_value_at_zero(ctx, [v1, v2]) == out[0]
+            assert dual_values_at_zero(ctx, [v1, v2], [[(0, 1), (1, 1)]]) == [out[0]]
 
     def test_wrapping_support(self):
         ctx = CyclicCtx(1000)
@@ -241,7 +241,33 @@ class TestExactCounts:
         gs[0][x], gs[1][y], gs[2][ctx.neg(ctx.add(x, y))] = 2**31, 2**31, 2**31
         gs[0][0], gs[1][0], gs[2][0] = -3, 1, 1
         assert len(_ntt_primes(3, 2**93)) == 4
-        assert dual_value_at_zero(ctx, gs) == 2**93 - 3
+        assert dual_values_at_zero(ctx, gs, [[(0, 1), (1, 1), (2, 1)]]) == [2**93 - 3]
+
+    @pytest.mark.parametrize("ctx", [VectorCtx(FieldCtx(3, 1), 3),
+                                     VectorCtx(FieldCtx(5, 1), 2),
+                                     VectorCtx(FieldCtx(3, 2), 2)])
+    def test_dual_values_match_pushforward_convolutions(self, ctx):
+        # a slot (i, c) stands for the pushforward of arrays[i] under x -> c x;
+        # the empty product is delta_0, and c = 0 or p sends every x to 0
+        rng = spawn_rng(8, ctx.N)
+        arrays = [rng.integers(-4, 5, size=ctx.N) for _ in range(2)]
+        products = [[], [(0, 1)], [(0, 2), (1, -1)], [(1, 3), (0, 1), (0, 1)],
+                    [(0, 0), (1, 1)], [(1, -2)] * 4]
+
+        def pushed(i, c):
+            out = np.zeros(ctx.N, dtype=np.int64)
+            np.add.at(out, np.asarray(ctx.scale_int(c, ctx.elements())), arrays[i])
+            return out
+
+        expected = []
+        for prod in products:
+            value = np.zeros(ctx.N, dtype=np.int64)
+            value[0] = 1
+            for slot in prod:
+                value = exact_convolve(ctx, value, pushed(*slot))
+            expected.append(int(value[0]))
+        assert dual_values_at_zero(ctx, arrays, products) == expected
+        assert dual_values_at_zero(ctx, arrays, []) == []
 
     def test_equation_count_matches_brute_on_wrapping_sets(self):
         # no padding: solutions wrap mod M, so supports and sums wrap past 0
