@@ -1,7 +1,7 @@
 """The counting functional T and the transference machinery built on it.
 
 T(h_1, ..., h_k) sums prod h_i(x_i) over solutions of a_1 x_1 + ... + a_k x_k = 0.
-Two independent evaluation routes are kept throughout: nested enumeration over
+`count_T` keeps two independent evaluation routes: nested enumeration over
 supports ("brute") and "fourier", the dual-side evaluation
 (1/N) sum_xi prod hat(h_j)(a_j xi).  For integer-valued functions "fourier"
 is exact: on Z_M the product of their pushforwards under x -> a_j x, on
@@ -9,11 +9,14 @@ F_q^n that dual sum modulo primes (`functions.dual_values_at_zero`); for any
 other ones it is the float dual sum.  One rule picks the arithmetic of every
 count: when all its inputs are integer-valued (`Dfn.is_integer_valued`,
 whatever their dtype) both routes count in exact Python ints, and otherwise
-in unrounded floats.
+in unrounded floats.  On F_q^n the exact solution and cycle counts share the
+one dual kernel, so supersaturation's cycles <-> solutions check tests the
+dilation, not that kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field as dc_field
@@ -690,12 +693,13 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     X_i = a_i A_0; the |A_0| diagonal cycles (a_1 x, ..., a_k x) are pairwise
     distinct in every coordinate, so the cycle count is at least |A_0|; and
     y_i = a_i x_i identifies cycles with solutions of the equation in A_0^k.
-    Both are counted on the dual side, the cycles from the transforms of the
-    physically dilated sets (one set per distinct coefficient) and the
-    solutions from the transform of 1_{A_0} read at a_i xi, so the
-    bijection check compares hat(1_{a A_0})(xi) with hat(1_{A_0})(a xi): the
-    Fourier form of y_i = a_i x_i.  The cycle count over N^{k-1} is
-    reported, never asserted.
+    Both are counted by one kernel, `functions.dual_values_at_zero`: the
+    cycles from the transforms of the physically dilated sets (one set per
+    distinct coefficient) and the solutions from the transform of 1_{A_0}
+    read at a_i xi.  So the bijection check compares hat(1_{a A_0})(xi) with
+    hat(1_{A_0})(a xi), the Fourier form of y_i = a_i x_i: it checks the
+    dilation, not the summation kernel, whose fault moves both sides alike.
+    The cycle count over N^{k-1} is reported, never asserted.
     """
     ctx = A0.ctx
     if not isinstance(ctx, VectorCtx):
@@ -712,9 +716,7 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     # since each dilation by a unit is injective and keeps |A_0| elements
     per_coord_ok = all(len(X) == len(A0) for X in dilated.values())
     rep.check("diagonal_coordinates_distinct", per_coord_ok, "==", True, exact=True)
-    # sum_i a_i x, digit-wise: each distinct image times its multiplicity
-    acc = ctx.from_digits(sum(eq.coeffs.count(a) * ctx.digits(idx)
-                              for a, idx in image.items()))
+    acc = functools.reduce(ctx.add, (image[a] for a in eq.coeffs))
     sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
     cycles = count_k_cycles(eq, [dilated[a] for a in eq.coeffs])
@@ -864,23 +866,25 @@ def run_transference_pipeline(
         report.ledger["E2_nu_over_N3"] = chain.quantities["E2_nu"] / N**3
     report.ledger.update(smoother_size=smoother_size, solutions_in_A=exact_solutions,
                          all_distinct_solutions=distinct)
-    # F = N^{1/s} 1_A, so T(F) counts the solutions in A^k times N^{k/s}: the
-    # exact count meets a count of the telescoping's own route
-    scaled = float(N) ** (k / s) * exact_solutions
-    sol_rep = VerificationReport(lemma="scaled_solution_count",
-                                 quantities={"solutions": exact_solutions, "scaled": scaled})
-    sol_rep.check("T_F_is_scaled_solutions", abs(T_F - scaled), "<=",
-                  1e-9 * max(1.0, abs(T_F)))
-    report.sections["solution_count"] = sol_rep
     if exact_solutions == len(A):
         _, diag_rep = trivial_solution_value(eq, A, s, measured=T_F, exact=exact_solutions)
         report.sections["diagonal_value"] = diag_rep
-    elif (vanishing := eq.vanishing_subsum(ctx)) is not None:
-        report.flags.append(
-            f"set is not equation-free: the coefficients {list(vanishing)} sum to 0 "
-            f"mod {ctx.exponent}, so every set with |A| >= 2 has a nontrivial solution")
     else:
-        report.flags.append("set is not equation-free: T(F) exceeds the diagonal value")
+        # F = N^{1/s} 1_A, so T(F) counts the solutions in A^k times N^{k/s}:
+        # the exact count meets the telescoping's route, as the diagonal value
+        # does for an equation-free set
+        scaled = float(N) ** (k / s) * exact_solutions
+        sol_rep = VerificationReport(lemma="scaled_solution_count",
+                                     quantities={"solutions": exact_solutions, "scaled": scaled})
+        sol_rep.check("T_F_is_scaled_solutions", abs(T_F - scaled), "<=",
+                      1e-9 * max(1.0, abs(T_F)))
+        report.sections["solution_count"] = sol_rep
+        if (vanishing := eq.vanishing_subsum(ctx)) is not None:
+            report.flags.append(
+                f"set is not equation-free: the coefficients {list(vanishing)} sum to 0 "
+                f"mod {ctx.exponent}, so every set with |A| >= 2 has a nontrivial solution")
+        else:
+            report.flags.append("set is not equation-free: T(F) exceeds the diagonal value")
 
     # level-set extraction on the dense model, inside its support window
     sum_f = float(f.values.sum())

@@ -57,10 +57,8 @@ def sorted_unique(values) -> np.ndarray:
 
 def signed_residue(x, modulus: int):
     """Representative of x mod M in (-M/2, M/2]."""
-    if isinstance(x, int):
-        x %= modulus
+    if not isinstance(x, np.ndarray):
+        x = int(x) % modulus
         return x - modulus if x > modulus // 2 else x
-    x = np.asarray(x) % modulus
-    return np.where(x > modulus // 2, x - modulus, x) if x.ndim else (
-        int(x) - modulus if int(x) > modulus // 2 else int(x)
-    )
+    x = x % modulus
+    return np.where(x > modulus // 2, x - modulus, x)

@@ -102,8 +102,8 @@ def test_units_are_the_bijective_dilations(ctx):
 
 
 def test_signed_residue_scalar_and_array_paths_agree():
-    # a Python int takes the pure-int path; numpy scalars and arrays the
-    # array path; both give Python ints for scalars, in (-M/2, M/2]
+    # a scalar, Python or numpy, takes the int path and an array the array
+    # path; a scalar gives a Python int, in (-M/2, M/2]
     from addlab.util import signed_residue
 
     for M in (1, 2, 3, 7, 10):
@@ -1288,13 +1288,19 @@ class TestPipeline:
         (lambda: greedy_kst_free(2, 3, 256, seed=1), [1, 1, 1, -1, -2], 3, "1/2"),
         (lambda: greedy_kst_free(2, 2, 243, seed=1, ctx=VectorCtx(FieldCtx(3, 1), 5)),
          [1, 1, 1, 1, -4], 2, "1/2"),
-    ], ids=["erdos_turan_11", "kst23_free_256", "sidon_f3_5"])
+        # equation-free: the diagonal value owns the identity until the
+        # wrong total makes the set look otherwise
+        (lambda: SetA(CyclicCtx(200), [0], model_n=10), [1, 1, 1, -1, -2], 2, "1/4"),
+    ], ids=["erdos_turan_11", "kst23_free_256", "sidon_f3_5", "singleton"])
     def test_solution_count_check_catches_a_wrong_total(self, monkeypatch, build,
                                                         coeffs, t, eps):
         from addlab import counting
 
         eq, A = EquationSpec(coeffs), build()
-        assert run_transference_pipeline(A, eq, 2, t, eps).passed
+        rep = run_transference_pipeline(A, eq, 2, t, eps)
+        assert rep.passed
+        # one owner for T(F) = N^{k/s} solutions per report
+        assert ("diagonal_value" in rep.sections) != ("solution_count" in rep.sections)
         solution_counts = counting._solution_counts
 
         def one_too_many(eq, A):
