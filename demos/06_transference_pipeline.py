@@ -41,9 +41,12 @@ rep = run_transference_pipeline(erdos_turan_sidon(11), EQ, 2, 2, "1/8")
 show("Z model, p=11 Sidon set, eq 1,1,1,-1,-2", rep)
 
 # ---------------------------------------- integers: equation-free input
-A = equation_free_greedy(EQ, 48, seed=6)
-rep = run_transference_pipeline(A, EQ, 2, 2, "1/8")
-show(f"Z model, equation-free greedy set (|A|={len(A)})", rep)
+# 1,1,1,1,-4 has no vanishing coefficient subsum, so the greedy set grows
+# past one point; it is not Sidon, so the pipeline runs at (s, t) = (2, 3)
+EQ_FREE = EquationSpec([1, 1, 1, 1, -4])
+A = equation_free_greedy(EQ_FREE, 48, seed=6)
+rep = run_transference_pipeline(A, EQ_FREE, 2, 3, "1/8")
+show(f"Z model, equation-free greedy set (|A|={len(A)}), eq 1,1,1,1,-4, K_(2,3)-free", rep)
 
 # ------------------------------------------------------- F_3^5 analogue
 ctx = VectorCtx(FieldCtx(3, 1), 5)

@@ -11,6 +11,7 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -374,7 +375,52 @@ def suite_counting(cfg: SuiteConfig):
     A0 = sets.random_subset(ctx, 0.15, seed=cfg.seed + 5)
     eqff = EquationSpec([1, 1, 1, -1, -2])
     reports.append(counting.verify_supersaturation(eqff, A0))
+    reports.append(_enumerated_counts_report(eq))
     return reports
+
+
+def _enumerated_counts(eq: EquationSpec, A) -> tuple[int, int]:
+    """(solutions, all-distinct solutions) of eq in A^k by enumerating all
+    m^k tuples, m = |A|: tuple t holds A's element number
+    (t // m^(k-1-i)) mod m in slot i, so two slots hold one element exactly
+    when those base-m digits agree.  The sums sum_i a_i x_i are built slot
+    by slot, m times as many at each step."""
+    ctx, m = A.ctx, len(A)
+    sums = np.zeros(1, dtype=np.int64)
+    for a in eq.coeffs:
+        image = np.asarray(ctx.scale_int(a, A.indices))
+        sums = np.asarray(ctx.add(sums[:, None], image[None, :])).ravel()
+    t = np.arange(m**eq.k)
+    digits = [t // m**(eq.k - 1 - i) % m for i in range(eq.k)]
+    solves = sums == 0
+    distinct = solves.copy()
+    for i, j in combinations(range(eq.k), 2):
+        distinct &= digits[i] != digits[j]
+    return int(solves.sum()), int(distinct.sum())
+
+
+def _enumerated_counts_report(eq: EquationSpec) -> VerificationReport:
+    """The exact solution and all-distinct counts against `_enumerated_counts`
+    on two fixed six-point sets: {0, ..., 5} in the padded Z_M of the suite
+    equation, and six points of F_3^2 under 1,1,1,1,-4."""
+    cases = {
+        "cyclic": (eq, sets.SetA(CyclicCtx(counting.padded_modulus(eq, 6)), range(6))),
+        "f3_2": (EquationSpec([1, 1, 1, 1, -4], char=3),
+                 sets.SetA(VectorCtx(FieldCtx(3, 1), 2), [0, 1, 2, 3, 4, 6])),
+    }
+    rep = VerificationReport(lemma="enumerated_solution_counts", inputs={
+        name: {"ctx": A.ctx.describe(), "eq": str(e), "set": list(A)}
+        for name, (e, A) in cases.items()})
+    for name, (e, A) in cases.items():
+        total, distinct = _enumerated_counts(e, A)
+        rep.check(f"solutions_{name}", counting.count_equation_solutions(e, A), "==",
+                  total, exact=True)
+        rep.check(f"all_distinct_{name}", counting.count_all_distinct(e, A), "==",
+                  distinct, exact=True)
+        if not distinct:
+            rep.flags.append(f"vacuous: the {name} set has no all-distinct solution, "
+                             f"so all_distinct_{name} compares 0 with 0")
+    return rep
 
 
 def suite_pipeline(cfg: SuiteConfig):

@@ -4,21 +4,21 @@ T(h_1, ..., h_k) sums prod h_i(x_i) over solutions of a_1 x_1 + ... + a_k x_k = 
 `count_T` keeps two independent evaluation routes: nested enumeration over
 supports ("brute") and "fourier", the dual-side evaluation
 (1/N) sum_xi prod hat(h_j)(a_j xi).  For integer-valued functions "fourier"
-is exact: on Z_M the product of their pushforwards under x -> a_j x, on
-F_q^n that dual sum modulo primes (`functions.dual_values_at_zero`); for any
-other ones it is the float dual sum.  One rule picks the arithmetic of every
-count: when all its inputs are integer-valued (`Dfn.is_integer_valued`,
-whatever their dtype) both routes count in exact Python ints, and otherwise
-in unrounded floats.  On F_q^n the exact solution and cycle counts share the
-one dual kernel, so supersaturation's cycles <-> solutions check tests the
-dilation, not that kernel.
+is exact: the value at 0 of the product of their pushforwards under
+x -> a_j x, from the one kernel `functions.values_at_zero` (sorted-pair
+products on Z_M, that dual sum modulo primes on F_q^n); for any other ones
+it is the float dual sum.  One rule picks the arithmetic of every count:
+when all its inputs are integer-valued (`Dfn.is_integer_valued`, whatever
+their dtype) both routes count in exact Python ints, and otherwise in
+unrounded floats.  The exact solution, all-distinct and cycle counts share
+that kernel, so supersaturation's cycles <-> solutions check tests the
+dilation, not the kernel.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
@@ -31,11 +31,10 @@ from .energy import (
 )
 from .functions import (
     _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _dual_domain, _dual_mean,
-    _exact_product, _real_pair_convolutions, dual_values_at_zero, fourier_mean_norm,
+    _real_pair_convolutions, fourier_mean_norm, values_at_zero,
 )
 # bound under this name for perfbench's tracer, which wraps it; the exact
-# counts multiply sorted pairs through `_exact_product` on Z_M and take dual
-# sums on F_q^n instead
+# counts call `functions.values_at_zero` instead, so nothing here calls it
 from .functions import exact_convolve as _int_convolve
 from .groups import CyclicCtx, GroupCtx, VectorCtx
 from .report import VerificationReport
@@ -239,15 +238,15 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     For integer-valued inputs, of any dtype, the count is an exact Python
     int on both routes.  There the fourier route is
     (g_1 * ... * g_k)(0) over the weighted pushforwards
-    g_i(y) = sum_{a_i x = y} h_i(x).  On Z_M they are multiplied as sorted
-    pairs, and an entry or an entry bound of 2^63 or more raises
-    OverflowError rather than return a rounded float.  On F_q^n the value is
-    the dual sum (1/N) sum_xi prod_i hat(h_i)(a_i xi) modulo as many primes
-    as it needs, so OverflowError comes only from an entry that int64 cannot
-    hold.  Other inputs take the unrounded dual-side sum, a float for real
-    inputs, read off one xi of each pair {xi, -xi} (`_dual_domain`), and
-    complex over every xi otherwise.  Whether the count is Z-faithful on a
-    cyclic model is `assert_z_faithful`'s question, not this one's.
+    g_i(y) = sum_{a_i x = y} h_i(x), from `functions.values_at_zero`: on Z_M
+    the product of sorted pairs, where an entry or an entry bound of 2^63 or
+    more raises OverflowError rather than return a rounded float, and on
+    F_q^n the dual sum (1/N) sum_xi prod_i hat(h_i)(a_i xi) modulo as many
+    primes as it needs, so OverflowError comes only from an entry that int64
+    cannot hold.  Other inputs take the unrounded dual-side sum, a float for
+    real inputs, read off one xi of each pair {xi, -xi} (`_dual_domain`),
+    and complex over every xi otherwise.  Whether the count is Z-faithful on
+    a cyclic model is `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
         raise ValueError(f"expected {eq.k} functions, got {len(hs)}")
@@ -255,25 +254,19 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     if any(h.ctx != ctx for h in hs):
         raise ValueError("group context mismatch")
     eq.validate_for(ctx)
-    # one conversion and pushforward per distinct function and coefficient
+    # one conversion per distinct function, in slot order, not object-id order
     integer = all(h.is_integer_valued() for h in hs)
-    ints = {h: _as_int64(h.values) for h in set(hs)} if integer else None
+    ints = {h: _as_int64(h.values) for h in dict.fromkeys(hs)} if integer else None
     if method == "brute":
         if not integer:
             return _brute_total(ctx, eq.coeffs, [h.values for h in hs])
         return int(_brute_total(ctx, eq.coeffs, _exact_ints([ints[h] for h in hs])))
     if method != "fourier":
         raise ValueError(f"unknown method {method!r}")
-    if integer and isinstance(ctx, VectorCtx):
+    if integer:
         index = {h: i for i, h in enumerate(ints)}
         product = [(index[h], a) for a, h in zip(eq.coeffs, hs)]
-        return dual_values_at_zero(ctx, list(ints.values()), [product])[0]
-    if integer:
-        slots = list(zip(eq.coeffs, hs))
-        sup = {h: np.flatnonzero(v) for h, v in ints.items()}
-        pushed = {(a, h): _pushforward(ctx, sup[h], a, ints[h][sup[h]])
-                  for a, h in set(slots)}
-        return _convolution_value_at_zero(ctx, [pushed[slot] for slot in slots])
+        return values_at_zero(ctx, list(ints.values()), [product])[0]
     real = all(h.tag == "real" for h in hs)
     domain = _dual_domain(ctx, real)
     xi = np.arange(*domain.indices(ctx.N)) if isinstance(domain, slice) else domain
@@ -287,71 +280,11 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     return _dual_mean(ctx, prod, real)
 
 
-def _pushforward(ctx, indices, coeff: int, weights=1) -> tuple:
-    """g(y) = sum of the int64 weights of the x in `indices` with coeff * x = y,
-    exactly, as the sorted pair (points, values) of its nonzero values; unit
-    weights count those x.  Points that coeff merges (gcd(coeff, M) > 1, say)
-    are summed.
-
-    Raises OverflowError when sum |weights| is 2^63 or more, since an entry
-    of g could then wrap in int64.
-    """
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.int64), len(indices))
-    bound = _abs_sum_max(weights)[0]
-    if bound >= _INT64_LIMIT:
-        raise OverflowError(f"pushforward entry bound {bound} is not below 2^63")
-    y = np.asarray(ctx.scale_int(coeff, indices), dtype=np.int64)
-    order = np.argsort(y)
-    y, weights = y[order], weights[order]
-    starts = np.flatnonzero(np.diff(y, prepend=-1))  # the first of each run
-    sums = np.add.reduceat(weights, starts)
-    keep = sums != 0
-    return y[starts][keep], sums[keep]
-
-
-def _convolution_value_at_zero(ctx, pairs) -> int:
-    """(g_1 * ... * g_m)(0) for functions given as sorted pairs (points,
-    int64 values), exact integers; multiplies the pairs with the fewest
-    points first and finishes with an inner product in Python ints, each
-    point y of one meeting -y among the sorted points of the other, instead
-    of a last convolution, so a total past 2^63 stays exact."""
-    pairs = list(pairs)
-    if len(pairs) == 1:
-        (pts, vals), = pairs
-        return int(vals[0]) if len(pts) and pts[0] == 0 else 0
-    while len(pairs) > 2:
-        pairs.sort(key=lambda pair: len(pair[0]))
-        pairs.append(_exact_product(ctx, pairs.pop(0), pairs.pop(0)))
-    (pa, va), (pb, vb) = pairs
-    neg = np.asarray(ctx.neg(pa))
-    at = np.searchsorted(pb, neg)
-    hit = at < len(pb)
-    hit[hit] = pb[at[hit]] == neg[hit]
-    return sum(map(operator.mul, va[hit].tolist(), vb[at[hit]].tolist()))
-
-
 def count_equation_solutions(eq: EquationSpec, A: SetA) -> int:
     """Exact integer count of solutions in A^k: count_T on k copies of 1_A,
     after checking that a cyclic model counts them over Z."""
     assert_z_faithful(eq, A)
     return count_T(eq, [A.indicator()] * eq.k)
-
-
-def _pushforward_convolution(ctx, indices, key: tuple, memo: dict) -> tuple:
-    """Convolution of the pushforward counts of `indices` under each
-    coefficient in `key`, as a sorted pair, built from the halves of `key`
-    and memoized so that keys share partial sums; single pushforwards are
-    cheaper to recompute."""
-    if len(key) == 1:
-        return _pushforward(ctx, indices, key[0])
-    if key not in memo:
-        h = len(key) // 2
-        memo[key] = _exact_product(
-            ctx,
-            _pushforward_convolution(ctx, indices, key[:h], memo),
-            _pushforward_convolution(ctx, indices, key[h:], memo),
-        )
-    return memo[key]
 
 
 def _set_partitions(items):
@@ -375,18 +308,10 @@ def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
         weights[key] = weights.get(key, 0) + mu * m ** (len(blocks) - len(key))
         if len(blocks) == eq.k:
             finest, scale = key, m ** (eq.k - len(key))
-    if isinstance(ctx, VectorCtx):
-        counts = dual_values_at_zero(ctx, [A.indicator().values],
-                                     [[(0, c) for c in key] for key in weights])
-        values = dict(zip(weights, counts))
-    else:
-        memo: dict = {}
-        values = {(): 1}
-        for key in weights.keys() - values.keys():
-            h = len(key) // 2
-            halves = (key[:h], key[h:]) if h else (key,)
-            values[key] = _convolution_value_at_zero(
-                ctx, [_pushforward_convolution(ctx, A.indices, x, memo) for x in halves])
+    # the membership array, not the indicator, which would stay on A as an
+    # int64 array of length N for the rest of a pipeline run
+    counts = values_at_zero(ctx, [A.member], [[(0, c) for c in key] for key in weights])
+    values = dict(zip(weights, counts))
     return values[finest] * scale, sum(w * values[key] for key, w in weights.items())
 
 
@@ -400,8 +325,9 @@ def count_all_distinct(eq: EquationSpec, A: SetA) -> int:
     value at 0 of the convolution of the pushforward counts of A under the
     block sums c_B; a block with c_B = 0 in the scalar ring (Z_M, or F_p for
     F_q^n) contributes the factor |A| instead.  Partitions with the same
-    block sums up to sign share one count, and all counts share partial
-    convolutions.
+    block sums up to sign share one count, and all counts take one call of
+    `functions.values_at_zero`, so they share its transforms (F_q^n) or its
+    partial products (Z_M).
     """
     return _solution_counts(eq, A)[1]
 
@@ -671,20 +597,17 @@ def level_set_extract(f: Dfn, delta, p, n: int | None = None):
 def count_k_cycles(eq: EquationSpec, sets: list) -> int:
     """Solutions of x_1 + ... + x_k = 0 in X_1 x ... x X_k, exact integers.
 
-    Evaluated on the dual side, N^-1 sum_xi prod_i hat(1_{X_i})(xi) modulo
-    primes, with one transform per distinct set: a set passed in several
-    slots is transformed once.
+    One call of `functions.values_at_zero`, with one array per distinct
+    set: on F_q^n a set passed in several slots is transformed once.
     """
     if len(sets) != eq.k:
         raise ValueError(f"expected {eq.k} sets")
     ctx = sets[0].ctx
-    if not isinstance(ctx, VectorCtx):
-        raise ValueError("cycle counting runs in the vector-space model")
     if not all(_is_invertible(ctx, a) for a in eq.coeffs):
-        raise ValueError("coefficients must be invertible mod p")
+        raise ValueError(f"coefficients must be invertible mod {ctx.exponent}")
     distinct = list(dict.fromkeys(sets))
     product = [(distinct.index(X), 1) for X in sets]
-    return dual_values_at_zero(ctx, [X.indicator().values for X in distinct], [product])[0]
+    return values_at_zero(ctx, [X.indicator().values for X in distinct], [product])[0]
 
 
 def verify_supersaturation(eq: EquationSpec, A0: SetA):
@@ -693,7 +616,7 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     X_i = a_i A_0; the |A_0| diagonal cycles (a_1 x, ..., a_k x) are pairwise
     distinct in every coordinate, so the cycle count is at least |A_0|; and
     y_i = a_i x_i identifies cycles with solutions of the equation in A_0^k.
-    Both are counted by one kernel, `functions.dual_values_at_zero`: the
+    Both are counted by one kernel, `functions.values_at_zero`: the
     cycles from the transforms of the physically dilated sets (one set per
     distinct coefficient) and the solutions from the transform of 1_{A_0}
     read at a_i xi.  So the bijection check compares hat(1_{a A_0})(xi) with

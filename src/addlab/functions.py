@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import re
 
 import numpy as np
@@ -27,7 +28,7 @@ __all__ = [
     "inverse_fourier",
     "convolve",
     "exact_convolve",
-    "dual_values_at_zero",
+    "values_at_zero",
     "fourier_mean_norm",
     "save_dfn",
     "load_dfn",
@@ -419,21 +420,16 @@ def _ntt_convolve(ctx, g1: np.ndarray, g2: np.ndarray, bound: int) -> np.ndarray
     return out.view(np.int64)
 
 
-def dual_values_at_zero(ctx: GroupCtx, arrays, products) -> list:
-    """Exact values at zero on F_q^n, one Python int per product.
-
-    A product is a list of slots (i, c), and its value is
-    (g_1 * ... * g_m)(0) over the pushforwards g(y) = sum_{c x = y} arrays[i](x),
-    that is N^-1 sum_xi prod hat(arrays[i])(c xi): the pushforward under
-    x -> c x has the transform xi -> hat g(c xi).  So each array is
-    transformed once per prime, with no partial convolution and no inverse
-    transform, and a slot only gathers that transform at c xi.  The primes
-    are as many as the largest bound prod sum|arrays[i]| over the products
-    needs, and Garner's CRT recombines the residues into Python ints, so a
-    value may pass 2^63.
+def _dual_values_at_zero(ctx: GroupCtx, arrays, products) -> list:
+    """`values_at_zero` on F_q^n: N^-1 sum_xi prod hat(arrays[i])(c xi) per
+    product, since the pushforward under x -> c x has the transform
+    xi -> hat g(c xi).  So each array is transformed once per prime, with no
+    partial convolution and no inverse transform, and a slot only gathers
+    that transform at c xi.  The primes are as many as the largest bound
+    prod sum|arrays[i]| over the products needs, and Garner's CRT recombines
+    the residues into Python ints, so a value may pass 2^63.
     """
     p, axes = _vector_axes(ctx)
-    arrays = [_as_int64(g) for g in arrays]
     norms = [_abs_sum_max(g)[0] for g in arrays]
     bound = max((math.prod(norms[i] for i, _ in prod) for prod in products), default=0)
     primes = _ntt_primes(p, bound)
@@ -523,6 +519,83 @@ def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     """
     a, b = _nonzeros(_as_int64(g1)), _nonzeros(_as_int64(g2))
     return _dense(ctx, _exact_product(ctx, a, b))
+
+
+def _pushforward(ctx: GroupCtx, indices, coeff: int, weights: np.ndarray) -> tuple:
+    """g(y) = sum of the int64 weights of the x in `indices` with coeff * x = y,
+    exactly, as the sorted pair (points, values) of its nonzero values.
+    Points that coeff merges (gcd(coeff, M) > 1, say) are summed.
+
+    Raises OverflowError when sum |weights| is 2^63 or more, since an entry
+    of g could then wrap in int64.
+    """
+    bound = _abs_sum_max(weights)[0]
+    if bound >= _INT64_LIMIT:
+        raise OverflowError(f"pushforward entry bound {bound} is not below 2^63")
+    y = np.asarray(ctx.scale_int(coeff, indices), dtype=np.int64)
+    order = np.argsort(y)
+    y, weights = y[order], weights[order]
+    starts = np.flatnonzero(np.diff(y, prepend=-1))  # the first of each run
+    sums = np.add.reduceat(weights, starts)
+    keep = sums != 0
+    return y[starts][keep], sums[keep]
+
+
+def _memo_product(ctx: GroupCtx, key: tuple, memo: dict) -> tuple:
+    """The product of the pushforwards of the slots in the sorted `key`, as a
+    sorted pair: the `_exact_product` of the products of its two halves,
+    memoized so that keys share partial products.  `memo` starts with the
+    empty key (delta_0) and every one-slot key.  It is passed in, not held by
+    a nested function, so that it goes with the call that made it rather
+    than with the next run of the cyclic garbage collector."""
+    if key not in memo:
+        h = len(key) // 2
+        memo[key] = _exact_product(ctx, _memo_product(ctx, key[:h], memo),
+                                   _memo_product(ctx, key[h:], memo))
+    return memo[key]
+
+
+def values_at_zero(ctx: GroupCtx, arrays, products) -> list:
+    """Exact values at zero of products of pushforwards, one Python int per
+    product.
+
+    A product is a list of slots (i, c), and its value is
+    (g_1 * ... * g_m)(0) over the pushforwards g(y) = sum_{c x = y} arrays[i](x)
+    of integer arrays; the empty product is delta_0, of value 1.
+    F_q^n: the dual sum N^-1 sum_xi prod hat(arrays[i])(c xi) modulo primes
+    (Pollard, Math. Comp. 1971), recombined by Garner's CRT.
+    Z_M: each distinct slot's pushforward is built once, as a sorted pair.
+    A product's sorted slots split in halves, each half the memoized
+    `_exact_product` of its own halves, and the two halves meet in an inner
+    product in Python ints: each point y of one meets -y among the sorted
+    points of the other.  A product that holds an empty pushforward is 0,
+    with no product taken.
+
+    Raises OverflowError when an entry is 2^63 or more in magnitude and, on
+    Z_M, when a pushforward or a partial product has an entry bound of 2^63
+    or more; a value itself may pass 2^63.
+    """
+    arrays = [_as_int64(g) for g in arrays]
+    if ctx.kind == "vector":
+        return _dual_values_at_zero(ctx, arrays, products)
+    supports = [np.flatnonzero(g) for g in arrays]
+    memo = {(): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64))}
+    for i, c in dict.fromkeys(slot for prod in products for slot in prod):
+        memo[(i, c),] = _pushforward(ctx, supports[i], c, arrays[i][supports[i]])
+    values = []
+    for prod in products:
+        key = tuple(sorted(prod))
+        if any(not len(memo[slot,][0]) for slot in key):
+            values.append(0)
+            continue
+        h = len(key) // 2
+        (pa, va), (pb, vb) = (_memo_product(ctx, half, memo) for half in (key[:h], key[h:]))
+        neg = np.asarray(ctx.neg(pa))
+        at = np.searchsorted(pb, neg)
+        hit = at < len(pb)
+        hit[hit] = pb[at[hit]] == neg[hit]
+        values.append(sum(map(operator.mul, va[hit].tolist(), vb[at[hit]].tolist())))
+    return values
 
 
 def convolve(h1: Dfn, h2: Dfn) -> Dfn:

@@ -492,3 +492,43 @@ def test_vacuous_equation_free_checks_are_flagged(seed_42_suites, equation, subs
         (flag,) = vacuous
         assert f"the coefficients {subsum} sum to 0" in flag
         assert "diagonal_only and diagonal_count_value hold trivially" in flag
+
+
+@pytest.mark.parametrize("equation, cyclic", [
+    ((1, 1, 1, -1, -2), (600, 24)), ((1, 1, 1, 1, -4), (322, 48))])
+def test_enumerated_counts_report(equation, cyclic):
+    # {0, ..., 5} in the padded Z_M of the suite equation, and six points of
+    # F_3^2 under 1,1,1,1,-4, against all 6^5 tuples
+    rep = cli._enumerated_counts_report(cli.EquationSpec(equation))
+    assert rep.passed and rep.flags == []
+    got = {a.name: a.lhs for a in rep.assertions}
+    assert got == {"solutions_cyclic": cyclic[0], "all_distinct_cyclic": cyclic[1],
+                   "solutions_f3_2": 864, "all_distinct_f3_2": 72}
+    assert all(a.exact and a.lhs == a.rhs for a in rep.assertions)
+
+
+def test_enumerated_counts_flag_a_vacuous_distinct_check():
+    # x + 9y = 10z has only x = y = z in {0, ..., 5}
+    rep = cli._enumerated_counts_report(cli.EquationSpec([1, 9, -10]))
+    assert rep.passed
+    assert {a.name: a.lhs for a in rep.assertions}["all_distinct_cyclic"] == 0
+    (flag,) = rep.flags
+    assert flag.startswith("vacuous: the cyclic set") and "all_distinct_cyclic" in flag
+
+
+def test_all_distinct_fault_fails_the_enumerated_report(monkeypatch):
+    # no other seed-42 report reads the all-distinct count
+    solution_counts = cli.counting._solution_counts
+
+    def one_too_many(eq, A):
+        total, distinct = solution_counts(eq, A)
+        return total, distinct + 1
+
+    monkeypatch.setattr(cli.counting, "_solution_counts", one_too_many)
+    code, out, first_fail = run_suite(SuiteConfig(suites=cli.SUITE_NAMES, seed=42))
+    assert code == 1 and first_fail == ("counting", "enumerated_solution_counts")
+    failing = [e["report"] for entries in out["suites"].values() for e in entries
+               if not e["report"].passed]
+    assert [rep.lemma for rep in failing] == ["enumerated_solution_counts"]
+    assert [a.name for a in failing[0].failing()] == [
+        "all_distinct_cyclic", "all_distinct_f3_2"]

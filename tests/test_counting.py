@@ -1,6 +1,7 @@
 """Counting functional, transference machinery, cycles, level sets."""
 
 import functools
+import gc
 import itertools
 
 import numpy as np
@@ -609,6 +610,25 @@ class TestAllDistinct:
             assert _solution_counts(eq, SetA(ctx, [])) == (0, 0)
             assert _solution_counts(eq, SetA(ctx, [0])) == (1, 0)
 
+    @pytest.mark.parametrize("ctx", [CyclicCtx(91), VectorCtx(FieldCtx(3, 1), 4)],
+                             ids=["Z_91", "F3_4"])
+    def test_counts_leave_no_cyclic_garbage(self, ctx):
+        # the partial products go with the call that made them: a memo held
+        # by a recursive nested function would form a reference cycle, and
+        # keep them until the cyclic collector ran
+        eq = EquationSpec([1, 1, 1, 1, -4])
+        A = SetA(ctx, spawn_rng(38, 1).choice(18, size=9, replace=False))
+        expected = _solution_counts(eq, A)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            assert _solution_counts(eq, A) == expected
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
 
 class TestCountingLemma:
     def test_random_dominated_families(self):
@@ -987,6 +1007,17 @@ class TestCycles:
             Xs = [SetA(ctx, np.nonzero(rng.random(ctx.N) < 0.5)[0]) for _ in range(5)]
             if any(len(X) == 0 for X in Xs):
                 continue
+            assert count_k_cycles(eq, Xs) == brute_cycles(eq, Xs)
+
+    def test_brute_matches_sorted_pairs_on_z_m(self):
+        # the one kernel counts cycles on Z_M too, sets passed in several
+        # slots included
+        rng = spawn_rng(36, 2)
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        ctx = CyclicCtx(17)
+        for _ in range(5):
+            pool = [SetA(ctx, np.nonzero(rng.random(ctx.N) < 0.4)[0]) for _ in range(3)]
+            Xs = [pool[i] for i in rng.integers(0, 3, size=5)]
             assert count_k_cycles(eq, Xs) == brute_cycles(eq, Xs)
 
     def test_diagonal_lower_bound_random(self):

@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from addlab import functions
-from addlab.counting import (
-    EquationSpec,
-    _convolution_value_at_zero,
-    _pushforward,
-    count_T,
-)
-from addlab.functions import _ntt_primes, dual_values_at_zero, exact_convolve
+from addlab.counting import EquationSpec, count_T
+from addlab.functions import _ntt_primes, _pushforward, exact_convolve, values_at_zero
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx, is_prime
 from addlab.sets import SetA
 from addlab.util import spawn_rng
@@ -83,8 +78,7 @@ class TestExactConvolve:
         assert np.array_equal(out, translate_oracle(ctx, v1, v2))
         if ctx.kind == "cyclic":
             assert np.array_equal(out, dense_fold_oracle(ctx.N, v1, v2))
-        else:
-            assert dual_values_at_zero(ctx, [v1, v2], [[(0, 1), (1, 1)]]) == [out[0]]
+        assert values_at_zero(ctx, [v1, v2], [[(0, 1), (1, 1)]]) == [out[0]]
 
     def test_wrapping_support(self):
         ctx = CyclicCtx(1000)
@@ -207,9 +201,9 @@ class TestExactCounts:
     def test_value_at_zero_past_int64(self):
         # one product 2^80 plus one 2^70: wraps int64, exact in Python ints
         ctx = CyclicCtx(5)
-        a = (np.array([1, 2]), np.array([2**40, 2**35]))
-        b = (np.array([3, 4]), np.array([2**35, 2**40]))
-        assert _convolution_value_at_zero(ctx, [a, b]) == 2**80 + 2**70
+        a = np.array([0, 2**40, 2**35, 0, 0])
+        b = np.array([0, 0, 0, 2**35, 2**40])
+        assert values_at_zero(ctx, [a, b], [[(0, 1), (1, 1)]]) == [2**80 + 2**70]
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -225,13 +219,25 @@ class TestExactCounts:
         coeff = data.draw(st.sampled_from([1, -1, 2, 3, 6, -10, 15, ctx.N]))
         weights = np.array(data.draw(st.lists(
             st.integers(-3, 3), min_size=len(pts), max_size=len(pts))), dtype=np.int64)
-        dilated = np.asarray(ctx.scale_int(coeff, pts), dtype=np.int64)
-        for w in (weights, 1):
-            dense = np.zeros(ctx.N, dtype=np.int64)
-            np.add.at(dense, dilated, w)
-            points, values = _pushforward(ctx, pts, coeff, w)
-            assert np.array_equal(points, np.flatnonzero(dense))
-            assert np.array_equal(values, dense[points])
+        dense = np.zeros(ctx.N, dtype=np.int64)
+        np.add.at(dense, np.asarray(ctx.scale_int(coeff, pts), dtype=np.int64), weights)
+        points, values = _pushforward(ctx, pts, coeff, weights)
+        assert np.array_equal(points, np.flatnonzero(dense))
+        assert np.array_equal(values, dense[points])
+
+    def test_empty_pushforward_takes_no_product(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a product ran beside an empty pushforward")
+
+        monkeypatch.setattr(functions, "_exact_product", no_work)
+        ctx = CyclicCtx(12)
+        g = np.arange(12)
+        signs = np.zeros(12, dtype=np.int64)
+        signs[1::2] = [1, -1, 1, -1, 1, -1]
+        arrays = [g, np.zeros(12, dtype=np.int64), signs]
+        # 6 x sends the odd points to 6, where their values cancel
+        products = [[(0, 1), (0, 2), (1, 1), (0, 3)], [(2, 6), (0, 1), (0, 1)]]
+        assert values_at_zero(ctx, arrays, products) == [0, 0]
 
     def test_dual_value_at_zero_past_int64(self):
         # 2^93 needs four primes; a mixed-sign term checks the centring
@@ -241,18 +247,22 @@ class TestExactCounts:
         gs[0][x], gs[1][y], gs[2][ctx.neg(ctx.add(x, y))] = 2**31, 2**31, 2**31
         gs[0][0], gs[1][0], gs[2][0] = -3, 1, 1
         assert len(_ntt_primes(3, 2**93)) == 4
-        assert dual_values_at_zero(ctx, gs, [[(0, 1), (1, 1), (2, 1)]]) == [2**93 - 3]
+        assert values_at_zero(ctx, gs, [[(0, 1), (1, 1), (2, 1)]]) == [2**93 - 3]
 
     @pytest.mark.parametrize("ctx", [VectorCtx(FieldCtx(3, 1), 3),
                                      VectorCtx(FieldCtx(5, 1), 2),
-                                     VectorCtx(FieldCtx(3, 2), 2)])
-    def test_dual_values_match_pushforward_convolutions(self, ctx):
+                                     VectorCtx(FieldCtx(3, 2), 2),
+                                     CyclicCtx(1), CyclicCtx(12), CyclicCtx(97)])
+    def test_values_at_zero_match_pushforward_convolutions(self, ctx):
         # a slot (i, c) stands for the pushforward of arrays[i] under x -> c x;
-        # the empty product is delta_0, and c = 0 or p sends every x to 0
+        # the empty product is delta_0, c = 0 (or p on F_q^n) sends every x
+        # to 0, on Z_12 the coefficients 2 and 3 merge points, and the zero
+        # array makes an empty pushforward
         rng = spawn_rng(8, ctx.N)
         arrays = [rng.integers(-4, 5, size=ctx.N) for _ in range(2)]
+        arrays.append(np.zeros(ctx.N, dtype=np.int64))
         products = [[], [(0, 1)], [(0, 2), (1, -1)], [(1, 3), (0, 1), (0, 1)],
-                    [(0, 0), (1, 1)], [(1, -2)] * 4]
+                    [(0, 0), (1, 1)], [(1, -2)] * 4, [(0, 1), (2, 1), (1, 1)]]
 
         def pushed(i, c):
             out = np.zeros(ctx.N, dtype=np.int64)
@@ -266,8 +276,8 @@ class TestExactCounts:
             for slot in prod:
                 value = exact_convolve(ctx, value, pushed(*slot))
             expected.append(int(value[0]))
-        assert dual_values_at_zero(ctx, arrays, products) == expected
-        assert dual_values_at_zero(ctx, arrays, []) == []
+        assert values_at_zero(ctx, arrays, products) == expected
+        assert values_at_zero(ctx, arrays, []) == []
 
     def test_equation_count_matches_brute_on_wrapping_sets(self):
         # no padding: solutions wrap mod M, so supports and sums wrap past 0
