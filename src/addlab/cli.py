@@ -505,7 +505,7 @@ def _parse_equation(text: str, A) -> EquationSpec:
 def _precondition_failed(exc: sets.FreenessError, report_path) -> int:
     """Write the violated freeness precondition and its witness grid."""
     if report_path:
-        emit_report({"error": str(exc), "witness": to_jsonable(vars(exc.witness))},
+        emit_report({"error": str(exc), "witness": vars(exc.witness)},
                     report_path)
     print(f"precondition failed: {exc}", file=sys.stderr)
     return 1

@@ -284,7 +284,7 @@ def count_equation_solutions(eq: EquationSpec, A: SetA) -> int:
     """Exact integer count of solutions in A^k: count_T on k copies of 1_A,
     after checking that a cyclic model counts them over Z."""
     assert_z_faithful(eq, A)
-    return count_T(eq, [A.indicator()] * eq.k)
+    return count_T(eq, [Dfn(A.ctx, A.member)] * eq.k)
 
 
 def _set_partitions(items):
@@ -308,8 +308,6 @@ def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
         weights[key] = weights.get(key, 0) + mu * m ** (len(blocks) - len(key))
         if len(blocks) == eq.k:
             finest, scale = key, m ** (eq.k - len(key))
-    # the membership array, not the indicator, which would stay on A as an
-    # int64 array of length N for the rest of a pipeline run
     counts = values_at_zero(ctx, [A.member], [[(0, c) for c in key] for key in weights])
     values = dict(zip(weights, counts))
     return values[finest] * scale, sum(w * values[key] for key, w in weights.items())
@@ -352,7 +350,7 @@ def trivial_solution_value(
                          f"A^{eq.k}, of which {len(A)} are trivial")
     value = float(n) ** (eq.k / s) * len(A)
     if measured is None:
-        scaled = Dfn(A.ctx, A.indicator().values * float(n) ** (1.0 / s))
+        scaled = Dfn(A.ctx, A.member * float(n) ** (1.0 / s))
         measured = count_T(eq, [scaled] * eq.k)
     rep = VerificationReport(
         lemma="diagonal_count_value",
@@ -607,7 +605,7 @@ def count_k_cycles(eq: EquationSpec, sets: list) -> int:
         raise ValueError(f"coefficients must be invertible mod {ctx.exponent}")
     distinct = list(dict.fromkeys(sets))
     product = [(distinct.index(X), 1) for X in sets]
-    return values_at_zero(ctx, [X.indicator().values for X in distinct], [product])[0]
+    return values_at_zero(ctx, [X.member for X in distinct], [product])[0]
 
 
 def verify_supersaturation(eq: EquationSpec, A0: SetA):
@@ -749,7 +747,7 @@ def run_transference_pipeline(
     if smoother_size == 1:
         F = f
     else:
-        F = Dfn(ctx, A.indicator().values * scale)._with_hat(scale * hat_A)
+        F = Dfn(ctx, A.member * scale)._with_hat(scale * hat_A)
     del hat_A
     g = (f - F)._with_hat(f.hat() - F.hat())
     k = eq.k

@@ -11,11 +11,14 @@ Schema (documented, stable field order):
 
 Floats serialize in Python's shortest round-trip form, so integral floats keep
 their ".0" and exact integers stay bare; non-finite floats become the strings
-"inf", "-inf" and "nan"; exact rationals become "p/q".
+"inf", "-inf" and "nan"; exact rationals become "p/q".  `dumps_report` owns
+this form: it normalizes each value as it writes it, and `to_jsonable` is the
+parse of its text.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -39,10 +42,18 @@ class Assertion:
 
     @property
     def slack(self):
+        """Room to `_compare`'s pass boundary, tolerance included: >= 0
+        exactly when an assertion whose sides compare as floats passes."""
         try:
-            return float(self.rhs) - float(self.lhs)
+            lhs, rhs = float(self.lhs), float(self.rhs)
         except (TypeError, ValueError, OverflowError):
             return None
+        room = self.tol * max(1.0, abs(rhs))
+        if self.op == "<=":
+            return (rhs + room) - lhs
+        if self.op == ">=":
+            return lhs - (rhs - room)
+        return room - abs(lhs - rhs)
 
 
 def _compare(lhs, op, rhs, tol):
@@ -97,89 +108,61 @@ class VerificationReport:
 
 # -- serialization ------------------------------------------------------------
 
-# leaves that serialize as they are: most of a report, kept off the slower checks
-_PLAIN = frozenset({str, int, bool, type(None)})
 
-
-def to_jsonable(obj):
-    """Normalize values for the documented schema."""
-    if type(obj) in _PLAIN:
-        return obj
-    if hasattr(obj, "as_report_dict"):
-        return to_jsonable(obj.as_report_dict())
-    if isinstance(obj, VerificationReport):
-        return {
-            "lemma": obj.lemma,
-            "inputs": to_jsonable(obj.inputs),
-            "quantities": to_jsonable(obj.quantities),
-            "assertions": [to_jsonable(a) for a in obj.assertions],
-            "measured_ratios": to_jsonable(obj.measured_ratios),
-            "flags": list(obj.flags),
-            "pass": obj.passed,
-        }
-    if isinstance(obj, Assertion):
-        return {
-            "name": obj.name,
-            "lhs": to_jsonable(obj.lhs),
-            "op": obj.op,
-            "rhs": to_jsonable(obj.rhs),
-            "tol": obj.tol,
-            "exact": obj.exact,
-            "pass": obj.passed,
-        }
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        obj = float(obj)
-        return obj if math.isfinite(obj) else repr(obj)  # "inf", "-inf", "nan"
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, complex):
-        return {"re": to_jsonable(obj.real), "im": to_jsonable(obj.imag)}
-    return obj
+def _json_form(o):
+    """One normalization step for a value of no plain JSON type."""
+    if isinstance(o, Fraction):
+        return f"{o.numerator}/{o.denominator}"
+    if isinstance(o, (np.generic, np.ndarray)):
+        return o.tolist()
+    if hasattr(o, "as_report_dict"):
+        return o.as_report_dict()
+    if isinstance(o, VerificationReport):
+        return {"lemma": o.lemma, "inputs": o.inputs, "quantities": o.quantities,
+                "assertions": o.assertions, "measured_ratios": o.measured_ratios,
+                "flags": o.flags, "pass": o.passed}
+    if isinstance(o, Assertion):
+        return {"name": o.name, "lhs": o.lhs, "op": o.op, "rhs": o.rhs,
+                "tol": o.tol, "exact": o.exact, "pass": o.passed}
+    if isinstance(o, complex):
+        return {"re": o.real, "im": o.imag}
+    for plain in (str, int, float, dict, list, tuple):  # IntEnum, defaultdict, ...
+        if isinstance(o, plain):
+            return plain(o)
+    return str(o)
 
 
 def dumps_report(obj) -> str:
-    """Serialize to indented JSON text; floats in shortest round-trip form.
+    """Serialize to indented JSON text, normalizing each value as it is written.
 
-    One recursive pass over `to_jsonable(obj)` writes the bytes of
-    json.dumps(..., indent=2, ensure_ascii=False, allow_nan=False,
-    default=str), whose indented form runs the pure-Python encoder: strings
-    through `encode_basestring`, ints and floats by their repr, `{}` and `[]`
-    for empty containers, a ValueError on a non-finite float, and any other
-    value as the string str(value).
+    Reports, assertions and ``as_report_dict()`` objects become their fields,
+    numpy values their ``.tolist()``, complex numbers {"re", "im"}, dict keys
+    str(key) and any other value the string str(value).  The bytes are those
+    of json.dumps(..., indent=2, ensure_ascii=False) on the normalized value,
+    plus a newline, without running its pure-Python indenting encoder.
     """
     parts = []
     write = parts.append
     encode = encode_basestring
     int_repr = int.__repr__
     float_repr = float.__repr__
+    isfinite = math.isfinite
 
     def emit(o, pad):
-        if isinstance(o, str):
+        tp = type(o)
+        if tp is str:
             write(encode(o))
-        elif o is None:
-            write("null")
+        elif tp is float:
+            write(float_repr(o) if isfinite(o) else '"' + float_repr(o) + '"')
+        elif tp is int:
+            write(int_repr(o))
         elif o is True:
             write("true")
         elif o is False:
             write("false")
-        elif isinstance(o, int):
-            write(int_repr(o))
-        elif isinstance(o, float):
-            if not math.isfinite(o):
-                raise ValueError(
-                    f"Out of range float values are not JSON compliant: {o!r}")
-            write(float_repr(o))
-        elif isinstance(o, (list, tuple)):
+        elif o is None:
+            write("null")
+        elif tp is list or tp is tuple:
             if not o:
                 write("[]")
                 return
@@ -190,23 +173,28 @@ def dumps_report(obj) -> str:
                 sep = "," + inner
                 emit(v, inner)
             write(pad + "]")
-        elif isinstance(o, dict):
+        elif tp is dict:
             if not o:
                 write("{}")
                 return
             inner = pad + "  "
             sep = "{" + inner
             for k, v in o.items():
-                write(sep + encode(k) + ": ")
+                write(sep + encode(k if type(k) is str else str(k)) + ": ")
                 sep = "," + inner
                 emit(v, inner)
             write(pad + "}")
         else:
-            write(encode(str(o)))
+            emit(_json_form(o), pad)
 
-    emit(to_jsonable(obj), "\n")
+    emit(obj, "\n")
     parts.append("\n")
     return "".join(parts)
+
+
+def to_jsonable(obj):
+    """The parsed JSON form of obj: the value that `dumps_report(obj)` writes."""
+    return json.loads(dumps_report(obj))
 
 
 def write_csv(path, header: list, rows: list):
@@ -215,8 +203,8 @@ def write_csv(path, header: list, rows: list):
         for row in rows:
             cells = []
             for v in row:
-                if isinstance(v, float):
-                    cells.append(repr(v))
+                if isinstance(v, (float, np.floating)):
+                    cells.append(float.__repr__(float(v)))  # as dumps_report writes it
                 elif isinstance(v, Fraction):
                     cells.append(f"{v.numerator}/{v.denominator}")
                 else:

@@ -88,7 +88,9 @@ class SetA:
 
     def indicator(self) -> Dfn:
         """1_A, built once and shared by every caller together with its
-        cached transform, so its values are read-only: never mutate them."""
+        cached transform, so its values are read-only: never mutate them.
+        It stays on the set as an int64 array of length N, so exact counts,
+        which need only the support, read the bool `member` instead."""
         if self._indicator is None:
             self._indicator = Dfn.indicator(self.ctx, self.indices)
             self._indicator.values.flags.writeable = False

@@ -1,5 +1,6 @@
 """Report serialization, CLI commands, exit codes, determinism."""
 
+import enum
 import json
 import os
 import shlex
@@ -14,12 +15,17 @@ import pytest
 import addlab
 from addlab import cli
 from addlab.cli import ConfigError, SuiteConfig, main, run_suite
+from addlab.counting import PipelineReport
 from addlab.report import (Assertion, VerificationReport, dumps_report, to_jsonable,
                            write_csv)
 
 
 def run_cli(*args):
     return main(list(args))
+
+
+def _refuse_to_jsonable(obj):
+    raise AssertionError("dumps_report called to_jsonable")
 
 
 @pytest.fixture(scope="module")
@@ -96,24 +102,75 @@ class TestReportSerialization:
         [2**200, -(2**70), 0, np.int64(-7), np.bool_(False), -0.0, 1e-300, 1e22],
         {"set": frozenset({1}), "path": Path("/x"), "ndarray": np.arange(3)},
         VerificationReport(lemma="λ", inputs={"eps": Fraction(1, 8)}),
+        [np.array(3), np.array(0.5), np.array([[1, 2], [3, 4]])],
+        [np.bool_(True), np.int8(-3), np.uint64(2**64 - 1), np.float16(0.1),
+         np.float32(0.1), np.float64(2 / 3), np.complex64(1 - 2j), np.str_("s")],
+        [enum.IntEnum("E", "A B")(2), {"k": enum.IntEnum("F", "X")(1)}],
+        [VerificationReport(lemma="a", quantities={"q": Fraction(-1, 3)}),
+         {"r": [VerificationReport(lemma="b")]}],
+        {1: "one", (2, 3): "pair", 4.5: [], None: 0},
     ], ids=["empty-dict", "empty-list", "nested", "text", "exact", "non-finite",
-            "numbers", "other", "report"])
+            "numbers", "other", "report", "0-d-array", "numpy-scalars", "int-enum",
+            "report-in-list", "non-str-keys"])
     def test_matches_json_dumps(self, obj):
         assert dumps_report(obj) == self._json_dumps(obj)
 
-    def test_non_finite_float_raises(self, monkeypatch):
-        # to_jsonable turns non-finite floats into strings; without it the
-        # writer refuses them, as json.dumps does with allow_nan=False
+    def test_written_in_one_pass(self, monkeypatch, seed_42_suites):
+        # dumps_report normalizes as it writes; to_jsonable is its parse
         from addlab import report
 
-        monkeypatch.setattr(report, "to_jsonable", lambda obj: obj)
-        for x in (float("inf"), float("nan")):
-            with pytest.raises(ValueError, match="Out of range float"):
-                dumps_report({"x": [1.0, x]})
+        _, out, _ = seed_42_suites
+        text = dumps_report(out)
+        monkeypatch.setattr(report, "to_jsonable", _refuse_to_jsonable)
+        assert dumps_report(out) == text
+
+    def test_non_finite_floats_become_strings(self, monkeypatch):
+        # the writer itself, not a to_jsonable pass before it, turns
+        # non-finite floats into strings: none reaches the text bare
+        from addlab import report
+
+        def no_constants(name):
+            raise AssertionError(f"bare {name} in the text")
+
+        monkeypatch.setattr(report, "to_jsonable", _refuse_to_jsonable)
+        odd = [float("inf"), -float("inf"), float("nan"), np.float64("nan")]
+        text = dumps_report({"x": [1.0, *odd], "z": [complex(x, -x) for x in odd]})
+        back = json.loads(text, parse_constant=no_constants)
+        assert back["x"] == [1.0, "inf", "-inf", "nan", "nan"]
+        assert back["z"] == [{"re": "inf", "im": "-inf"}, {"re": "-inf", "im": "inf"},
+                             {"re": "nan", "im": "nan"}, {"re": "nan", "im": "nan"}]
 
     def test_assertion_slack(self):
         a = Assertion(name="x", lhs=3, op="<=", rhs=5, passed=True)
         assert a.slack == 2
+        # the room to the pass boundary, for every op and tolerance
+        assert Assertion(name="x", lhs=5, op=">=", rhs=3, passed=True).slack == 2
+        assert Assertion(name="x", lhs=3, op=">=", rhs=5, passed=False).slack == -2
+        assert Assertion(name="x", lhs=4, op="==", rhs=4, passed=True).slack == 0
+        assert Assertion(name="x", lhs=4, op="==", rhs=5, passed=False).slack == -1
+        rep = VerificationReport(lemma="tol")
+        rep.check("le", 10.5, "<=", 10.0, tol=0.1)  # bound 11.0
+        rep.check("ge", 9.5, ">=", 10.0, tol=0.1)  # bound 9.0
+        rep.check("eq", 10.5, "==", 10.0, tol=0.1)  # room 1.0
+        assert [a.slack for a in rep.assertions] == [0.5, 0.5, 0.5]
+        assert Assertion(name="x", lhs="a", op="==", rhs="a", passed=True).slack is None
+
+    def test_slack_sign_is_the_verdict_on_the_seed_42_suites(self, seed_42_suites):
+        _, out, _ = seed_42_suites
+
+        def assertions(node):
+            if isinstance(node, VerificationReport):
+                yield from node.assertions
+            elif isinstance(node, PipelineReport):
+                for rep in node.sections.values():
+                    yield from assertions(rep)
+            elif isinstance(node, (dict, list)):
+                for v in node.values() if isinstance(node, dict) else node:
+                    yield from assertions(v)
+
+        found = [a for a in assertions(out["suites"]) if a.slack is not None]
+        assert len(found) > 500
+        assert [a.name for a in found if (a.slack >= 0) != a.passed] == []
 
     def test_csv_writer(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -121,6 +178,14 @@ class TestReportSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == "a,b"
         assert lines[2] == "2,1/3"
+
+    def test_csv_writer_numpy_floats(self, tmp_path):
+        # every float cell in shortest round-trip form, as the JSON writer
+        path = tmp_path / "t.csv"
+        write_csv(path, ["x"], [[np.float64(0.5)], [np.float32(0.1)], [2 / 3], [1.0]])
+        lines = path.read_text().splitlines()
+        assert lines[1:] == ["0.5", repr(float(np.float32(0.1))), "0.6666666666666666",
+                             "1.0"]
 
 
 class TestSuiteRunner:

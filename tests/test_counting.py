@@ -1030,6 +1030,22 @@ class TestCycles:
         assert rep.quantities["cycle_count"] >= 5
 
 
+def test_exact_counts_leave_no_indicator_on_the_set():
+    # the counts read the bool membership array: the memoized int64
+    # indicator would stay on the set, 8 bytes per group element
+    eq = EquationSpec([1, 1, 1, -1, -2])
+    A = SetA(CyclicCtx(padded_modulus(eq, 30)), [0, 5, 10], model_n=30)
+    count_equation_solutions(eq, A)
+    count_all_distinct(eq, A)
+    count_k_cycles(eq, [A] * eq.k)
+    B = equation_free_greedy(eq, 36, seed=0)
+    trivial_solution_value(eq, B, s=2)
+    C = greedy_kst_free(2, 3, 1024, seed=3)
+    rep = run_transference_pipeline(C, eq, 2, 3, "1/2")
+    assert rep.ledger["smoother_size"] > 1  # F built from the set, not from f
+    assert [X for X in (A, B, C) if X._indicator is not None] == []
+
+
 class TestSupersaturation:
     def test_bijection_and_diagonals(self):
         rng = spawn_rng(37, 0)
