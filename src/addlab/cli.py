@@ -60,7 +60,7 @@ class SuiteConfig:
 
     def to_dict(self):
         # the fields that shape the results; the suites run serially
-        return {**{f.name: to_jsonable(getattr(self, f.name)) for f in fields(self)
+        return {**{f.name: getattr(self, f.name) for f in fields(self)
                    if f.name not in ("out", "plot_data")}, "threads": 1}
 
 
