@@ -17,7 +17,6 @@ dilation, not the kernel.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
@@ -232,7 +231,22 @@ def _exact_ints(values: list) -> list:
     return [v.astype(object) for v in values]
 
 
-def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
+def _dilated_domain(ctx, a: int, real: bool):
+    """a xi for each xi of `_dual_domain(ctx, real)`, in its order: the
+    domain itself for a = 1, so a slice stays a view.  On F_q^n it is a
+    gather of the whole-group `ctx.dilation(a)`, which splits no index into
+    digits; on Z_M it is `scale_int` over the domain alone, which keeps its
+    temporaries at the domain's length rather than M."""
+    domain = _dual_domain(ctx, real)
+    if a == 1:
+        return domain
+    if ctx.kind == "vector":
+        return ctx.dilation(a)[domain]
+    return np.asarray(ctx.scale_int(a, np.arange(*domain.indices(ctx.N))))
+
+
+def count_T(eq: EquationSpec, hs: list, method: str = "fourier", *,
+            memo: dict | None = None):
     """The counting functional over k functions sharing a context.
 
     For integer-valued inputs, of any dtype, the count is an exact Python
@@ -245,8 +259,14 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
     primes as it needs, so OverflowError comes only from an entry that int64
     cannot hold.  Other inputs take the unrounded dual-side sum, a float for
     real inputs, read off one xi of each pair {xi, -xi} (`_dual_domain`),
-    and complex over every xi otherwise.  Whether the count is Z-faithful on
-    a cyclic model is `assert_z_faithful`'s question, not this one's.
+    and complex over every xi otherwise.  There hat(h)(a xi) is a gather of
+    the transform at `_dilated_domain`.  A caller that takes several counts
+    over the same functions passes one dict as `memo` to each, so that each
+    coefficient's index array and each (function, coefficient) gather is
+    built once across them; each count still multiplies its gathers in slot
+    order, starting from ones, so its float keeps the bits of a count taken
+    alone.  Whether the count is Z-faithful on a cyclic model is
+    `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
         raise ValueError(f"expected {eq.k} functions, got {len(hs)}")
@@ -268,15 +288,17 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier"):
         product = [(index[h], a) for a, h in zip(eq.coeffs, hs)]
         return values_at_zero(ctx, list(ints.values()), [product])[0]
     real = all(h.tag == "real" for h in hs)
-    domain = _dual_domain(ctx, real)
-    xi = np.arange(*domain.indices(ctx.N)) if isinstance(domain, slice) else domain
-    # where hat(h)(a xi) is read: the domain itself for a = 1, so a slice
-    # stays a view, and an index array for every other coefficient
-    at = {a: domain if a == 1 else np.asarray(ctx.scale_int(a, xi))
-          for a in set(eq.coeffs)}
-    prod = np.ones(len(xi), dtype=np.complex128)
+    memo = {} if memo is None else memo
+    rows = []
     for a, h in zip(eq.coeffs, hs):
-        prod *= h.hat()[at[a]]
+        if (a, real) not in memo:
+            memo[a, real] = _dilated_domain(ctx, a, real)
+        if (h, a, real) not in memo:
+            memo[h, a, real] = h.hat()[memo[a, real]]
+        rows.append(memo[h, a, real])
+    prod = np.ones(len(rows[0]), dtype=np.complex128)
+    for row in rows:
+        prod *= row
     return _dual_mean(ctx, prod, real)
 
 
@@ -483,6 +505,9 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     Its k + 2 counts are count_T calls: T(f), T(F) (which is T(f) when F is
     f) and the k terms, each an exact int when its slots are all
     integer-valued and otherwise a float, or complex beside a complex slot.
+    The float counts share one `memo`: each coefficient's index array and
+    each (function, coefficient) gather is built once for all of them, and
+    each count's float has the bits of a count_T call of its own.
     The chain bounds need k >= 5 and coefficients invertible in the scalar
     ring, so that every dual dilation is a bijection; otherwise they are
     skipped and the report says why.  A caller that holds g = f - F passes
@@ -495,9 +520,14 @@ def verify_telescoping(eq: EquationSpec, f: Dfn, F: Dfn, g: Dfn | None = None):
     k = eq.k
     if g is None:
         g = f - F
-    T_f = count_T(eq, [f] * k)
-    T_F = T_f if F is f else count_T(eq, [F] * k)
-    terms = [count_T(eq, [f] * i + [g] + [F] * (k - 1 - i)) for i in range(k)]
+    # the counts share one memo, so each coefficient's index array and each
+    # (function, coefficient) gather of the float route is built once; it
+    # goes before the chain's norms take their own temporaries
+    memo: dict = {}
+    T_f = count_T(eq, [f] * k, memo=memo)
+    T_F = T_f if F is f else count_T(eq, [F] * k, memo=memo)
+    terms = [count_T(eq, [f] * i + [g] + [F] * (k - 1 - i), memo=memo) for i in range(k)]
+    del memo
     lhs = T_f - T_F
     rhs = sum(terms)
     scale = max(1.0, abs(T_f), abs(T_F))
@@ -614,37 +644,52 @@ def verify_supersaturation(eq: EquationSpec, A0: SetA):
     X_i = a_i A_0; the |A_0| diagonal cycles (a_1 x, ..., a_k x) are pairwise
     distinct in every coordinate, so the cycle count is at least |A_0|; and
     y_i = a_i x_i identifies cycles with solutions of the equation in A_0^k.
-    Both are counted by one kernel, `functions.values_at_zero`: the
-    cycles from the transforms of the physically dilated sets (one set per
-    distinct coefficient) and the solutions from the transform of 1_{A_0}
-    read at a_i xi.  So the bijection check compares hat(1_{a A_0})(xi) with
-    hat(1_{A_0})(a xi), the Fourier form of y_i = a_i x_i: it checks the
-    dilation, not the summation kernel, whose fault moves both sides alike.
-    The cycle count over N^{k-1} is reported, never asserted.
+    A_0 is split into base-p digits once: each distinct a mod p dilates it
+    as a D mod p, joined once into the set a A_0, and the diagonal tuples'
+    sum is taken on those digits.  Both counts come from one call of
+    `functions.values_at_zero` on the arrays 1_{A_0} and 1_{a A_0} for each
+    a != 1 mod p, so each array, 1_{A_0} included, is transformed once per
+    prime and its transform is shared: the cycles read the transforms of
+    the dilated sets at xi, and the solutions read the transform of 1_{A_0}
+    at a_i xi, through `ctx.dilation(a_i)`.  So the bijection check
+    compares hat(1_{a A_0})(xi) with hat(1_{A_0})(a xi), the Fourier form of
+    y_i = a_i x_i: it checks the dilation, not the summation kernel, whose
+    fault moves both sides alike.  The cycle count over N^{k-1} is
+    reported, never asserted.
     """
     ctx = A0.ctx
     if not isinstance(ctx, VectorCtx):
         raise ValueError("supersaturation runs in the vector-space model")
     eq.validate_for(ctx)
-    image = {a: np.asarray(ctx.scale_int(a, A0.indices)) for a in set(eq.coeffs)}
-    dilated = {a: SetA(ctx, idx, provenance={"construction": "dilation", "a": a})
-               for a, idx in image.items()}
+    p = ctx.exponent
+    digits = ctx.digits(A0.indices)
+    image_digits = {a: a * digits % p for a in dict.fromkeys(c % p for c in eq.coeffs)}
+    # array 0 is 1_{A_0}, the image under a = 1, and each other a adds 1_{a A_0}
+    members = {1: A0.member}
+    for a, d in image_digits.items():
+        if a != 1:
+            members[a] = np.zeros(ctx.N, dtype=bool)
+            members[a][ctx.from_digits(d)] = True
     rep = VerificationReport(
         lemma="diagonal_cycle_supersaturation",
         inputs={"eq": str(eq), "N": ctx.N, "|A0|": len(A0)},
     )
     # (a) the diagonal family: one cycle per x, distinct in every coordinate,
     # since each dilation by a unit is injective and keeps |A_0| elements
-    per_coord_ok = all(len(X) == len(A0) for X in dilated.values())
+    per_coord_ok = all(np.count_nonzero(m) == len(A0) for m in members.values())
     rep.check("diagonal_coordinates_distinct", per_coord_ok, "==", True, exact=True)
-    acc = functools.reduce(ctx.add, (image[a] for a in eq.coeffs))
+    acc = sum(image_digits[c % p] for c in eq.coeffs) % p
     sums_zero = not np.any(acc)
     rep.check("diagonal_tuples_are_cycles", sums_zero, "==", True, exact=True)
-    cycles = count_k_cycles(eq, [dilated[a] for a in eq.coeffs])
+    # (b) the cycles, over the dilated sets, and the solutions in A_0^k, over
+    # the dilations of 1_{A_0}'s transform, from the same transforms
+    index = {a: i for i, a in enumerate(members)}
+    cycles, solutions = values_at_zero(ctx, list(members.values()), [
+        [(index[c % p], 1) for c in eq.coeffs],
+        [(0, c) for c in eq.coeffs],
+    ])
     rep.quantities["cycle_count"] = cycles
     rep.check("cycles_ge_diagonal", cycles, ">=", len(A0), exact=True)
-    # (b) bijection with equation solutions inside A_0^k
-    solutions = count_equation_solutions(eq, A0)
     rep.quantities["solution_count"] = solutions
     rep.check("cycles_equal_solutions", cycles, "==", solutions, exact=True)
     # (c) the density of A_0 and the cycles over N^{k-1}, report only

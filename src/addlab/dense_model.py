@@ -53,14 +53,19 @@ class DenseModel:
     smoother_size: int
     integer_f: Dfn                  # 1_A * 1_smoother, exact integers
     spec: object
+    V: Subspace | None              # span of the spectrum, finite_field only
 
 
 def build_dense_model(A: SetA, s: int, t: int, eps) -> DenseModel:
     """Smooth 1_A by the Bohr set / annihilator built from its large spectrum.
 
     The context sets the mode: a Bohr set on Z_M ('integer_model'), an
-    annihilator on F_q^n ('finite_field').  A must be K_{s,t}-free
-    (FreenessError otherwise): the moment property is only meaningful there.
+    annihilator H = V^perp of the spectrum's span V on F_q^n
+    ('finite_field').  The integer object 1_A * 1_smoother is an exact
+    convolution on Z_M, and on F_q^n the coset count |A ∩ (x + H)|
+    (`Subspace.coset_counts`), with no transform; the model carries V.
+    A must be K_{s,t}-free (FreenessError otherwise): the moment property
+    is only meaningful there.
     """
     eps = as_fraction(eps)
     ctx = A.ctx
@@ -76,11 +81,14 @@ def build_dense_model(A: SetA, s: int, t: int, eps) -> DenseModel:
     require_kst_free(A, s, t)
     spec = spectrum(A, eps)
     if mode == "integer_model":
+        V = None
         smoother = bohr_set(spec, eps, n)
+        integer_f = convolve(A.indicator(), smoother.indicator())
     else:
-        smoother = annihilator(span(ctx, spec.frequencies))
+        V = span(ctx, spec.frequencies)
+        smoother = annihilator(V)
+        integer_f = Dfn(ctx, V.coset_counts(A.indices))
     size = len(smoother)
-    integer_f = convolve(A.indicator(), smoother.indicator())
     scale = float(n) ** (1.0 / s)
     f = Dfn(ctx, integer_f.values.astype(np.float64) * (scale / size))
     return DenseModel(
@@ -95,6 +103,7 @@ def build_dense_model(A: SetA, s: int, t: int, eps) -> DenseModel:
         smoother_size=size,
         integer_f=integer_f,
         spec=spec,
+        V=V,
     )
 
 
@@ -183,9 +192,8 @@ def verify_model_properties(model: DenseModel):
     mags = np.abs(hat_A)
     thr = float(eps) * m
     if model.mode == "finite_field":
-        V = span(ctx, model.spec.frequencies)
         on_V = np.zeros(ctx.N, dtype=bool)
-        on_V[V.element_indices()] = True
+        on_V[model.V.element_indices()] = True
         off_gap = float(gap[~on_V].max()) if (~on_V).any() else 0.0
         rep.quantities["off_span_gap"] = off_gap
         rep.check("projector_vanishing",

@@ -425,9 +425,10 @@ def _dual_values_at_zero(ctx: GroupCtx, arrays, products) -> list:
     product, since the pushforward under x -> c x has the transform
     xi -> hat g(c xi).  So each array is transformed once per prime, with no
     partial convolution and no inverse transform, and a slot only gathers
-    that transform at c xi.  The primes are as many as the largest bound
-    prod sum|arrays[i]| over the products needs, and Garner's CRT recombines
-    the residues into Python ints, so a value may pass 2^63.
+    that transform at c xi, through the per-digit `ctx.dilation(c)` built
+    once per call and coefficient.  The primes are as many as the largest
+    bound prod sum|arrays[i]| over the products needs, and Garner's CRT
+    recombines the residues into Python ints, so a value may pass 2^63.
     """
     p, axes = _vector_axes(ctx)
     norms = [_abs_sum_max(g)[0] for g in arrays]
@@ -435,8 +436,7 @@ def _dual_values_at_zero(ctx: GroupCtx, arrays, products) -> list:
     primes = _ntt_primes(p, bound)
     products = [[(i, c % p) for i, c in prod] for prod in products]
     slots = {slot for prod in products for slot in prod}
-    xi = np.arange(ctx.N)
-    at = {c: np.asarray(ctx.scale_int(c, xi)) for c in {c for _, c in slots} - {1}}
+    at = {c: ctx.dilation(c) for c in {c for _, c in slots} - {1}}
     residues = []
     for P in primes:
         hats = [_ntt(g % P, p, axes, P) for g in arrays]
@@ -563,7 +563,11 @@ def values_at_zero(ctx: GroupCtx, arrays, products) -> list:
     (g_1 * ... * g_m)(0) over the pushforwards g(y) = sum_{c x = y} arrays[i](x)
     of integer arrays; the empty product is delta_0, of value 1.
     F_q^n: the dual sum N^-1 sum_xi prod hat(arrays[i])(c xi) modulo primes
-    (Pollard, Math. Comp. 1971), recombined by Garner's CRT.
+    (Pollard, Math. Comp. 1971), recombined by Garner's CRT.  Each array is
+    transformed once per prime, whatever the number of products, and each
+    coefficient c != 1 reads it through one `ctx.dilation(c)` per call, so
+    a caller that puts all its counts over the same arrays into one call
+    transforms each array once.
     Z_M: each distinct slot's pushforward is built once, as a sorted pair.
     A product's sorted slots split in halves, each half the memoized
     `_exact_product` of its own halves, and the two halves meet in an inner

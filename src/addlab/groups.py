@@ -53,6 +53,7 @@ class _Radix:
 
     Split and join broadcast over a trailing digit axis; `add` and `scale`
     work digit-wise mod base and return Python ints for scalar input.
+    `dilation` and `images` map every index at once without splitting any.
     """
 
     def __init__(self, base: int, count: int):
@@ -73,6 +74,31 @@ class _Radix:
 
     def scale(self, c: int, i):
         return _scalar(self.join(int(c) % self.base * self.split(i)))
+
+    def dilation(self, c: int) -> np.ndarray:
+        """scale(c, x) for every index x in [0, base^count), in index order:
+        the outer sum over the digit positions j of the tables
+        (c d mod base) * weights[j] for d in [0, base), the most significant
+        position outermost."""
+        table = int(c) % self.base * np.arange(self.base, dtype=np.int64) % self.base
+        out = np.zeros(1, dtype=np.int64)
+        for w in self.weights:
+            out = ((table * w)[:, None] + out).reshape(-1)
+        return out
+
+    def images(self, columns) -> np.ndarray:
+        """digits(x) @ columns for every index x in [0, base^count), in index
+        order, unreduced, shape (base^count, m) for `count` columns of
+        length m: the outer sum over the digit positions j of the rows
+        d * columns[j] for d in [0, base), the most significant position
+        outermost."""
+        columns = np.asarray(columns, dtype=np.int64)
+        m = columns.shape[1]
+        digit = np.arange(self.base, dtype=np.int64)[:, None, None]
+        out = np.zeros((1, m), dtype=np.int64)
+        for col in columns:
+            out = (digit * col + out).reshape(self.base * len(out), m)
+        return out
 
 
 # Miller-Rabin with the first twelve prime bases decides primality exactly
@@ -302,6 +328,11 @@ class GroupCtx:
     def scale_field(self, s: int, i):
         raise ValueError("field-scalar action requires a vector-space context")
 
+    def dilation(self, c: int) -> np.ndarray:
+        """scale_int(c, x) for every index x in [0, N), in index order, built
+        afresh on each call."""
+        return np.asarray(self.scale_int(c, self.elements()))
+
     def elements(self):
         return np.arange(self.N, dtype=np.int64)
 
@@ -491,6 +522,9 @@ class VectorCtx(GroupCtx):
 
     def scale_int(self, c: int, i):
         return self._radix.scale(c, i)
+
+    def dilation(self, c: int) -> np.ndarray:
+        return self._radix.dilation(c)
 
     def scale_field(self, s: int, i):
         """Multiply every coordinate by the F_q scalar with index s."""

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .functions import Dfn
-from .groups import CyclicCtx, GroupCtx, VectorCtx
+from .groups import CyclicCtx, GroupCtx, VectorCtx, _Radix
 from .report import VerificationReport
 from .sets import SetA
 from .util import as_fraction, sorted_unique
@@ -136,21 +136,54 @@ class Subspace:
     def __len__(self):
         return self.size
 
+    def _digit_blocks(self) -> np.ndarray:
+        """(dim, n, r, r): block [j, i] is the matrix over F_p of
+        y -> basis[j, i] * y on the base-p digits of y, read off the field's
+        multiplication table at the power basis 1, y, ..., y^(r-1)."""
+        F = self.ctx.field
+        powers = F.p ** np.arange(F.r)
+        return F.digits(F.mul_table[self.basis[..., None], powers]).swapaxes(-1, -2)
+
+    def _coefficients(self) -> _Radix:
+        """The base-p digits of a vector of `dim` field elements."""
+        return _Radix(self.ctx.field.p, self.dim * self.ctx.field.r)
+
     def element_indices(self) -> np.ndarray:
+        """The sorted indices of the q^dim combinations sum_j c_j basis[j]:
+        the digits of each combination are the F_p-linear `_digit_blocks`
+        image of its coefficients' digits, taken for every coefficient
+        vector at once by `_Radix.images`, and joined once.  Raises
+        ValueError when two combinations coincide, which a basis in reduced
+        row echelon form never allows."""
         if self._elements is None:
             ctx = self.ctx
-            elems = np.zeros(1, dtype=np.int64)
-            for row in self.basis:
-                row_idx = int(ctx.from_coords(row))
-                scaled = [
-                    ctx.scale_field(c, row_idx) for c in range(ctx.field.q)
-                ]
-                elems = np.concatenate(
-                    [np.asarray(ctx.add(elems, sv)) for sv in scaled]
-                )
-            self._elements = sorted_unique(elems)
-            assert len(self._elements) == self.size
+            r = ctx.field.r
+            # K[(j, t), (i, a)] = blocks[j, i, a, t]: row (j, t) holds the
+            # digits of y^t basis[j]
+            K = self._digit_blocks().transpose(0, 3, 1, 2)
+            digits = self._coefficients().images(K.reshape(self.dim * r, ctx.n * r))
+            self._elements = sorted_unique(ctx.from_digits(digits))
+            if len(self._elements) != self.size:
+                raise ValueError(f"the {self.dim} basis rows span only "
+                                 f"{len(self._elements)} of {self.size} vectors")
         return self._elements
+
+    def coset_counts(self, indices) -> np.ndarray:
+        """(1_A * 1_H)(x) = |A ∩ (x + H)| for every x, with A the given
+        indices and H = annihilator(self).  x - a lies in H exactly when
+        <x, v> = <a, v> for every basis row v, so each x is labelled by its
+        coset, the digits of (<x, v_j>)_j, taken for every x at once by
+        `_Radix.images` with no index split, and A's labels are counted
+        with one bincount."""
+        ctx = self.ctx
+        r = ctx.field.r
+        # L[(i, t), (j, a)] = blocks[j, i, a, t]: row (i, t) holds the digits
+        # of <e, v_j> over j, for e the vector with y^t at coordinate i
+        L = self._digit_blocks().transpose(1, 3, 0, 2)
+        labels = self._coefficients().join(
+            ctx._radix.images(L.reshape(ctx.n * r, self.dim * r)))
+        indices = np.asarray(indices, dtype=np.int64)
+        return np.bincount(labels[indices], minlength=self.size)[labels]
 
     def indicator(self) -> Dfn:
         return Dfn.indicator(self.ctx, self.element_indices())

@@ -872,6 +872,34 @@ class TestTelescopingCounts:
         self._check(eq, f, F, f - F)
         self._check(eq, f, F, Dfn(ctx, rng.normal(size=ctx.N)))
 
+    @pytest.mark.parametrize("case", CASES)
+    def test_complex_slot_beside_real_ones(self, case):
+        # T_f sums over half the dual group, the counts with the complex g
+        # over all of it: the shared index arrays are kept apart by domain
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 5)
+        f, F = (Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(2))
+        g = Dfn(ctx, rng.normal(size=ctx.N) + 1j * rng.normal(size=ctx.N))
+        self._check(eq, f, F, g)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_index_array_built_once(self, case, monkeypatch):
+        from addlab import counting
+
+        ctx, eq = self.CASES[case]
+        rng = spawn_rng(35, 6)
+        f, F = (Dfn(ctx, rng.normal(size=ctx.N)) for _ in range(2))
+        dilated_domain = counting._dilated_domain
+        built = []
+
+        def spy(ctx, a, real):
+            built.append(a)
+            return dilated_domain(ctx, a, real)
+
+        monkeypatch.setattr(counting, "_dilated_domain", spy)
+        verify_telescoping(eq, f, F, f - F)
+        assert sorted(built) == sorted(set(eq.coeffs))
+
 
 class TestHalfDomain:
     """Dual sums of real inputs over one xi of each pair {xi, -xi}, against
@@ -1064,34 +1092,32 @@ class TestSupersaturation:
         ctx = VectorCtx(FieldCtx(3, 1), 3)
         eq = EquationSpec([1, 1, 1, 1, -4])
         A0 = greedy_kst_free(2, 2, ctx.N, seed=1, ctx=ctx)
-        scale_int = VectorCtx.scale_int
+        digits = ctx.digits(A0.indices)
+        from_digits = VectorCtx.from_digits
 
-        def merging_scale_int(self, c, x):
-            out = scale_int(self, c, x)
-            if c == -4 and np.ndim(out) and len(out) == len(A0):
+        def merging_from_digits(self, d):
+            # the one join of the image -4 A_0 from the digits of A_0
+            out = from_digits(self, d)
+            if np.shape(d) == digits.shape and np.array_equal(d, -4 * digits % 3):
                 out = np.array(out)
                 out[1] = out[0]
             return out
 
         assert verify_supersaturation(eq, A0).passed
-        monkeypatch.setattr(VectorCtx, "scale_int", merging_scale_int)
+        monkeypatch.setattr(VectorCtx, "from_digits", merging_from_digits)
         rep = verify_supersaturation(eq, A0)
         assert "diagonal_coordinates_distinct" in [a.name for a in rep.failing()]
 
     def test_identity_xi_dilation_fails_the_bijection(self, monkeypatch):
         # the cycles read the transforms of the dilated sets at xi, the
-        # solutions read the transform of 1_{A_0} at a xi: a dual side that
-        # forgets the dilation counts x_1 + ... + x_5 = 0 instead
+        # solutions read the transform of 1_{A_0} at a xi, through the
+        # whole-group dilation: a dual side that forgets the dilation counts
+        # x_1 + ... + x_5 = 0 instead
         rng = spawn_rng(37, 1)
         A0 = SetA(F3_4, rng.choice(F3_4.N, size=20, replace=False))
         eq = EquationSpec([1, 1, 1, 1, -4])
         assert verify_supersaturation(eq, A0).passed
-        scale_int = VectorCtx.scale_int
-
-        def identity_on_the_dual(self, c, x):
-            return x if np.size(x) == self.N else scale_int(self, c, x)
-
-        monkeypatch.setattr(VectorCtx, "scale_int", identity_on_the_dual)
+        monkeypatch.setattr(VectorCtx, "dilation", lambda self, c: self.elements())
         rep = verify_supersaturation(eq, A0)
         assert [a.name for a in rep.failing()] == ["cycles_equal_solutions"]
 
@@ -1123,10 +1149,11 @@ class TestSupersaturation:
             calls.clear()
             count(eq, A)
             assert calls == [(P, False) for P in primes]
-        # the cycles transform 1_A and 1_{-4 A}, the solutions 1_A
+        # one call for the cycles and the solutions: 1_A and 1_{-4 A}, the
+        # solutions reading the transform of 1_A at -4 xi
         calls.clear()
         assert verify_supersaturation(eq, A).passed
-        assert Counter(calls) == {(P, False): 3 for P in primes}
+        assert Counter(calls) == {(P, False): 2 for P in primes}
 
     def test_zero_coefficient_eq_rejected(self):
         eq = EquationSpec([1, 2, -3])

@@ -57,6 +57,23 @@ class TestBuild:
         assert rep.flags == [TRIVIAL_SMOOTHER_FLAG]
         assert "flags" not in rep.quantities
 
+    def test_finite_field_model_carries_its_span(self, monkeypatch):
+        # integer_f is the coset count 1_A * 1_H, and the properties read the
+        # model's V = H^perp rather than span the spectrum again
+        A = greedy_kst_free(2, 2, CTX34.N, seed=5, ctx=CTX34)
+        model = build_dense_model(A, 2, 2, "1/2")
+        assert np.array_equal(model.V.basis, span(CTX34, model.spec.frequencies).basis)
+        assert np.array_equal(annihilator(model.V).basis, model.smoother.basis)
+        exact = convolve(A.indicator(), model.smoother.indicator()).values
+        np.testing.assert_array_equal(model.integer_f.values, exact)
+
+        def no_span(*args):
+            raise AssertionError("span ran again")
+
+        monkeypatch.setattr(dense_model, "span", no_span)
+        assert verify_model_properties(model).passed
+        assert build_dense_model(erdos_turan_sidon(5), 2, 2, "1/4").V is None
+
     def test_freeness_precondition(self):
         A = SetA(CyclicCtx(30), [0, 1, 2, 3], model_n=10)
         with pytest.raises(FreenessError) as exc:

@@ -334,6 +334,30 @@ class TestGroupCtx:
         assert ctx.scale_int(c, np.array(xs)).tolist() == [oracle(c, x) for x in xs]
         assert ctx.scale_int(-c, np.array(xs)).tolist() == [oracle(-c, x) for x in xs]
 
+    @pytest.mark.parametrize("ctx", [
+        VectorCtx(FieldCtx(3, 1), 5), VectorCtx(FieldCtx(3, 1), 7),
+        VectorCtx(FieldCtx(5, 1), 3), VectorCtx(FieldCtx(7, 1), 3),
+        VectorCtx(FieldCtx(3, 2), 3), VectorCtx(FieldCtx(5, 2), 2),
+        CyclicCtx(12), CyclicCtx(35),
+    ], ids=repr)
+    def test_dilation_is_scale_int_on_every_index(self, ctx):
+        # the whole-group dilation, built from per-digit tables on F_q^n,
+        # against scale_int's split and join of each index
+        idx = ctx.elements()
+        for c in [*range(-ctx.exponent, 2 * ctx.exponent), 2**62 + 1, -(2**62 + 1)]:
+            out = ctx.dilation(c)
+            assert out.dtype == np.int64
+            assert np.array_equal(out, ctx.scale_int(c, idx))
+        if ctx.kind == "cyclic":
+            assert ctx.dilation(-5).tolist() == [-5 * x % ctx.M for x in range(ctx.M)]
+
+    @pytest.mark.parametrize("base, count, m", [(3, 5, 2), (5, 3, 4), (7, 2, 0), (3, 0, 3)])
+    def test_radix_images_are_digits_times_columns(self, base, count, m):
+        radix = groups._Radix(base, count)
+        columns = np.random.default_rng(base * count + m).integers(-9, 9, size=(count, m))
+        idx = np.arange(base**count)
+        assert np.array_equal(radix.images(columns), radix.split(idx) @ columns)
+
     def test_text_roundtrip(self):
         ctx = VectorCtx(FieldCtx(3, 2), 2)
         s = ctx.format_element(ctx.parse_element("1,2 0,1"))

@@ -1,5 +1,6 @@
 """Spectra, Bohr sets, annihilators, and the large sieve."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,11 +9,12 @@ import pytest
 
 from addlab import groups
 from addlab.counting import EquationSpec, padded_modulus
-from addlab.functions import Dfn, convolve, fourier
+from addlab.functions import Dfn, convolve, exact_convolve, fourier
 from addlab.groups import CyclicCtx, FieldCtx, VectorCtx
 from addlab.sets import SetA, erdos_turan_sidon, greedy_kst_free, subspace_set
 from addlab.spectral import (
     Spectrum,
+    Subspace,
     annihilator,
     bohr_set,
     large_sieve_check,
@@ -250,6 +252,49 @@ class TestSubspaces:
         lhs = fourier(convolve(g, mu)).values
         rhs = fourier(g).values * on_perp
         assert np.abs(lhs - rhs).max() < 1e-10 * max(1.0, np.abs(rhs).max())
+
+    SPACES = [(FieldCtx(3, 1), 4), (FieldCtx(5, 1), 3), (FieldCtx(3, 2), 2)]
+
+    @pytest.mark.parametrize("field, n", SPACES, ids=repr)
+    def test_elements_match_span_enumeration(self, field, n):
+        # every combination sum_j c_j v_j, summed by the group's own add
+        ctx = VectorCtx(field, n)
+        rng = spawn_rng(14, 2)
+        for dim in range(n + 1):
+            V = span(ctx, rng.integers(0, ctx.N, size=dim))
+            rows = [int(ctx.from_coords(row)) for row in V.basis]
+            expect = set()
+            for cs in itertools.product(range(field.q), repeat=V.dim):
+                x = 0
+                for c, row in zip(cs, rows):
+                    x = ctx.add(x, ctx.scale_field(c, row))
+                expect.add(x)
+            assert V.element_indices().tolist() == sorted(expect)
+
+    def test_dependent_basis_raises(self):
+        # a check that raises, not an assert, so it holds under python -O
+        ctx = VectorCtx(FieldCtx(3, 2), 2)
+        V = Subspace(ctx, np.array([[1, 0], [2, 0]]))
+        with pytest.raises(ValueError, match="span only 9 of 81"):
+            V.element_indices()
+
+    @pytest.mark.parametrize("field, n", SPACES, ids=repr)
+    def test_coset_counts_are_the_convolution(self, field, n):
+        # |A ∩ (x + H)| = (1_A * 1_H)(x) for H = V^perp, against the exact
+        # convolution, for V of every dimension and H a random set too
+        ctx = VectorCtx(field, n)
+        rng = spawn_rng(14, 3)
+        for dim in range(n + 1):
+            V = span(ctx, rng.integers(0, ctx.N, size=dim))
+            H = annihilator(V)
+            for density in (0.05, 0.4):
+                A = np.flatnonzero(rng.random(ctx.N) < density)
+                expect = exact_convolve(ctx, Dfn.indicator(ctx, A).values,
+                                        H.indicator().values)
+                assert np.array_equal(V.coset_counts(A), expect)
+            sub = H.element_indices()
+            assert np.array_equal(V.coset_counts(sub),
+                                  exact_convolve(ctx, *[H.indicator().values] * 2))
 
     def test_span_dimension_bound(self):
         ctx = VectorCtx(FieldCtx(3, 1), 4)
