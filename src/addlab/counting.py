@@ -17,6 +17,7 @@ dilation, not the kernel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
@@ -25,12 +26,12 @@ import numpy as np
 
 from . import dense_model as dm
 from .energy import (
-    moment_energy, verify_energy_interpolation, verify_excess_vanishing,
+    moment_energy, power_sum, verify_energy_interpolation, verify_excess_vanishing,
     verify_kst_energy_bound, verify_size_bound,
 )
 from .functions import (
-    _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _dual_domain, _dual_mean,
-    _real_pair_convolutions, fourier_mean_norm, values_at_zero,
+    _INT64_LIMIT, Dfn, _abs_sum_max, _as_int64, _collect, _dual_domain, _dual_mean,
+    _exact_product, _real_pair_convolutions, fourier_mean_norm, values_at_zero,
 )
 # bound under this name for perfbench's tracer, which wraps it; the exact
 # counts call `functions.values_at_zero` instead, so nothing here calls it
@@ -264,8 +265,8 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier", *,
     over the same functions passes one dict as `memo` to each, so that each
     coefficient's index array and each (function, coefficient) gather is
     built once across them; each count still multiplies its gathers in slot
-    order, starting from ones, so its float keeps the bits of a count taken
-    alone.  Whether the count is Z-faithful on a cyclic model is
+    order, starting from the first, so its float keeps the bits of a count
+    taken alone.  Whether the count is Z-faithful on a cyclic model is
     `assert_z_faithful`'s question, not this one's.
     """
     if len(hs) != eq.k:
@@ -296,8 +297,8 @@ def count_T(eq: EquationSpec, hs: list, method: str = "fourier", *,
         if (h, a, real) not in memo:
             memo[h, a, real] = h.hat()[memo[a, real]]
         rows.append(memo[h, a, real])
-    prod = np.ones(len(rows[0]), dtype=np.complex128)
-    for row in rows:
+    prod = rows[0] * rows[1]  # k >= 3 slots; 1 x = x, so these are the bits from ones
+    for row in rows[2:]:
         prod *= row
     return _dual_mean(ctx, prod, real)
 
@@ -319,20 +320,36 @@ def _set_partitions(items):
     return parts
 
 
-def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
-    """(solutions in A^k, solutions with pairwise distinct coordinates)."""
-    ctx, m = A.ctx, len(A)
-    weights: dict = {}  # sorted nonzero block sums, up to sign -> Moebius weight
-    for blocks in _set_partitions(eq.coeffs):
-        sums = sorted(filter(None, (signed_residue(sum(B), ctx.exponent) for B in blocks)))
+@functools.lru_cache(maxsize=32)
+def _moebius_table(coeffs: tuple, exponent: int) -> tuple:
+    """The set-partition side of `_solution_counts`, which depends only on
+    the coefficients and the group's exponent: ((key, ((z, mu), ...)), ...)
+    in partition order, where key is the sorted nonzero block sums up to
+    sign and mu sums the Moebius weights of its partitions with z zero-sum
+    blocks, and (finest key, its zero-sum block count).  Tuples, since the
+    cache shares them."""
+    table: dict = {}
+    for blocks in _set_partitions(coeffs):
+        sums = sorted(filter(None, (signed_residue(sum(B), exponent) for B in blocks)))
         key = min(tuple(sums), tuple(sorted(-c for c in sums)))
         mu = math.prod((-1) ** (len(B) - 1) * math.factorial(len(B) - 1) for B in blocks)
-        weights[key] = weights.get(key, 0) + mu * m ** (len(blocks) - len(key))
-        if len(blocks) == eq.k:
-            finest, scale = key, m ** (eq.k - len(key))
+        zeros = table.setdefault(key, {})
+        zeros[len(blocks) - len(key)] = zeros.get(len(blocks) - len(key), 0) + mu
+        if len(blocks) == len(coeffs):
+            finest = key, len(coeffs) - len(key)
+    return tuple((key, tuple(zeros.items())) for key, zeros in table.items()), finest
+
+
+def _solution_counts(eq: EquationSpec, A: SetA) -> tuple[int, int]:
+    """(solutions in A^k, solutions with pairwise distinct coordinates).  A
+    zero-sum block contributes the factor |A|, applied here per call to the
+    cached `_moebius_table`."""
+    ctx, m = A.ctx, len(A)
+    table, (finest, zeros) = _moebius_table(eq.coeffs, ctx.exponent)
+    weights = {key: sum(mu * m**z for z, mu in terms) for key, terms in table}
     counts = values_at_zero(ctx, [A.member], [[(0, c) for c in key] for key in weights])
     values = dict(zip(weights, counts))
-    return values[finest] * scale, sum(w * values[key] for key, w in weights.items())
+    return values[finest] * m**zeros, sum(w * values[key] for key, w in weights.items())
 
 
 def count_all_distinct(eq: EquationSpec, A: SetA) -> int:
@@ -386,19 +403,34 @@ def trivial_solution_value(
 # -- the Hoelder chain and telescoping ------------------------------------------------
 
 
+# the physical fourth moment of h = c I takes I * I exactly when this times
+# nnz(I)^2 is at most N: its nnz(I)^2 pair sums then cost less than the
+# length-N inverse transform they replace
+_SPARSE_ENERGY = 4
+
+
 def _pair_energies(hs: list) -> list:
     """sum_x (h*h)(x)^2 for each h: exact through `moment_energy` for an
     integer-valued h, and the dual mean (1/N) sum |hat h|^4 for a complex one.
-    Every other h is real, and its h*h is taken from the inverse transform
-    of hat(h)^2, for two such h at once by `_real_pair_convolutions` (a last
-    odd one through `moment_energy`)."""
+    An h given as c I by `Dfn._with_form`, with 4 nnz(I)^2 <= N, takes
+    c^4 sum (I*I)^2, with I*I the exact product of I's sorted pair with
+    itself: no length-N array is built and no transform runs, so this side
+    shares nothing with the dual mean it is compared with.  Every other h
+    is real, and its h*h is taken from the inverse transform of hat(h)^2,
+    for two such h at once by `_real_pair_convolutions` (a last odd one
+    through `moment_energy`)."""
     energies = [None] * len(hs)
     paired = []
     for i, h in enumerate(hs):
+        form = h._form
         if h.tag == "complex":
             energies[i] = h.dual_moment(4)
         elif h.is_integer_valued():
             energies[i] = moment_energy([h, h], 2)
+        elif form is not None and _SPARSE_ENERGY * form[1] ** 2 <= h.ctx.N:
+            c, _, build = form
+            I = build()
+            energies[i] = c**4 * power_sum(_exact_product(h.ctx, I, I)[1], 2)
         else:
             paired.append(i)
     if len(paired) % 2:
@@ -452,9 +484,10 @@ def verify_counting_lemma(eq: EquationSpec, nu: Dfn, fs: list, T=None):
     norms = [tuple(fourier_mean_norm(f, p) for p in (np.inf, k - 1, 4)) for f in fs]
     e2_nu = nu.dual_moment(4)
     # the physical side of the fourth moments: sum (h*h)^2, exact for
-    # integer-valued h; a float h*h is the inverse transform of hat(h)^2, so
-    # for float inputs both sides come from the one transform of h, and the
-    # identity checks Parseval on it
+    # integer-valued h, and c^4 times an exact sum for a sparse h = c I whose
+    # integer object I the caller attached, so that the identity compares two
+    # independent routes; any other float h*h is the inverse transform of
+    # hat(h)^2, and for it the identity checks Parseval on one transform
     e2_nu_phys, *energies = _pair_energies([nu] + [f for _, f in distinct.values()])
     energy_of = dict(zip(distinct, energies))
     rep = VerificationReport(
@@ -784,6 +817,7 @@ def run_transference_pipeline(
     report.flags += report.sections["model_properties"].flags
     f, scale, smoother_size = model.f, model.scale, model.smoother_size
     hat_A = model.A.indicator().hat()
+    B = model.smoother.elements if integer_mode else model.smoother.element_indices()
     del model
 
     # the dual side of the run: F, g and nu are linear in 1_A and f, and so
@@ -796,10 +830,25 @@ def run_transference_pipeline(
     del hat_A
     g = (f - F)._with_hat(f.hat() - F.hat())
     k = eq.k
+    # each of the chain's functions is also a multiple of an integer object,
+    # built from A and B only if the chain's pair energies take it: with
+    # c = N^{1/s}/|B| and P = 1_A * 1_B, F = N^{1/s} 1_A (f itself when
+    # |B| = 1), g = c (P - |B| 1_A) and nu = c (P + |B| 1_A), the last two
+    # with at most |A| |B| nonzeros
+    points, c, size = A.indices, scale / smoother_size, len(A) * smoother_size
+    ones = np.ones(len(points), dtype=np.int64)
+
+    def P_plus(sign):
+        pp, pv = _exact_product(ctx, (points, ones), (B, np.ones(len(B), dtype=np.int64)))
+        return _collect(np.concatenate((pp, points)),
+                        np.concatenate((pv, sign * smoother_size * ones)))
+
+    F._with_form(scale, len(points), lambda: (points, ones))
+    g._with_form(c, size, lambda: P_plus(-1))
 
     tele = verify_telescoping(eq, f, F, g=g)
     report.sections["telescoping"] = tele
-    nu = (f + F)._with_hat(f.hat() + F.hat())
+    nu = (f + F)._with_hat(f.hat() + F.hat())._with_form(c, size, lambda: P_plus(1))
     if k >= 5:
         # the chain's T(g, F, ..., F) is the telescoping's term 0; every input
         # is real, so the report holds that term with its bits

@@ -126,7 +126,17 @@ def verify_model_properties(model: DenseModel):
     _real_pair_hats(model.f, smoother)
     hat_f = model.f.hat()
     hat_A = A.indicator().hat()
-    gap = np.abs(hat_f - model.scale * hat_A)
+    # the residuals hat f - scale hat 1_A mu_hat and scale hat 1_A - hat f,
+    # formed in two buffers; each has the bits of its expression
+    scaled_A = hat_A * model.scale
+    residual = smoother.hat() / size
+    np.multiply(scaled_A, residual, out=residual)
+    np.subtract(hat_f, residual, out=residual)
+    factorization = float(np.abs(residual).max())
+    del residual
+    scaled_A -= hat_f
+    gap = np.abs(scaled_A)
+    del scaled_A
     mass = float(model.f.values.sum())
     ls_norm = float((model.f.values**s).sum())
     rep = VerificationReport(
@@ -180,16 +190,14 @@ def verify_model_properties(model: DenseModel):
     )
 
     # fourier factorization: hat f = scale * hat 1_A * hat mu (rel 1e-9)
-    mu_hat = smoother.hat() / size
     rep.check(
         "fourier_factorization",
-        float(np.abs(hat_f - model.scale * hat_A * mu_hat).max()),
+        factorization,
         "<=",
         1e-9 * max(1.0, float(np.abs(hat_f).max())),
     )
 
     # (ii) the Fourier gap
-    mags = np.abs(hat_A)
     thr = float(eps) * m
     if model.mode == "finite_field":
         on_V = np.zeros(ctx.N, dtype=bool)
@@ -199,7 +207,8 @@ def verify_model_properties(model: DenseModel):
         rep.check("projector_vanishing",
                   float(np.abs(hat_f[~on_V]).max()) if (~on_V).any() else 0.0,
                   "<=", 1e-8 * ctx.N)
-        rep.check("off_span_spectrum", float(mags[~on_V].max()) if (~on_V).any() else 0.0,
+        rep.check("off_span_spectrum",
+                  float(np.abs(hat_A[~on_V]).max()) if (~on_V).any() else 0.0,
                   "<=", thr, tol=1e-12)
         rep.check("gap_bound", float(gap.max()), "<=",
                   float(eps) * model.scale * m, tol=1e-9)
@@ -209,9 +218,8 @@ def verify_model_properties(model: DenseModel):
         off_gap = float(gap[~in_spec].max()) if (~in_spec).any() else 0.0
         rep.check("off_spectrum_gap", off_gap, "<=",
                   2.0 * float(eps) * model.scale * m, tol=1e-9)
-        on_factor = (
-            float(np.abs(1 - mu_hat[in_spec]).max()) if in_spec.any() else 0.0
-        )
+        mu_on_spec = smoother.hat()[in_spec] / size
+        on_factor = float(np.abs(1 - mu_on_spec).max()) if in_spec.any() else 0.0
         rep.quantities["smoother_on_spec_factor"] = on_factor
         rep.check("smoother_factor", on_factor, "<=",
                   2.0 * np.pi * float(eps), tol=1e-9)

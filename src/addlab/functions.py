@@ -45,10 +45,11 @@ class Dfn:
     change after any of them is asked; a shared indicator such as
     ``SetA.indicator()`` has read-only values for that reason.  A Dfn built
     from others (``f - F``, say) asks afresh, and one given its transform by
-    ``_with_hat`` starts with no moments.
+    ``_with_hat`` starts with no moments.  ``_with_form`` attaches, in the
+    same way, the values as a multiple of an integer object.
     """
 
-    __slots__ = ("ctx", "values", "_hat", "_moments", "_integer")
+    __slots__ = ("ctx", "values", "_hat", "_moments", "_integer", "_form")
 
     def __init__(self, ctx: GroupCtx, values):
         values = np.asarray(values)
@@ -59,6 +60,7 @@ class Dfn:
         self._hat = None
         self._moments = {}
         self._integer = None
+        self._form = None
 
     @property
     def tag(self) -> str:
@@ -115,6 +117,15 @@ class Dfn:
         hat.flags.writeable = False
         self._hat = hat
         self._moments = {}
+        return self
+
+    def _with_form(self, c: float, size: int, build) -> Dfn:
+        """Attach the values as c times an integer object I with at most
+        `size` nonzero values, which the caller knows by construction;
+        `build()` returns the sorted pair (points, int64 values) of I's
+        nonzeros, and is called only by a reader that takes I, so an I that
+        no reader takes is never built."""
+        self._form = (c, size, build)
         return self
 
     def dual_moment(self, p: float) -> float:
@@ -240,7 +251,10 @@ def _real_pair_hats(h1: Dfn, h2: Dfn):
     if s is None or h1._hat is not None or h2._hat is not None:
         h1.hat(), h2.hat()
         return
-    z = h1.ctx.fft(h1.values + 1j * (s * h2.values))
+    z = np.empty(h1.ctx.N, dtype=np.complex128)
+    z.real = h1.values
+    np.multiply(h2.values, s, out=z.imag)
+    z = h1.ctx.fft(z)
     z_neg = np.conjugate(_negated(h1.ctx, z))
     hat1 = z + z_neg
     hat1 *= 0.5
@@ -308,6 +322,10 @@ def _dual_mean(ctx, values: np.ndarray, real: bool):
 
 _INT64_LIMIT = 1 << 63
 _PAIR_BLOCK = 1 << 16  # pairwise products per scatter-add, to bound temporaries
+# a Z_M product of n1 x n2 points sorts its pair sums when this times n1 n2 is
+# at most M: sorting them then costs less than clearing, folding and scanning
+# the 2M-long accumulator, whose passes follow M and not the products
+_SORTED_PRODUCTS = 4
 
 
 def _as_int64(v) -> np.ndarray:
@@ -467,18 +485,38 @@ def _dense(ctx: GroupCtx, pair: tuple) -> np.ndarray:
     return out
 
 
+def _collect(points: np.ndarray, values: np.ndarray) -> tuple:
+    """The sorted pair of the nonzero sums of the int64 values at each
+    point: the points sorted, and each run of equal points reduced to one
+    sum."""
+    order = np.argsort(points)
+    points, values = points[order], values[order]
+    starts = np.flatnonzero(np.diff(points, prepend=-1))  # the first of each run
+    sums = np.add.reduceat(values, starts)
+    keep = sums != 0
+    return points[starts][keep], sums[keep]
+
+
 def _pair_sums(M: int, a: tuple, b: tuple) -> tuple:
-    """Product on Z_M of two sorted pairs: the pairwise sums of their points,
-    each with the product of its two values, scatter-added into one int64
-    accumulator, a block of rows of the shorter pair at a time, and folded
-    mod M."""
+    """Product on Z_M of two pairs: the pairwise sums of their points mod M,
+    each with the product of its two values.  When `_SORTED_PRODUCTS` n1 n2
+    <= M the sums are sorted and each run of equal points reduced
+    (`_collect`), so the cost follows the products alone; otherwise they are
+    scatter-added into one int64 accumulator, a block of rows of the shorter
+    pair at a time, and folded mod M in place."""
     (p1, v1), (p2, v2) = sorted((a, b), key=lambda pair: len(pair[0]))
+    if _SORTED_PRODUCTS * len(p1) * len(p2) <= M:
+        sums = (p1[:, None] + p2).ravel()
+        sums[sums >= M] -= M
+        return _collect(sums, (v1[:, None] * v2).ravel())
     acc = np.zeros(2 * M, dtype=np.int64)  # two points below M sum below 2M
     rows = max(1, _PAIR_BLOCK // len(p2))
     for i in range(0, len(p1), rows):
         np.add.at(acc, (p1[i : i + rows, None] + p2).ravel(),
                   (v1[i : i + rows, None] * v2).ravel())
-    return _nonzeros(acc[:M] + acc[M:])
+    folded = acc[:M]
+    folded += acc[M:]
+    return _nonzeros(folded)
 
 
 def _exact_product(ctx: GroupCtx, a: tuple, b: tuple) -> tuple:
@@ -502,12 +540,13 @@ def _exact_product(ctx: GroupCtx, a: tuple, b: tuple) -> tuple:
 def exact_convolve(ctx: GroupCtx, g1, g2) -> np.ndarray:
     """(g1 * g2)(x) = sum_y g1(y) g2(x - y) in exact int64 arithmetic.
 
-    Z_M: one route for every input.  The pairwise sums of the two supports,
-    each with the product of its two values, are scatter-added into one
-    int64 accumulator and folded mod M, so the cost follows nnz(g1) nnz(g2),
-    plus O(M) to clear and read the accumulator, and not the arcs the
-    supports span.  Two dense inputs at large M cost about M^2 products that
-    way; no caller multiplies such a pair.
+    Z_M: the pairwise sums of the two supports mod M, each with the product
+    of its two values, so the cost follows nnz(g1) nnz(g2) and not the arcs
+    the supports span.  When 4 nnz(g1) nnz(g2) <= M the sums are sorted and
+    each run of equal points reduced, so the product pays nothing of order
+    M; otherwise they are scatter-added into one int64 accumulator, which
+    adds O(M) to clear, fold and read it.  Two dense inputs at large M cost
+    about M^2 products either way; no caller multiplies such a pair.
     F_q^n: a number-theoretic transform (Pollard, Math. Comp. 1971)
     on the base-p digit view (Z_p)^(n r), axis by axis with a p x p kernel,
     modulo primes P = 1 (mod p) with p P^2 < 2^63, as many as make their
@@ -532,13 +571,7 @@ def _pushforward(ctx: GroupCtx, indices, coeff: int, weights: np.ndarray) -> tup
     bound = _abs_sum_max(weights)[0]
     if bound >= _INT64_LIMIT:
         raise OverflowError(f"pushforward entry bound {bound} is not below 2^63")
-    y = np.asarray(ctx.scale_int(coeff, indices), dtype=np.int64)
-    order = np.argsort(y)
-    y, weights = y[order], weights[order]
-    starts = np.flatnonzero(np.diff(y, prepend=-1))  # the first of each run
-    sums = np.add.reduceat(weights, starts)
-    keep = sums != 0
-    return y[starts][keep], sums[keep]
+    return _collect(np.asarray(ctx.scale_int(coeff, indices), dtype=np.int64), weights)
 
 
 def _memo_product(ctx: GroupCtx, key: tuple, memo: dict) -> tuple:

@@ -81,6 +81,16 @@ class BohrSet:
         return Dfn.indicator(self.ctx, self.elements)
 
 
+# frequencies per pass of the Bohr test: a candidate n != 0 passes each
+# frequency of a large spectrum with probability about 2 eps, so a few
+# frequencies leave only n = 0 and a narrow pass reaches the early exit sooner
+_BOHR_CHUNK = 8
+# candidate-frequency products per block of a pass: its int64 temporaries
+# stay at 128 KiB, below glibc malloc's mmap threshold, so each block reuses
+# heap pages where a whole-width pass would map fresh ones
+_BOHR_BLOCK = 1 << 14
+
+
 def bohr_set(spec: Spectrum, eps, model_n: int) -> BohrSet:
     """B = {n in [-eps*N, eps*N] : ||n*xi/M|| < eps for all spectrum xi}."""
     ctx = spec.ctx
@@ -99,16 +109,19 @@ def bohr_set(spec: Spectrum, eps, model_n: int) -> BohrSet:
     # exact integer test: |n * xi| < M^2 / 2 < 2^61 fits int64, so only
     # dist * b and a * M can overflow, and then they run in Python ints
     overflow = max(a, b) >= (1 << 62) // M
-    for chunk_start in range(0, len(freqs), 64):
+    for chunk_start in range(0, len(freqs), _BOHR_CHUNK):
         live = np.nonzero(keep)[0]
         if len(live) == 1:  # only n = 0 is left, and it passes every test
             break
-        chunk = freqs[chunk_start : chunk_start + 64]
-        k = (cand[live, None] * chunk[None, :]) % M
-        dist = np.minimum(k, M - k)
-        if overflow:
-            dist = dist.astype(object)
-        keep[live] = (dist * b < a * M).all(axis=1)
+        chunk = freqs[chunk_start : chunk_start + _BOHR_CHUNK]
+        rows = max(1, _BOHR_BLOCK // len(chunk))
+        for lo in range(0, len(live), rows):
+            block = live[lo : lo + rows]
+            k = (cand[block, None] * chunk[None, :]) % M
+            dist = np.minimum(k, M - k)
+            if overflow:
+                dist = dist.astype(object)
+            keep[block] = (dist * b < a * M).all(axis=1)
     members = cand[keep]
     assert 0 in members, "Bohr set must contain 0"
     assert set(members.tolist()) == set((-members).tolist()), "Bohr set not symmetric"

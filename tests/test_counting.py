@@ -604,6 +604,29 @@ class TestAllDistinct:
         assert ctx.M == M
         assert _solution_counts(eq, A.with_ctx(ctx)) == (total, distinct)
 
+    def test_moebius_table_built_once_per_coefficients_and_exponent(self, monkeypatch):
+        from addlab import counting
+
+        calls = []
+        partitions = counting._set_partitions
+
+        def recording(items):
+            calls.append(tuple(items))
+            return partitions(items)
+
+        monkeypatch.setattr(counting, "_set_partitions", recording)
+        counting._moebius_table.cache_clear()
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        ctx = CyclicCtx(padded_modulus(eq, 40))
+        rng = spawn_rng(38, 2)
+        for size in (6, 9, 12):
+            A = SetA(ctx, rng.choice(40, size=size, replace=False))
+            assert _solution_counts(eq, A)[1] == prefix_enumerator(eq, A)
+        assert calls == [eq.coeffs]
+        _solution_counts(eq, SetA(F3_2, [0, 1, 5]))
+        assert len(calls) == 2
+        counting._moebius_table.cache_clear()
+
     def test_empty_and_single_point(self):
         eq = EquationSpec([1, 1, 1, -1, -2])
         for ctx in (CyclicCtx(1), CyclicCtx(37), F3_2):
@@ -967,6 +990,103 @@ class TestHalfDomain:
                 assert e == pytest.approx(dual, rel=1e-12)
 
 
+class TestIntegerForms:
+    """Physical fourth moments of h = c I from the integer object I."""
+
+    @pytest.mark.parametrize("M", [10_007, 3 * 4099, 12_000],
+                             ids=["prime", "good_thomas", "smooth"])
+    def test_exact_side_matches_the_transform_route(self, monkeypatch, M):
+        # random signed sparse I, 4 nnz^2 <= M, times an irrational c; the
+        # transform route is the paired inverse transform of the same values
+        ctx = CyclicCtx(M)
+        rng = spawn_rng(36, M)
+        c = float(np.sqrt(2.0))
+        formed, plain = [], []
+        for size in (40, 50):
+            pts = np.sort(rng.choice(M, size=size, replace=False))
+            vals = rng.integers(1, 6, size=size) * rng.choice([-1, 1], size=size)
+            dense = np.zeros(M)
+            dense[pts] = vals * c
+            formed.append(Dfn(ctx, dense)._with_form(c, size, lambda p=pts, v=vals: (p, v)))
+            plain.append(Dfn(ctx, dense.copy()))
+        expected = _pair_energies(plain)
+
+        def no_transform(*args):
+            raise AssertionError("a transform ran on the exact route")
+
+        monkeypatch.setattr(CyclicCtx, "fft", no_transform)
+        monkeypatch.setattr(CyclicCtx, "ifft", no_transform)
+        for got, want in zip(_pair_energies(formed), expected):
+            assert type(got) is float
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_dense_forms_keep_the_transform_route(self):
+        # 4 nnz^2 > N: the form is never built
+        ctx = CyclicCtx(61)
+        h = Dfn(ctx, spawn_rng(36, 1).uniform(0, 1, size=61))
+
+        def unbuilt():
+            raise AssertionError("a dense form was built")
+
+        h._with_form(1.0, 4, unbuilt)
+        assert _pair_energies([h]) == [moment_energy([h, h], 2)]
+
+    def test_an_integer_object_off_by_one_fails_the_identity(self, monkeypatch):
+        # +1 at one point of each integer object, float values untouched: the
+        # two sides of fourth_moment_identity now come from independent routes
+        with_form = Dfn._with_form
+
+        def off_by_one(h, c, size, build):
+            def bumped():
+                points, values = build()
+                return points, values + (np.arange(len(values)) == 0)
+            return with_form(h, c, size, bumped)
+
+        eq = EquationSpec([1, 1, 1, -1, -2])
+        honest = run_transference_pipeline(erdos_turan_sidon(31), eq, 2, 2, "1/8")
+        assert honest.passed
+        monkeypatch.setattr(Dfn, "_with_form", off_by_one)
+        rep = run_transference_pipeline(erdos_turan_sidon(31), eq, 2, 2, "1/8")
+        failed = {a.name for a in rep.sections["holder_chain"].assertions if not a.passed}
+        # slot 0 holds g = 0, which counts exactly; F = f fills the others
+        assert {f"fourth_moment_identity_{j}" for j in range(1, 5)} <= failed
+        assert all(name.startswith(("fourth_moment_identity_", "majorant_energy_"))
+                   for name in failed)
+        assert [name for name, sec in rep.sections.items() if not sec.passed] == [
+            "holder_chain"]
+
+    @pytest.mark.parametrize("build, coeffs", [
+        (lambda: erdos_turan_sidon(31), [1, 1, 1, -1, -2]),
+        (lambda: greedy_kst_free(2, 2, F3_4.N, seed=19, ctx=F3_4), [1, 1, 1, 1, -4]),
+    ], ids=["cyclic_wide_bohr_set", "vector"])
+    def test_every_form_is_its_function(self, monkeypatch, build, coeffs):
+        # with the threshold at 0 every pair energy takes its form, those of
+        # g and nu under a smoother of more than one point included, and
+        # each form, c times its integer object, is the function's values
+        from addlab import counting
+
+        forms = []
+        with_form = Dfn._with_form
+
+        def recording(h, c, size, build_I):
+            forms.append((h, c, size, build_I))
+            return with_form(h, c, size, build_I)
+
+        monkeypatch.setattr(Dfn, "_with_form", recording)
+        monkeypatch.setattr(counting, "_SPARSE_ENERGY", 0)
+        rep = run_transference_pipeline(build(), EquationSpec(coeffs), 2, 2, "1/2")
+        assert rep.passed and rep.ledger["smoother_size"] > 1
+        assert len(forms) == 3  # F, g and nu
+        for h, c, size, build_I in forms:
+            points, values = build_I()
+            assert values.dtype == np.int64 and np.all(values != 0)
+            assert np.all(np.diff(points) > 0) and len(points) <= size
+            dense = np.zeros(h.ctx.N)
+            dense[points] = values
+            np.testing.assert_allclose(c * dense, h.values, rtol=0,
+                                       atol=1e-12 * np.abs(h.values).max())
+
+
 class TestLevelSet:
     def test_constant_one(self):
         ctx = CyclicCtx(50)
@@ -1264,14 +1384,14 @@ class TestPipeline:
         assert rep.passed and seen
         assert len(set(seen)) == len(seen)
 
-    @pytest.mark.parametrize("eps, transforms", [("1/8", 3), ("1/2", 4)],
+    @pytest.mark.parametrize("eps, transforms", [("1/8", 2), ("1/2", 3)],
                              ids=["one_point_smoother", "wide_bohr_set"])
     def test_transform_count(self, monkeypatch, eps, transforms):
         # 1_A is transformed, then f and the smoother as one pair; F, g and
-        # nu are not.  The rest are the inverse transforms of the physical
-        # pair energies of the float inputs, two per transform: nu and F
-        # (g = 0 counts exactly) under a one-point smoother, else nu and g,
-        # then F alone
+        # nu are not.  The physical pair energies of a sparse integer object
+        # (F = c |B| 1_A always, and nu = 2 f under a one-point smoother,
+        # where g = 0 counts exactly) are exact products with no transform;
+        # under a wider Bohr set nu and g share one inverse transform
         calls = []
         for name in ("fft", "ifft"):
             method = getattr(CyclicCtx, name)

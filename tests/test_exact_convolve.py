@@ -182,11 +182,61 @@ class TestZMRoutes:
                 out = exact_convolve(CyclicCtx(M), v1, v2)
                 assert np.array_equal(out, dense_fold_oracle(M, v1, v2))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sorted_products_match_the_accumulator(self, data):
+        # the oracle corpus on Z_M, and M = 1000 with arcs that wrap past 0,
+        # each product taken by both routes, whatever its size
+        ctx = data.draw(st.sampled_from(
+            [ctx for ctx in CTXS if ctx.kind == "cyclic"] + [CyclicCtx(1000)]))
+        a = functions._nonzeros(data.draw(arc_values(ctx)))
+        b = functions._nonzeros(data.draw(arc_values(ctx)))
+        routes = []
+        with pytest.MonkeyPatch.context() as mp:
+            for ratio in (0, ctx.N + 1):  # every product sorted, then none
+                mp.setattr(functions, "_SORTED_PRODUCTS", ratio)
+                routes.append(functions._exact_product(ctx, a, b))
+        dense = functions._dense(ctx, routes[0])
+        assert np.array_equal(dense, translate_oracle(
+            ctx, functions._dense(ctx, a), functions._dense(ctx, b)))
+        for points, values in routes:
+            assert np.array_equal(points, routes[1][0]) and points.dtype == np.int64
+            assert np.array_equal(values, routes[1][1]) and values.dtype == np.int64
+            assert np.all(values != 0) and np.all(np.diff(points) > 0)
+
+    @pytest.mark.parametrize("sizes, sorted_route", [((10, 20), True), ((20, 20), False)],
+                             ids=["4n1n2_le_M", "4n1n2_gt_M"])
+    def test_pair_sums_on_both_sides_of_the_switch(self, monkeypatch, sizes, sorted_route):
+        # at M = 1000: sums past M wrap, and the pairs (0, 5), (1, 4) meet at
+        # 5 with values 1 and -1, which cancel and are dropped
+        M = 1000
+        collected = []
+        collect = functions._collect
+
+        def recording(points, values):
+            collected.append(len(points))
+            return collect(points, values)
+
+        monkeypatch.setattr(functions, "_collect", recording)
+        n1, n2 = sizes
+        p1 = np.array([0, 1] + list(range(M - n1 + 2, M)), dtype=np.int64)
+        v1 = np.array([1, 1] + [3] * (n1 - 2), dtype=np.int64)
+        p2 = np.array([4, 5] + list(range(960, 960 + n2 - 2)), dtype=np.int64)
+        v2 = np.array([-1, 1] + [2] * (n2 - 2), dtype=np.int64)
+        points, values = functions._pair_sums(M, (p1, v1), (p2, v2))
+        assert collected == ([n1 * n2] if sorted_route else [])
+        expected = dense_fold_oracle(M, functions._dense(CyclicCtx(M), (p1, v1)),
+                                     functions._dense(CyclicCtx(M), (p2, v2)))
+        assert expected[5] == 0 and 5 not in points
+        assert np.array_equal(points, np.flatnonzero(expected))
+        assert np.array_equal(values, expected[points])
+
     def test_overflow_raised_before_either_route(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("a route ran before the bound was checked")
 
         monkeypatch.setattr(functions, "_pair_sums", no_work)
+        monkeypatch.setattr(functions, "_collect", no_work)
         monkeypatch.setattr(functions, "_ntt_convolve", no_work)
         ctx = CyclicCtx(10**5)
         v1 = np.zeros(ctx.N, dtype=np.int64)
